@@ -41,7 +41,7 @@ sel = select_checkpoint(records)
 print(f"selected epoch {sel.chosen_epoch} gap={sel.gap:.5f}")
 for r, c in zip(records, ckpts):
     preds, probs = final_predict(c, split.test)
-    m = evaluate_predictions(preds, probs, split.test, "group")
+    m = evaluate_predictions(preds, split.test.labels(), split.test.protected_values("group"), "group")
     smap = average_saliency(c, split.test, "anxiety")
     mass = smap.column_l1_mass(PROTECTED_SIGNAL_COLUMNS)
     total = float(np.sum(np.abs(smap.values)))

@@ -4,7 +4,9 @@ Subcommands: extract, synth, audit, train-base, reweigh-train, mitigate,
 saliency, compare. Every command writes its artifacts plus a manifest
 (configuration echo and artifact checksums, no volatile fields) into the
 --out directory, so identical configurations and seeds reproduce
-byte-identical outputs. Exit codes: 0 success, 1 data or I/O errors,
+byte-identical outputs. All fairness reports come from
+fairness.evaluate_predictions; all windows CSVs are read by
+dataset.read_windows_csv. Exit codes: 0 success, 1 data or I/O errors,
 2 usage errors.
 """
 
@@ -56,7 +58,7 @@ def _read_predictions_csv(path) -> dict:
     return preds
 
 
-def _train_config(args, seedless=False) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     weights = tuple(float(w) for w in args.loss_weights.split(","))
     if len(weights) != 2:
         raise ValueError("--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'")
@@ -68,7 +70,7 @@ def _train_config(args, seedless=False) -> TrainConfig:
         keep_rate=args.keep_rate,
         lr=args.lr,
         batch_size=args.batch_size,
-        seed=0 if seedless else args.seed,
+        seed=args.seed,
         lstm_hidden=args.lstm_hidden,
         dense_size=args.dense_size,
         eval_samples=args.eval_samples,
@@ -88,10 +90,12 @@ def _load_cohort_from_args(args, need_demo=False) -> dataset.Cohort:
 
 
 def cmd_extract(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if (args.ecg is None) == (args.nni is None):
         raise ValueError("provide exactly one of --ecg or --nni")
+    if args.steps != dataset.WINDOW_STEPS:
+        raise ValueError(f"--steps must be {dataset.WINDOW_STEPS}, the window length models take")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.ecg is not None:
         signal = hrv_features.read_ecg_csv(args.ecg)
         nni = hrv_features.detect_r_peaks(signal)
@@ -155,13 +159,18 @@ def cmd_audit(args) -> int:
     cohort = _load_cohort_from_args(args, need_demo=True)
     groups = cohort.protected_values(args.protected)
     labels = cohort.labels()
-    if args.predictions is not None:
-        by_id = _read_predictions_csv(args.predictions)
-        preds = np.array([by_id[w.sample_id] for w in cohort.windows])
-        report = fairness.audit(preds, groups, labels=labels, attribute=args.protected)
+    if args.predictions is None:
+        report = fairness.evaluate_predictions(labels, groups=groups, attribute=args.protected)
     else:
-        report = fairness.audit(labels, groups, attribute=args.protected)
-    write_json(out / "report.json", report.as_dict())
+        # audit exactly the listed samples: model commands write test-split predictions only
+        by_id = _read_predictions_csv(args.predictions)
+        index = {w.sample_id: i for i, w in enumerate(cohort.windows)}
+        unknown = [sid for sid in by_id if sid not in index]
+        if unknown:
+            raise ValueError(f"{args.predictions}: sample {unknown[0]!r} is not in the cohort")
+        rows = [index[sid] for sid in by_id]
+        report = fairness.evaluate_predictions(list(by_id.values()), labels[rows], groups[rows], args.protected)
+    write_json(out / "report.json", report)
     _write_manifest(out, "audit", _config_echo(args))
     return 0
 
@@ -173,21 +182,8 @@ def _run_single_model(args, variant: str) -> int:
     cohort = _load_cohort_from_args(args, need_demo=need_demo)
     config = _train_config(args)
     split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant)
-    if variant == "reweighting":
-        run = pipeline.run_reweighted_model(split, args.protected, config)
-    elif args.protected is not None:
-        run = pipeline.run_base_model(split, args.protected, config)
-    else:
-        from .mitigation import final_predict, train_baseline
-
-        params, losses = train_baseline(split.train, config)
-        preds, probs = final_predict(params, split.test, threshold=config.threshold)
-        metrics = {
-            "accuracy": fairness.accuracy_score(preds, split.test.labels()),
-            "f1": fairness.f1_score(preds, split.test.labels()),
-            "prediction_entropy": pipeline.prediction_entropy(preds),
-        }
-        run = pipeline.ModelRun("base", params, preds, probs, metrics, tuple(losses))
+    run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
+    run = run_model(split, args.protected, config)
     save_checkpoint(run.params, out / "model.bin")
     _write_predictions_csv(
         out / "predictions.csv",
@@ -241,7 +237,7 @@ def cmd_saliency(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = load_checkpoint(args.checkpoint)
-    windows, _ = _read_feature_windows(args.windows)
+    _, _, windows = dataset.read_windows_csv(args.windows)
     smap = saliency.average_saliency_over_windows(params, windows, args.head)
     saliency.write_saliency_csv(smap, out / "saliency.csv")
     abs_map = saliency.SaliencyMap(np.abs(smap.values), smap.feature_names, smap.head)
@@ -249,30 +245,6 @@ def cmd_saliency(args) -> int:
     saliency.write_saliency_svg(smap, out / "saliency.svg")
     _write_manifest(out, "saliency", _config_echo(args))
     return 0
-
-
-def _read_feature_windows(path):
-    """Windows CSV -> ((n, 24, 25) array, sample ids); labels not needed."""
-    rows_by_sample = {}
-    order = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        expected = ["sample_id", "participant_id", "step"] + list(hrv_features.FEATURE_NAMES)
-        if header != expected:
-            raise ValueError(f"{path}: unexpected header")
-        for row in reader:
-            if not row:
-                continue
-            sid, step = row[0], int(row[2])
-            if sid not in rows_by_sample:
-                rows_by_sample[sid] = np.full((dataset.WINDOW_STEPS, dataset.N_FEATURES), np.nan)
-                order.append(sid)
-            rows_by_sample[sid][step] = [float(v) for v in row[3:]]
-    stack = np.stack([rows_by_sample[sid] for sid in order])
-    if np.isnan(stack).any():
-        raise ValueError(f"{path}: some windows are missing time steps")
-    return stack, order
 
 
 def cmd_compare(args) -> int:

@@ -14,7 +14,6 @@ import csv as _csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -372,14 +371,52 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
 # CSV / JSON interchange
 
 
+WINDOWS_HEADER = ["sample_id", "participant_id", "step", *FEATURE_NAMES]
+
+
 def write_windows_csv(path, cohort: Cohort) -> None:
     """Windows CSV: sample_id, participant_id, step, then the 25 features."""
-    lines = [",".join(("sample_id", "participant_id", "step") + FEATURE_NAMES)]
+    lines = [",".join(WINDOWS_HEADER)]
     for w in cohort.windows:
         for step in range(WINDOW_STEPS):
             values = ",".join(repr(float(v)) for v in w.features[step])
             lines.append(f"{w.sample_id},{w.participant_id},{step},{values}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_windows_csv(path):
+    """Windows CSV -> (sample ids, participant ids, (n, 24, 25) features).
+
+    Parses row by row into per-sample arrays (samples in order of first
+    row). Raises ValueError, naming the file and line, on a bad header or
+    column count, a step outside [0, 24), a repeated (sample, step) row,
+    or a sample with missing steps.
+    """
+    by_sample = {}  # sample id -> [participant id, features, bitmask of steps seen]
+    with open(path, newline="") as fh:
+        reader = _csv.reader(fh)
+        if next(reader, None) != WINDOWS_HEADER:
+            raise ValueError(f"{path}: unexpected header")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(WINDOWS_HEADER):
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(WINDOWS_HEADER)} columns")
+            sample_id, step = row[0], int(row[2])
+            if not 0 <= step < WINDOW_STEPS:
+                raise ValueError(f"{path}, line {reader.line_num}: step {step} outside [0, {WINDOW_STEPS})")
+            if sample_id not in by_sample:
+                by_sample[sample_id] = [row[1], np.full((WINDOW_STEPS, N_FEATURES), np.nan), 0]
+            entry = by_sample[sample_id]
+            if entry[2] >> step & 1:
+                raise ValueError(f"{path}, line {reader.line_num}: repeats step {step} of sample {sample_id!r}")
+            entry[1][step] = [float(v) for v in row[3:]]
+            entry[2] |= 1 << step
+    for sample_id, (_, feats, _) in by_sample.items():
+        if np.isnan(feats).any():
+            raise ValueError(f"{path}: sample {sample_id!r} is missing time steps")
+    features = np.array([entry[1] for entry in by_sample.values()]).reshape(-1, WINDOW_STEPS, N_FEATURES)
+    return list(by_sample), [entry[0] for entry in by_sample.values()], features
 
 
 def write_labels_csv(path, cohort: Cohort) -> None:
@@ -419,23 +456,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
     Windows and labels are joined on sample_id; demographic raw categories,
     when provided, are encoded per attribute with the majority rule.
     """
-    windows_path = Path(windows_path)
-    rows_by_sample = {}
-    sample_order = []
-    with open(windows_path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        expected = ["sample_id", "participant_id", "step"] + list(FEATURE_NAMES)
-        if header != expected:
-            raise ValueError(f"{windows_path}: unexpected header")
-        for row in reader:
-            if not row:
-                continue
-            sample_id, participant_id, step = row[0], row[1], int(row[2])
-            if sample_id not in rows_by_sample:
-                rows_by_sample[sample_id] = (participant_id, np.full((WINDOW_STEPS, N_FEATURES), np.nan))
-                sample_order.append(sample_id)
-            rows_by_sample[sample_id][1][step] = [float(v) for v in row[3:]]
+    sample_ids, participant_ids, features = read_windows_csv(windows_path)
 
     labels = {}
     with open(labels_path, newline="") as fh:
@@ -464,10 +485,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
             participant_codes[name] = codes
 
     windows = []
-    for sample_id in sample_order:
-        participant_id, feats = rows_by_sample[sample_id]
-        if np.isnan(feats).any():
-            raise ValueError(f"sample {sample_id!r} is missing time steps")
+    for sample_id, participant_id, feats in zip(sample_ids, participant_ids, features):
         if sample_id not in labels:
             raise ValueError(f"sample {sample_id!r} has no anxiety label")
         protected = {}

@@ -1,4 +1,4 @@
-"""Group fairness metrics and the reweighting preprocessor.
+"""Group fairness metrics, the fairness report, and the reweighting preprocessor.
 
 All metrics operate on aligned binary sequences where the group encoding
 is 1 for the privileged (majority) class and 0 for the unprivileged
@@ -6,7 +6,7 @@ class. Signed differences follow the convention unprivileged minus
 privileged. Pure counting functions; thread-safe.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -31,34 +31,6 @@ class MissingOutcomeClass(ValueError):
 
 class EmptyCell(ValueError):
     """A (group, label) cell is empty; reweighting weights are undefined."""
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    attribute: str
-    n_privileged: int
-    n_unprivileged: int
-    dir: float
-    diff_fn: float
-    diff_fp: float
-    in_bounds: bool
-    bounds: tuple = DEFAULT_BOUNDS
-    accuracy: float = None
-    f1: float = None
-
-    def as_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "n_privileged": self.n_privileged,
-            "n_unprivileged": self.n_unprivileged,
-            "dir": self.dir,
-            "diff_fn": self.diff_fn,
-            "diff_fp": self.diff_fp,
-            "in_bounds": self.in_bounds,
-            "bounds": list(self.bounds),
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-        }
 
 
 def _as_binary(values, name):
@@ -172,31 +144,49 @@ def f1_score(preds, labels) -> float:
     return 2.0 * tp / denom if denom else 0.0
 
 
-def audit(outcomes, groups, labels=None, attribute: str = "", bounds=DEFAULT_BOUNDS) -> FairnessReport:
-    """Build a fairness report for a set of outcomes.
+def prediction_entropy(predictions) -> float:
+    """Binary entropy (nats) of the predicted-label distribution.
 
-    For a dataset-level audit, pass the true labels as ``outcomes`` and
-    leave ``labels`` unset. For a model-level audit pass predictions as
-    ``outcomes`` and the true labels as ``labels``, which additionally
-    fills the equalized-odds differences, accuracy, and F1.
+    Near zero flags a near-constant predictor, which can make fairness
+    ratios look deceptively ideal.
+    """
+    rate = float(np.mean(predictions))
+    if rate in (0.0, 1.0):
+        return 0.0
+    return -(rate * math.log(rate) + (1.0 - rate) * math.log(1.0 - rate))
+
+
+def evaluate_predictions(outcomes, labels=None, groups=None, attribute=None) -> dict:
+    """The 12-key fairness and performance report for binary outcomes.
+
+    Model audit: predictions as ``outcomes`` plus the true ``labels``.
+    Dataset audit: the true labels as ``outcomes`` and no ``labels``.
+    One rule for degenerate inputs: a metric the inputs do not define is
+    None (label metrics without ``labels``, group metrics without
+    ``groups``, ``dir`` when the privileged positive rate is zero, which
+    sets ``dir_undefined``, and the rate gaps when a group lacks positive
+    or negative labels). An empty group raises ``EmptyGroup``.
     """
     outcomes = _as_binary(outcomes, "outcomes")
-    groups = _as_binary(groups, "groups")
-    ratio = disparate_impact(outcomes, groups)
-    diff_fn = diff_fp = accuracy = f1 = None
+    report = {"attribute": attribute, "bounds": list(DEFAULT_BOUNDS),
+              "prediction_entropy": prediction_entropy(outcomes), "accuracy": None, "f1": None,
+              "n_privileged": None, "n_unprivileged": None, "dir": None, "in_bounds": None,
+              "dir_undefined": None, "diff_fn": None, "diff_fp": None}
     if labels is not None:
-        diff_fn, diff_fp = equalized_odds_diffs(outcomes, labels, groups)
-        accuracy = accuracy_score(outcomes, labels)
-        f1 = f1_score(outcomes, labels)
-    return FairnessReport(
-        attribute=attribute,
-        n_privileged=int(np.sum(groups == 1)),
-        n_unprivileged=int(np.sum(groups == 0)),
-        dir=ratio,
-        diff_fn=diff_fn,
-        diff_fp=diff_fp,
-        in_bounds=bool(bounds[0] <= ratio <= bounds[1]),
-        bounds=tuple(bounds),
-        accuracy=accuracy,
-        f1=f1,
-    )
+        report.update(accuracy=accuracy_score(outcomes, labels), f1=f1_score(outcomes, labels))
+    if groups is None:
+        return report
+    groups = _as_binary(groups, "groups")
+    report.update(n_privileged=int(np.sum(groups == 1)), n_unprivileged=int(np.sum(groups == 0)))
+    try:
+        ratio = disparate_impact(outcomes, groups)
+        in_bounds = bool(DEFAULT_BOUNDS[0] <= ratio <= DEFAULT_BOUNDS[1])
+        report.update(dir=ratio, in_bounds=in_bounds, dir_undefined=False)
+    except UndefinedRatio:
+        report.update(in_bounds=False, dir_undefined=True)
+    if labels is not None:
+        try:
+            report["diff_fn"], report["diff_fp"] = equalized_odds_diffs(outcomes, labels, groups)
+        except MissingOutcomeClass:
+            pass
+    return report

@@ -10,7 +10,7 @@ training loop.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,23 +99,11 @@ class UncertaintyRecord:
     def gap(self) -> float:
         return self.c_protected - self.c_anxiety
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "c_anxiety": self.c_anxiety,
-            "c_protected": self.c_protected,
-            "p_anxiety": self.p_anxiety,
-            "p_protected": self.p_protected,
-            "mc_passes": self.mc_passes,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
 class SelectionResult:
     chosen_epoch: int
     gap: float
-    records: tuple
 
     def as_dict(self) -> dict:
         return {"chosen_epoch": self.chosen_epoch, "gap": self.gap}
@@ -266,15 +254,18 @@ def select_checkpoint(records) -> SelectionResult:
 
     Raises:
         NoCheckpoints: empty record list.
+        ValueError: a gap is NaN or infinite.
     """
     records = tuple(records)
     if not records:
         raise NoCheckpoints("no uncertainty records to select from")
     best = records[0]
-    for record in records[1:]:
+    for record in records:
+        if not math.isfinite(record.gap):
+            raise ValueError(f"checkpoint of epoch {record.epoch} has a non-finite uncertainty gap")
         if record.gap > best.gap:
             best = record
-    return SelectionResult(chosen_epoch=best.epoch, gap=best.gap, records=records)
+    return SelectionResult(chosen_epoch=best.epoch, gap=best.gap)
 
 
 def final_predict(checkpoint, cohort: Cohort, threshold: float = 0.5):

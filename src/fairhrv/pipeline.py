@@ -1,17 +1,17 @@
-"""End-to-end runs: split, standardize, train, predict, audit.
+"""End-to-end runs: split, standardize, train, predict, evaluate.
 
 Wires the dataset, training, and fairness modules into the three model
 variants the comparison table reports: the single-task base model, the
 reweighted baseline, and the uncertainty-selected multi-task model.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fairness
 from .dataset import Cohort, SplitCohort, split_cohort, standardize
+from .fairness import evaluate_predictions
 from .mitigation import (
     TrainConfig,
     evaluate_uncertainties,
@@ -26,7 +26,7 @@ from .nnet import ModelParams
 
 @dataclass(frozen=True)
 class ModelRun:
-    """One trained model evaluated on the test split."""
+    """One model's test-split run; the proposed model adds records and selection."""
 
     name: str
     params: ModelParams
@@ -34,22 +34,8 @@ class ModelRun:
     probabilities: np.ndarray
     metrics: dict
     train_losses: tuple
-
-
-@dataclass(frozen=True)
-class MitigationRun:
-    """The checkpoint-selection pipeline with its intermediate artifacts."""
-
-    name: str
-    params: ModelParams
-    final_params: ModelParams
-    predictions: np.ndarray
-    probabilities: np.ndarray
-    metrics: dict
-    records: tuple
-    selection: object
-    checkpoints: tuple
-    train_losses: tuple
+    records: tuple = ()
+    selection: object = None
 
 
 def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False) -> SplitCohort:
@@ -57,59 +43,16 @@ def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False) -> Sp
     return standardize(split_cohort(cohort, seed, by_participant=by_participant))
 
 
-def prediction_entropy(predictions) -> float:
-    """Binary entropy (nats) of the predicted-label distribution.
-
-    Near zero flags a near-constant predictor, which can make fairness
-    ratios look deceptively ideal.
-    """
-    rate = float(np.mean(predictions))
-    if rate in (0.0, 1.0):
-        return 0.0
-    return -(rate * math.log(rate) + (1.0 - rate) * math.log(1.0 - rate))
+def _test_metrics(preds, test: Cohort, protected: str | None) -> dict:
+    groups = None if protected is None else test.protected_values(protected)
+    return evaluate_predictions(preds, test.labels(), groups, protected)
 
 
-def evaluate_predictions(preds, probs, test: Cohort, protected: str) -> dict:
-    """Fairness + performance metrics for test-set predictions.
-
-    Degenerate conditions are surfaced as nulls instead of raised so a
-    comparison run completes: dir=None with in_bounds=False when the
-    privileged positive rate is zero, diff_fn/diff_fp=None when a group
-    lacks positive or negative true labels.
-    """
-    labels = test.labels()
-    groups = test.protected_values(protected)
-    metrics = {
-        "attribute": protected,
-        "accuracy": fairness.accuracy_score(preds, labels),
-        "f1": fairness.f1_score(preds, labels),
-        "prediction_entropy": prediction_entropy(preds),
-        "n_privileged": int(np.sum(groups == 1)),
-        "n_unprivileged": int(np.sum(groups == 0)),
-        "bounds": list(fairness.DEFAULT_BOUNDS),
-    }
-    try:
-        ratio = fairness.disparate_impact(preds, groups)
-        metrics.update(
-            dir=ratio,
-            in_bounds=bool(fairness.DEFAULT_BOUNDS[0] <= ratio <= fairness.DEFAULT_BOUNDS[1]),
-            dir_undefined=False,
-        )
-    except fairness.UndefinedRatio:
-        metrics.update(dir=None, in_bounds=False, dir_undefined=True)
-    try:
-        diff_fn, diff_fp = fairness.equalized_odds_diffs(preds, labels, groups)
-        metrics.update(diff_fn=diff_fn, diff_fp=diff_fp)
-    except fairness.MissingOutcomeClass:
-        metrics.update(diff_fn=None, diff_fp=None)
-    return metrics
-
-
-def run_base_model(split: SplitCohort, protected: str, config: TrainConfig) -> ModelRun:
-    """Train the single-task anxiety model and audit it on the test split."""
+def run_base_model(split: SplitCohort, protected: str | None, config: TrainConfig) -> ModelRun:
+    """Train the single-task anxiety model; ``protected`` may be None."""
     params, losses = train_baseline(split.train, config)
     preds, probs = final_predict(params, split.test, threshold=config.threshold)
-    metrics = evaluate_predictions(preds, probs, split.test, protected)
+    metrics = _test_metrics(preds, split.test, protected)
     return ModelRun("base", params, preds, probs, metrics, tuple(losses))
 
 
@@ -120,12 +63,12 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
     )
     params, losses = train_reweighted(split.train, config, weights)
     preds, probs = final_predict(params, split.test, threshold=config.threshold)
-    metrics = evaluate_predictions(preds, probs, split.test, protected)
+    metrics = _test_metrics(preds, split.test, protected)
     return ModelRun("reweighting", params, preds, probs, metrics, tuple(losses))
 
 
 def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
-                   out_dir=None, eval_on: str = "train") -> MitigationRun:
+                   out_dir=None, eval_on: str = "train") -> ModelRun:
     """The full mitigation pipeline on a prepared split.
 
     Uncertainties are evaluated on the training split by default
@@ -134,7 +77,7 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
     """
     if eval_on not in ("train", "test"):
         raise ValueError("eval_on must be 'train' or 'test'")
-    checkpoints, final_params, losses = train_mtl_with_checkpoints(
+    checkpoints, _, losses = train_mtl_with_checkpoints(
         split.train, protected, config, out_dir=out_dir
     )
     eval_cohort = split.train if eval_on == "train" else split.test
@@ -142,20 +85,10 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
     selection = select_checkpoint(records)
     selected = next(c for c in checkpoints if c.epoch == selection.chosen_epoch)
     preds, probs = final_predict(selected, split.test, threshold=config.threshold)
-    metrics = evaluate_predictions(preds, probs, split.test, protected)
+    metrics = _test_metrics(preds, split.test, protected)
     metrics["chosen_epoch"] = selection.chosen_epoch
-    return MitigationRun(
-        name="proposed",
-        params=selected,
-        final_params=final_params,
-        predictions=preds,
-        probabilities=probs,
-        metrics=metrics,
-        records=tuple(records),
-        selection=selection,
-        checkpoints=tuple(checkpoints),
-        train_losses=tuple(losses),
-    )
+    return ModelRun("proposed", selected, preds, probs, metrics, tuple(losses),
+                    records=tuple(records), selection=selection)
 
 
 COMPARISON_ROWS = (

@@ -20,6 +20,16 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def base_dir(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("base")
+    assert main([
+        "train-base", *data_args(synth_dir), "--protected", "group",
+        *FAST_TRAIN, "--seed", "5", "--out", str(out),
+    ]) == 0
+    return out
+
+
 def data_args(synth_dir):
     return [
         "--windows", str(synth_dir / "windows.csv"),
@@ -70,6 +80,24 @@ class TestAudit:
                      "--out", str(tmp_path / "y"), "--frobnicate"])
         assert code == 2
 
+    def test_predictions_audit_equals_train_base_metrics(self, synth_dir, base_dir, tmp_path):
+        # the audit and the model command build their report with one builder
+        out = tmp_path / "audit"
+        code = main(["audit", *data_args(synth_dir), "--protected", "group",
+                     "--predictions", str(base_dir / "predictions.csv"), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report == json.loads((base_dir / "metrics.json").read_text())["metrics"]
+
+    def test_prediction_for_unknown_sample_exits_1(self, synth_dir, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("sample_id,prediction,probability\ns000000,1,0.9\nnosuch,0,0.1\n")
+        code = main(["audit", *data_args(synth_dir), "--protected", "group",
+                     "--predictions", str(preds), "--out", str(tmp_path / "a")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'nosuch'" in err[0]
+
 
 class TestExtract:
     def test_nni_to_features_and_windows(self, tmp_path):
@@ -93,8 +121,67 @@ class TestExtract:
         code = main(["extract", "--out", str(tmp_path / "z")])
         assert code == 1
 
+    @pytest.mark.parametrize("steps", ["0", "5"])
+    def test_steps_other_than_window_length_rejected_before_reading(self, tmp_path, capsys, steps):
+        out = tmp_path / "ext"
+        code = main(["extract", "--nni", str(tmp_path / "absent.csv"), "--steps", steps,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --steps must be 24")
+        assert not out.exists()
+
+
+def _corrupt(lines, defect):
+    """Windows-CSV lines with one defect; returns (lines, line number of the defect)."""
+    lines = list(lines)
+    if defect == "duplicate":
+        lines.insert(2, lines[1])
+        return lines, 3
+    fields = lines[1].split(",")
+    if defect == "columns":
+        fields.pop()
+    else:
+        fields[2] = defect  # a step outside [0, 24)
+    lines[1] = ",".join(fields)
+    return lines, 2
+
+
+class TestWindowsReader:
+    @pytest.mark.parametrize("command", ["saliency", "train-base"])
+    @pytest.mark.parametrize("defect", ["24", "-1", "duplicate", "columns"])
+    def test_malformed_windows_exit_1_naming_file_and_line(
+        self, synth_dir, base_dir, tmp_path, capsys, command, defect
+    ):
+        lines, line_no = _corrupt((synth_dir / "windows.csv").read_text().splitlines(), defect)
+        bad = tmp_path / "bad_windows.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        if command == "saliency":
+            argv = ["saliency", "--checkpoint", str(base_dir / "model.bin"),
+                    "--windows", str(bad), "--out", out]
+        else:
+            argv = ["train-base", "--windows", str(bad), "--labels", str(synth_dir / "labels.csv"),
+                    *FAST_TRAIN, "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {bad}, line {line_no}:")
+
 
 class TestTrainAndMitigate:
+    def test_train_base_without_protected_writes_null_group_metrics(self, synth_dir, tmp_path):
+        out = tmp_path / "base_np"
+        code = main(["train-base", "--windows", str(synth_dir / "windows.csv"),
+                     "--labels", str(synth_dir / "labels.csv"), *FAST_TRAIN, "--out", str(out)])
+        assert code == 0
+        metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+        assert len(metrics) == 12
+        assert metrics["accuracy"] is not None
+        for key in ("attribute", "dir", "in_bounds", "dir_undefined", "diff_fn", "diff_fp",
+                    "n_privileged", "n_unprivileged"):
+            assert metrics[key] is None, key
+
     def test_train_base_artifacts(self, synth_dir, tmp_path):
         out = tmp_path / "base"
         code = main([

@@ -10,9 +10,9 @@ from fairhrv.fairness import (
     EmptyGroup,
     MissingOutcomeClass,
     UndefinedRatio,
-    audit,
     disparate_impact,
     equalized_odds_diffs,
+    evaluate_predictions,
     f1_score,
     reweigh_weights,
     sample_weights,
@@ -23,6 +23,11 @@ from fairness_oracle import (
     brute_force_weighted_dir,
     random_instance,
 )
+
+REPORT_KEYS = {
+    "attribute", "n_privileged", "n_unprivileged", "dir", "dir_undefined", "diff_fn", "diff_fp",
+    "in_bounds", "bounds", "accuracy", "f1", "prediction_entropy",
+}
 
 
 class TestDisparateImpact:
@@ -131,35 +136,78 @@ class TestAudit:
         # unprivileged rate 0.341, privileged 0.5 -> DIR 0.682
         outcomes = np.concatenate([np.repeat([1, 0], [341, 659]), np.repeat([1, 0], [500, 500])])
         groups = np.concatenate([np.zeros(1000, dtype=int), np.ones(1000, dtype=int)])
-        report = audit(outcomes, groups, attribute="age")
-        assert report.dir == pytest.approx(0.682)
-        assert not report.in_bounds
+        report = evaluate_predictions(outcomes, groups=groups, attribute="age")
+        assert report["dir"] == pytest.approx(0.682)
+        assert not report["in_bounds"]
 
     def test_ideal_ratio_in_bounds(self):
         outcomes = [1, 0, 1, 0]
         groups = [0, 0, 1, 1]
-        assert audit(outcomes, groups).in_bounds
+        assert evaluate_predictions(outcomes, groups=groups)["in_bounds"]
 
     def test_out_of_bounds_high(self):
         # unprivileged rate 0.65, privileged 0.5 -> DIR 1.3
         outcomes = np.concatenate([np.repeat([1, 0], [65, 35]), np.repeat([1, 0], [50, 50])])
         groups = np.concatenate([np.zeros(100, dtype=int), np.ones(100, dtype=int)])
-        report = audit(outcomes, groups)
-        assert report.dir == pytest.approx(1.3)
-        assert not report.in_bounds
+        report = evaluate_predictions(outcomes, groups=groups)
+        assert report["dir"] == pytest.approx(1.3)
+        assert not report["in_bounds"]
 
     def test_model_level_fields(self):
         preds = np.array([1, 0, 1, 0, 1, 1, 0, 0])
         labels = np.array([1, 1, 0, 0, 1, 0, 1, 0])
         groups = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        report = audit(preds, groups, labels=labels, attribute="group")
-        assert report.accuracy == pytest.approx(0.5)
-        assert report.diff_fn is not None
-        payload = report.as_dict()
-        assert set(payload) == {
-            "attribute", "n_privileged", "n_unprivileged", "dir",
-            "diff_fn", "diff_fp", "in_bounds", "bounds", "accuracy", "f1",
-        }
+        report = evaluate_predictions(preds, labels, groups, attribute="group")
+        assert report["accuracy"] == pytest.approx(0.5)
+        assert report["diff_fn"] is not None
+        assert set(report) == REPORT_KEYS
+
+
+
+class TestReportRule:
+    """One rule: a metric the inputs do not define is None; an empty group raises."""
+
+    def test_same_keys_for_every_input_combination(self):
+        preds, labels, groups = [1, 0, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]
+        for report in (
+            evaluate_predictions(preds),
+            evaluate_predictions(preds, labels),
+            evaluate_predictions(preds, groups=groups),
+            evaluate_predictions(preds, labels, groups, "group"),
+        ):
+            assert set(report) == REPORT_KEYS
+
+    def test_no_groups_leaves_group_metrics_none(self):
+        report = evaluate_predictions([1, 0, 1, 1], [1, 0, 0, 1])
+        assert report["accuracy"] == 0.75
+        for key in ("attribute", "n_privileged", "n_unprivileged", "dir", "in_bounds",
+                    "dir_undefined", "diff_fn", "diff_fp"):
+            assert report[key] is None, key
+
+    def test_no_labels_leaves_label_metrics_none(self):
+        report = evaluate_predictions([1, 0, 1, 0], groups=[0, 0, 1, 1])
+        assert report["dir"] == 1.0
+        for key in ("accuracy", "f1", "diff_fn", "diff_fp"):
+            assert report[key] is None, key
+
+    def test_undefined_ratio_is_none(self):
+        report = evaluate_predictions([1, 0, 0, 0], groups=[0, 0, 1, 1])
+        assert report["dir"] is None
+        assert report["dir_undefined"] is True
+        assert report["in_bounds"] is False
+
+    def test_missing_outcome_class_gives_none_gaps(self):
+        report = evaluate_predictions([1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1])
+        assert report["diff_fn"] is None and report["diff_fp"] is None
+        assert report["dir"] == 1.0
+
+    def test_empty_group_raises(self):
+        with pytest.raises(EmptyGroup):
+            evaluate_predictions([1, 0], [1, 0], [1, 1])
+
+    def test_constant_predictor_has_zero_entropy(self):
+        assert evaluate_predictions([1, 1, 1])["prediction_entropy"] == 0.0
+        assert evaluate_predictions([1, 0])["prediction_entropy"] == pytest.approx(np.log(2))
 
 
 class TestAgainstBruteForce:

@@ -227,6 +227,13 @@ class TestSelection:
         with pytest.raises(NoCheckpoints):
             select_checkpoint([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gap_raises(self, bad):
+        # a NaN gap first used to be kept, since no comparison with NaN is True
+        records = [self._record(5, 0.01, bad), self._record(10, 0.01, 0.05)]
+        with pytest.raises(ValueError, match="non-finite"):
+            select_checkpoint(records)
+
     def test_argmax_against_brute_scan(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
