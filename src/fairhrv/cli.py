@@ -20,7 +20,7 @@ import numpy as np
 from . import dataset, fairness, hrv_features, pipeline, saliency
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .fileio import atomic_write_text, sha256_file, write_json
-from .mitigation import TrainConfig
+from .mitigation import TrainConfig, TrainingDiverged
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -53,8 +53,14 @@ def _read_predictions_csv(path) -> dict:
         reader = _csv.reader(fh)
         next(reader, None)
         for row in reader:
-            if row:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}, line {reader.line_num}: expected 3 columns, got {len(row)}")
+            try:
                 preds[row[0]] = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: prediction {row[1]!r} is not an integer") from None
     return preds
 
 
@@ -176,11 +182,11 @@ def cmd_audit(args) -> int:
 
 
 def _run_single_model(args, variant: str) -> int:
+    config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     need_demo = variant == "reweighting" or args.protected is not None
     cohort = _load_cohort_from_args(args, need_demo=need_demo)
-    config = _train_config(args)
     split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant)
     run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
     run = run_model(split, args.protected, config)
@@ -205,10 +211,10 @@ def cmd_reweigh_train(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
+    config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort_from_args(args, need_demo=True)
-    config = _train_config(args)
     split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant)
     run = pipeline.run_mitigation(
         split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on
@@ -248,10 +254,10 @@ def cmd_saliency(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort_from_args(args, need_demo=True)
-    config = _train_config(args)
     comparison = pipeline.run_comparison(cohort, args.protected, config, by_participant=args.by_participant)
     write_json(out / "comparison.json", comparison)
     atomic_write_text(out / "comparison.txt", pipeline.render_comparison_text(comparison))
@@ -373,7 +379,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -402,7 +402,12 @@ def read_windows_csv(path):
                 continue
             if len(row) != len(WINDOWS_HEADER):
                 raise ValueError(f"{path}, line {reader.line_num}: expected {len(WINDOWS_HEADER)} columns")
-            sample_id, step = row[0], int(row[2])
+            sample_id = row[0]
+            try:
+                step = int(row[2])
+                values = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             if not 0 <= step < WINDOW_STEPS:
                 raise ValueError(f"{path}, line {reader.line_num}: step {step} outside [0, {WINDOW_STEPS})")
             if sample_id not in by_sample:
@@ -410,7 +415,7 @@ def read_windows_csv(path):
             entry = by_sample[sample_id]
             if entry[2] >> step & 1:
                 raise ValueError(f"{path}, line {reader.line_num}: repeats step {step} of sample {sample_id!r}")
-            entry[1][step] = [float(v) for v in row[3:]]
+            entry[1][step] = values
             entry[2] |= 1 << step
     for sample_id, (_, feats, _) in by_sample.items():
         if np.isnan(feats).any():

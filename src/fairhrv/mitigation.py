@@ -74,6 +74,14 @@ class TrainConfig:
             raise ValueError("need at least 2 Monte-Carlo passes")
         if not 0.0 < self.keep_rate <= 1.0:
             raise ValueError("keep_rate must be in (0, 1]")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        if self.eval_samples is not None and self.eval_samples < 1:
+            raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
 
     def arch(self, heads) -> ModelArch:
         return ModelArch(
@@ -109,12 +117,17 @@ class SelectionResult:
         return {"chosen_epoch": self.chosen_epoch, "gap": self.gap}
 
 
+# a diverging run ends with one TrainingDiverged, not with numpy overflow warnings first
+@np.errstate(over="ignore", invalid="ignore")
 def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
                 sample_weights=None, checkpoint_epochs=(), out_dir=None):
     """Shared minibatch Adam loop; returns (final params, checkpoints, losses).
 
     All shuffling and dropout randomness derives from named substreams of
     config.seed, so a trajectory depends only on (data, config).
+
+    Raises:
+        TrainingDiverged: a batch loss is not finite.
     """
     arch = config.arch(heads)
     params = init_params(arch, config.seed)

@@ -6,6 +6,10 @@ Everything is plain numpy with hand-derived backpropagation-through-time
 gradients, so analytic gradients can be checked against finite
 differences and checkpoints can be serialized bit-exactly.
 
+Dropout acts only after the recurrence, so the LSTM states of an input
+are deterministic: Monte-Carlo dropout computes them once per call and
+repeats only mask -> dense -> heads in each pass.
+
 Parameters are immutable during inference; forward passes may run
 concurrently on shared params as long as each caller owns its RNG.
 """
@@ -184,13 +188,51 @@ def _prepare_input(arch: ModelArch, x) -> tuple:
     return x, squeezed
 
 
-def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
+def _lstm_states(params: ModelParams, x: np.ndarray) -> tuple:
+    """The LSTM recurrence over a (batch, steps, features) input.
+
+    Returns (gates, cell, hidden, tanh_cell): gates maps each gate name to
+    a (steps, batch, H) array, cell and hidden are (steps + 1, batch, H)
+    with the zero state at t=0, tanh_cell is (steps, batch, H).
+    """
+    t = params.tensors
+    batch, steps, _ = x.shape
+    w_in, w_rec, bias = t["lstm.W"], t["lstm.U"], t["lstm.b"]
+    h = w_rec.shape[0]
+    xw = x.reshape(batch * steps, -1) @ w_in
+    xw = xw.reshape(batch, steps, 4 * h)
+    hidden = np.zeros((steps + 1, batch, h))
+    cell = np.zeros((steps + 1, batch, h))
+    tanh_cell = np.zeros((steps, batch, h))
+    gates = {name: np.zeros((steps, batch, h)) for name in _GATES}
+    for step in range(steps):
+        z = xw[:, step] + hidden[step] @ w_rec + bias
+        gi = sigmoid(z[:, :h])
+        gf = sigmoid(z[:, h : 2 * h])
+        gc = np.tanh(z[:, 2 * h : 3 * h])
+        go = sigmoid(z[:, 3 * h :])
+        cell[step + 1] = gf * cell[step] + gi * gc
+        tanh_cell[step] = np.tanh(cell[step + 1])
+        hidden[step + 1] = go * tanh_cell[step]
+        gates["input"][step] = gi
+        gates["forget"][step] = gf
+        gates["cell"][step] = gc
+        gates["output"][step] = go
+    return gates, cell, hidden, tanh_cell
+
+
+def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) -> tuple:
     """Run the network; returns ({head: probabilities}, trace).
 
     With ``mask`` absent, dropout is disabled and the pass is
     deterministic (inverted dropout needs no inference-time rescaling).
     Masked activations are scaled by 1/keep_rate so expectations match
-    the unmasked pass.
+    the unmasked pass. ``lstm_states`` are the recurrence's results for
+    this ``x`` and these params, as computed by ``_lstm_states``; when
+    None they are computed here.
+
+    Raises:
+        ShapeMismatch: ``x``, ``mask`` or ``lstm_states`` do not fit the params.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
@@ -202,30 +244,15 @@ def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
     )
 
     if arch.lstm_hidden is not None:
-        batch, steps, _ = x.shape
-        h = arch.lstm_hidden
-        w_in, w_rec, bias = t["lstm.W"], t["lstm.U"], t["lstm.b"]
-        xw = x.reshape(batch * steps, -1) @ w_in
-        xw = xw.reshape(batch, steps, 4 * h)
-        hidden = np.zeros((steps + 1, batch, h))
-        cell = np.zeros((steps + 1, batch, h))
-        tanh_cell = np.zeros((steps, batch, h))
-        gates = {name: np.zeros((steps, batch, h)) for name in _GATES}
-        for step in range(steps):
-            z = xw[:, step] + hidden[step] @ w_rec + bias
-            gi = sigmoid(z[:, :h])
-            gf = sigmoid(z[:, h : 2 * h])
-            gc = np.tanh(z[:, 2 * h : 3 * h])
-            go = sigmoid(z[:, 3 * h :])
-            cell[step + 1] = gf * cell[step] + gi * gc
-            tanh_cell[step] = np.tanh(cell[step + 1])
-            hidden[step + 1] = go * tanh_cell[step]
-            gates["input"][step] = gi
-            gates["forget"][step] = gf
-            gates["cell"][step] = gc
-            gates["output"][step] = go
-        trace.gates, trace.cell, trace.hidden, trace.tanh_cell = gates, cell, hidden, tanh_cell
-        trunk = hidden[-1]
+        if lstm_states is None:
+            lstm_states = _lstm_states(params, x)
+        elif lstm_states[2].shape != (x.shape[1] + 1, x.shape[0], arch.lstm_hidden):
+            raise ShapeMismatch(f"lstm_states of hidden shape {lstm_states[2].shape} do not fit "
+                                f"input {x.shape} and hidden size {arch.lstm_hidden}")
+        trace.gates, trace.cell, trace.hidden, trace.tanh_cell = lstm_states
+        trunk = trace.hidden[-1]
+    elif lstm_states is not None:
+        raise ShapeMismatch("lstm_states given to a model without an LSTM")
     else:
         trunk = x
 
@@ -409,16 +436,22 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     variance taken with divisor T. The mean is accumulated relative to
     the first pass so a deterministic model (keep_rate 1) yields an
     exactly zero variance.
+
+    Dropout acts only after the recurrence, so the LSTM states are the
+    same in every pass: they are computed once per call, and each pass
+    runs only mask -> dense -> heads. The results are bit-identical to
+    ``passes`` full forward passes with the same masks.
     """
     if passes < 1:
         raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
     x_arr, _ = _prepare_input(arch, x)
     batch = x_arr.shape[0]
+    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr)
     samples = {head: np.empty((passes, batch)) for head in arch.heads}
     for i in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)
-        outputs, _ = forward(params, x_arr, mask=mask)
+        outputs, _ = forward(params, x_arr, mask=mask, lstm_states=states)
         for head in arch.heads:
             samples[head][i] = outputs[head]
     means, variances = {}, {}

@@ -89,6 +89,21 @@ class TestAudit:
         report = json.loads((out / "report.json").read_text())
         assert report == json.loads((base_dir / "metrics.json").read_text())["metrics"]
 
+    @pytest.mark.parametrize("row,line_no,message", [
+        ("s000000", 3, "expected 3 columns, got 1"),
+        ("s000000,1,0.9,extra", 3, "expected 3 columns, got 4"),
+        ("s000000,yes,0.9", 3, "prediction 'yes' is not an integer"),
+    ])
+    def test_malformed_prediction_row_exits_1_naming_file_and_line(
+        self, synth_dir, tmp_path, capsys, row, line_no, message
+    ):
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"sample_id,prediction,probability\ns000001,0,0.1\n{row}\n")
+        code = main(["audit", *data_args(synth_dir), "--protected", "group",
+                     "--predictions", str(preds), "--out", str(tmp_path / "a")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {preds}, line {line_no}: {message}"]
+
     def test_prediction_for_unknown_sample_exits_1(self, synth_dir, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
         preds.write_text("sample_id,prediction,probability\ns000000,1,0.9\nnosuch,0,0.1\n")
@@ -141,15 +156,17 @@ def _corrupt(lines, defect):
     fields = lines[1].split(",")
     if defect == "columns":
         fields.pop()
+    elif defect == "feature":
+        fields[5] = "n/a"
     else:
-        fields[2] = defect  # a step outside [0, 24)
+        fields[2] = defect  # a step outside [0, 24) or not an integer
     lines[1] = ",".join(fields)
     return lines, 2
 
 
 class TestWindowsReader:
     @pytest.mark.parametrize("command", ["saliency", "train-base"])
-    @pytest.mark.parametrize("defect", ["24", "-1", "duplicate", "columns"])
+    @pytest.mark.parametrize("defect", ["24", "-1", "x", "duplicate", "columns", "feature"])
     def test_malformed_windows_exit_1_naming_file_and_line(
         self, synth_dir, base_dir, tmp_path, capsys, command, defect
     ):
@@ -167,6 +184,36 @@ class TestWindowsReader:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {bad}, line {line_no}:")
+
+
+class TestTrainingInputs:
+    @pytest.mark.parametrize("command", ["train-base", "mitigate"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch-size", "0", "batch_size must be at least 1"),
+        ("--lr", "0", "lr must be finite and positive"),
+        ("--threshold", "1.5", "threshold must be in [0, 1]"),
+        ("--eval-samples", "0", "eval_samples must be at least 1"),
+        ("--eval-samples", "-3", "eval_samples must be at least 1"),
+    ])
+    def test_bad_config_exits_1_before_training(
+        self, synth_dir, tmp_path, capsys, command, flag, value, message
+    ):
+        out = tmp_path / "out"
+        code = main([command, *data_args(synth_dir), "--protected", "group",
+                     *FAST_TRAIN, flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy overflow warnings would precede the error line
+    def test_divergence_exits_1_with_one_error_line(self, synth_dir, tmp_path, capsys):
+        code = main(["train-base", "--windows", str(synth_dir / "windows.csv"),
+                     "--labels", str(synth_dir / "labels.csv"), *FAST_TRAIN,
+                     "--lr", "1e300", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss at epoch"), err
 
 
 class TestTrainAndMitigate:

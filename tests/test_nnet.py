@@ -294,3 +294,70 @@ class TestMcForward:
         b = mc_forward(params, x, passes=5, keep_rate=0.8, rng=np.random.default_rng(7))
         assert a[0]["anxiety"][0] == b[0]["anxiety"][0]
         assert a[1]["anxiety"][0] == b[1]["anxiety"][0]
+
+
+def reference_mc_forward(params, x, passes, keep_rate, rng):
+    """mc_forward as ``passes`` full forward passes with the same mask draws."""
+    arch = ModelArch.from_params(params)
+    x_arr, _ = nnet._prepare_input(arch, x)
+    samples = {head: [] for head in arch.heads}
+    for _ in range(passes):
+        mask = sample_dropout_mask(arch, keep_rate, rng, batch=x_arr.shape[0])
+        outputs, _ = forward(params, x_arr, mask=mask)
+        for head in arch.heads:
+            samples[head].append(outputs[head])
+    means, variances = {}, {}
+    for head in arch.heads:
+        s = np.array(samples[head])
+        means[head] = s[0] + np.sum(s - s[0], axis=0) / passes
+        variances[head] = np.sum((s - means[head]) ** 2, axis=0) / passes
+    return means, variances
+
+
+class TestMcForwardOracle:
+    @pytest.mark.parametrize("lstm_hidden,dense_size", [(3, 4), (3, None), (None, 4), (None, None)])
+    @pytest.mark.parametrize("keep_rate", [0.8, 1.0])
+    @pytest.mark.parametrize("squeezed", [False, True])
+    def test_bit_identical_to_full_forward_passes(self, lstm_hidden, dense_size, keep_rate, squeezed):
+        input_size = 5 if lstm_hidden is not None else 6 * 5
+        arch = ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        params = init_params(arch, seed=40)
+        rng = np.random.default_rng(41)
+        for tensor in params.tensors.values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x = rng.normal(size=(6, 5) if squeezed else (7, 6, 5))
+        got = mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
+        want = reference_mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
+        for got_part, want_part in zip(got, want):
+            assert set(got_part) == set(arch.heads)
+            for head in arch.heads:
+                assert np.array_equal(got_part[head], want_part[head]), head
+
+    def test_recurrence_runs_once_per_call(self, monkeypatch):
+        calls = []
+        original = nnet._lstm_states
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nnet, "_lstm_states", counting)
+        params = init_params(SMALL_ARCH, seed=43)
+        x = np.random.default_rng(44).normal(size=(4, 6, 5))
+        mc_forward(params, x, passes=20, keep_rate=0.8, rng=np.random.default_rng(45))
+        assert len(calls) == 1
+
+    def test_states_of_another_batch_rejected(self):
+        params = init_params(SMALL_ARCH, seed=46)
+        rng = np.random.default_rng(47)
+        states = nnet._lstm_states(params, rng.normal(size=(3, 6, 5)))
+        with pytest.raises(ShapeMismatch):
+            forward(params, rng.normal(size=(4, 6, 5)), lstm_states=states)
+        with pytest.raises(ShapeMismatch):
+            forward(params, rng.normal(size=(3, 7, 5)), lstm_states=states)
+        other = init_params(ModelArch(input_size=5, lstm_hidden=4, dense_size=4), seed=46)
+        with pytest.raises(ShapeMismatch):
+            forward(other, rng.normal(size=(3, 6, 5)), lstm_states=states)
+        linear = init_params(ModelArch(input_size=6 * 5, lstm_hidden=None, dense_size=None), seed=46)
+        with pytest.raises(ShapeMismatch):
+            forward(linear, rng.normal(size=(3, 6, 5)), lstm_states=states)
