@@ -187,7 +187,8 @@ def _run_single_model(args, variant: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     need_demo = variant == "reweighting" or args.protected is not None
     cohort = _load_cohort_from_args(args, need_demo=need_demo)
-    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant)
+    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
+                                   protected=args.protected)
     run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
     run = run_model(split, args.protected, config)
     save_checkpoint(run.params, out / "model.bin")
@@ -215,7 +216,8 @@ def cmd_mitigate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort_from_args(args, need_demo=True)
-    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant)
+    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
+                                   protected=args.protected)
     run = pipeline.run_mitigation(
         split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on
     )

@@ -378,9 +378,8 @@ def write_windows_csv(path, cohort: Cohort) -> None:
     """Windows CSV: sample_id, participant_id, step, then the 25 features."""
     lines = [",".join(WINDOWS_HEADER)]
     for w in cohort.windows:
-        for step in range(WINDOW_STEPS):
-            values = ",".join(repr(float(v)) for v in w.features[step])
-            lines.append(f"{w.sample_id},{w.participant_id},{step},{values}")
+        for step, row in enumerate(w.features.tolist()):
+            lines.append(f"{w.sample_id},{w.participant_id},{step},{','.join(map(repr, row))}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -389,8 +388,8 @@ def read_windows_csv(path):
 
     Parses row by row into per-sample arrays (samples in order of first
     row). Raises ValueError, naming the file and line, on a bad header or
-    column count, a step outside [0, 24), a repeated (sample, step) row,
-    or a sample with missing steps.
+    column count, a step outside [0, 24), a non-finite feature value, a
+    repeated (sample, step) row, or a sample with missing steps.
     """
     by_sample = {}  # sample id -> [participant id, features, bitmask of steps seen]
     with open(path, newline="") as fh:
@@ -408,24 +407,62 @@ def read_windows_csv(path):
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            # a finite sum proves every value finite; an infinite one may be overflow
+            if not math.isfinite(sum(values)):
+                for name, text, value in zip(FEATURE_NAMES, row[3:], values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}, line {reader.line_num}: feature {name!r} is {text!r}, "
+                                         "not a finite number")
             if not 0 <= step < WINDOW_STEPS:
                 raise ValueError(f"{path}, line {reader.line_num}: step {step} outside [0, {WINDOW_STEPS})")
             if sample_id not in by_sample:
-                by_sample[sample_id] = [row[1], np.full((WINDOW_STEPS, N_FEATURES), np.nan), 0]
+                by_sample[sample_id] = [row[1], np.zeros((WINDOW_STEPS, N_FEATURES)), 0]
             entry = by_sample[sample_id]
             if entry[2] >> step & 1:
                 raise ValueError(f"{path}, line {reader.line_num}: repeats step {step} of sample {sample_id!r}")
             entry[1][step] = values
             entry[2] |= 1 << step
-    for sample_id, (_, feats, _) in by_sample.items():
-        if np.isnan(feats).any():
+    for sample_id, (_, _, seen) in by_sample.items():
+        if seen != (1 << WINDOW_STEPS) - 1:
             raise ValueError(f"{path}: sample {sample_id!r} is missing time steps")
     features = np.array([entry[1] for entry in by_sample.values()]).reshape(-1, WINDOW_STEPS, N_FEATURES)
     return list(by_sample), [entry[0] for entry in by_sample.values()], features
 
 
+LABELS_HEADER = ["sample_id", "anxiety"]
+
+
+def _read_labels_csv(path) -> dict:
+    """Labels CSV -> {sample id: anxiety label}.
+
+    Raises ValueError, naming the file and line, on a bad header or column
+    count, a label other than the integers 0 and 1, or a repeated sample.
+    """
+    labels = {}
+    with open(path, newline="") as fh:
+        reader = _csv.reader(fh)
+        if next(reader, None) != LABELS_HEADER:
+            raise ValueError(f"{path}, line 1: expected the header {','.join(LABELS_HEADER)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(LABELS_HEADER):
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(LABELS_HEADER)} columns, "
+                                 f"got {len(row)}")
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: label {row[1]!r} is not an integer") from None
+            if label not in (0, 1):
+                raise ValueError(f"{path}, line {reader.line_num}: label {label} is not 0 or 1")
+            if row[0] in labels:
+                raise ValueError(f"{path}, line {reader.line_num}: repeats sample {row[0]!r}")
+            labels[row[0]] = label
+    return labels
+
+
 def write_labels_csv(path, cohort: Cohort) -> None:
-    lines = ["sample_id,anxiety"]
+    lines = [",".join(LABELS_HEADER)]
     lines += [f"{w.sample_id},{w.anxiety}" for w in cohort.windows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -462,14 +499,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
     when provided, are encoded per attribute with the majority rule.
     """
     sample_ids, participant_ids, features = read_windows_csv(windows_path)
-
-    labels = {}
-    with open(labels_path, newline="") as fh:
-        reader = _csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                labels[row[0]] = int(row[1])
+    labels = _read_labels_csv(labels_path)
 
     catalog = {}
     participant_codes = {}

@@ -14,8 +14,6 @@ from pathlib import Path
 import csv as _csv
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import welch
 
 __all__ = [
     "EcgSignal",
@@ -236,6 +234,12 @@ def _psd_of_interpolated(nni: np.ndarray):
     gridded series is mean-subtracted before a Welch PSD (periodic Hann,
     256-point segments, 50% overlap, no per-segment detrend).
     """
+    # imported here, not at module level: scipy.signal and scipy.interpolate
+    # take longer to import than the rest of the package, and only feature
+    # extraction needs them
+    from scipy.interpolate import CubicSpline
+    from scipy.signal import welch
+
     t = np.cumsum(nni) / 1000.0
     step = 1.0 / RESAMPLE_HZ
     grid = np.arange(t[0], t[-1], step)

@@ -10,6 +10,15 @@ Dropout acts only after the recurrence, so the LSTM states of an input
 are deterministic: Monte-Carlo dropout computes them once per call and
 repeats only mask -> dense -> heads in each pass.
 
+The LSTM stacks its gates in the order input, forget, cell, output along
+the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in one
+(steps, 4, batch, H) buffer: gate k of step t is the contiguous (batch, H)
+block [t, k], so the elementwise work of each step, forward and backward,
+runs on contiguous memory. The recurrence and backpropagation through time
+write through ``out=`` into buffers allocated once per call, and keep the
+operation order of the allocating form in tests/reference_lstm.py, which
+the tests require to give the same bits.
+
 Parameters are immutable during inference; forward passes may run
 concurrently on shared params as long as each caller owns its RNG.
 """
@@ -103,8 +112,8 @@ class DropoutMask:
         if not 0.0 < self.keep_rate <= 1.0:
             raise ValueError(f"keep_rate must be in (0, 1], got {self.keep_rate}")
         for name, m in self.masks.items():
-            values = np.unique(np.asarray(m))
-            if not np.isin(values, (0.0, 1.0)).all():
+            m = np.asarray(m)
+            if not ((m == 0.0) | (m == 1.0)).all():
                 raise ValueError(f"mask {name!r} must contain only 0/1")
 
 
@@ -192,8 +201,9 @@ def _lstm_states(params: ModelParams, x: np.ndarray) -> tuple:
     """The LSTM recurrence over a (batch, steps, features) input.
 
     Returns (gates, cell, hidden, tanh_cell): gates maps each gate name to
-    a (steps, batch, H) array, cell and hidden are (steps + 1, batch, H)
-    with the zero state at t=0, tanh_cell is (steps, batch, H).
+    a (steps, batch, H) view into one (steps, 4, batch, H) buffer, cell and
+    hidden are (steps + 1, batch, H) with the zero state at t=0, tanh_cell
+    is (steps, batch, H).
     """
     t = params.tensors
     batch, steps, _ = x.shape
@@ -201,23 +211,27 @@ def _lstm_states(params: ModelParams, x: np.ndarray) -> tuple:
     h = w_rec.shape[0]
     xw = x.reshape(batch * steps, -1) @ w_in
     xw = xw.reshape(batch, steps, 4 * h)
+    gate_buf = np.empty((steps, 4, batch, h))
     hidden = np.zeros((steps + 1, batch, h))
     cell = np.zeros((steps + 1, batch, h))
-    tanh_cell = np.zeros((steps, batch, h))
-    gates = {name: np.zeros((steps, batch, h)) for name in _GATES}
+    tanh_cell = np.empty((steps, batch, h))
+    z = np.empty((batch, 4 * h))
+    input_part = np.empty((batch, h))
     for step in range(steps):
-        z = xw[:, step] + hidden[step] @ w_rec + bias
-        gi = sigmoid(z[:, :h])
-        gf = sigmoid(z[:, h : 2 * h])
-        gc = np.tanh(z[:, 2 * h : 3 * h])
-        go = sigmoid(z[:, 3 * h :])
-        cell[step + 1] = gf * cell[step] + gi * gc
-        tanh_cell[step] = np.tanh(cell[step + 1])
-        hidden[step + 1] = go * tanh_cell[step]
-        gates["input"][step] = gi
-        gates["forget"][step] = gf
-        gates["cell"][step] = gc
-        gates["output"][step] = go
+        np.matmul(hidden[step], w_rec, out=z)
+        z += xw[:, step]
+        z += bias
+        gi, gf, gc, go = gate_buf[step]
+        sigmoid(z[:, :h], out=gi)
+        sigmoid(z[:, h : 2 * h], out=gf)
+        np.tanh(z[:, 2 * h : 3 * h], out=gc)
+        sigmoid(z[:, 3 * h :], out=go)
+        np.multiply(gf, cell[step], out=cell[step + 1])
+        np.multiply(gi, gc, out=input_part)
+        cell[step + 1] += input_part
+        np.tanh(cell[step + 1], out=tanh_cell[step])
+        np.multiply(go, tanh_cell[step], out=hidden[step + 1])
+    gates = {name: gate_buf[:, k] for k, name in enumerate(_GATES)}
     return gates, cell, hidden, tanh_cell
 
 
@@ -319,11 +333,12 @@ def _check_trace(params: ModelParams, trace: ForwardTrace):
         raise StaleTrace("trace was produced by parameters of different shapes")
 
 
-def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict) -> tuple:
+def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
     """Backpropagate d(loss)/d(pre-sigmoid score) seeds through the net.
 
-    Returns (grads, d_input) where grads matches params.tensors and
-    d_input has the shape of the (batched) network input.
+    Returns (grads, d_input) where grads matches params.tensors. d_input
+    has the shape of the (batched) network input with ``input_grad``, and
+    is None without it.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
@@ -351,7 +366,7 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict) -> tu
         d_trunk = d_trunk * trace.lstm_drop
 
     if arch.lstm_hidden is None:
-        return grads, d_trunk
+        return grads, d_trunk if input_grad else None
 
     w_in, w_rec = t["lstm.W"], t["lstm.U"]
     x = trace.x
@@ -360,31 +375,58 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict) -> tu
     gates, cell, hidden, tanh_cell = trace.gates, trace.cell, trace.hidden, trace.tanh_cell
 
     d_hidden = d_trunk
+    d_hidden_buf = np.empty((batch, h))
     d_cell = np.zeros((batch, h))
-    d_z_all = np.zeros((batch, steps, 4 * h))
+    work = np.empty((batch, h))
+    deriv = np.empty((batch, h))
+    d_rec = np.empty_like(w_rec)
+    d_z_all = np.empty((batch, steps, 4 * h))
     for step in range(steps - 1, -1, -1):
         gi, gf = gates["input"][step], gates["forget"][step]
         gc, go = gates["cell"][step], gates["output"][step]
         tc = tanh_cell[step]
-        d_out = d_hidden * tc
-        d_cell = d_cell + d_hidden * go * (1.0 - tc * tc)
-        d_in = d_cell * gc
-        d_forget = d_cell * cell[step]
-        d_cand = d_cell * gi
         dz = d_z_all[:, step]
-        dz[:, :h] = d_in * gi * (1.0 - gi)
-        dz[:, h : 2 * h] = d_forget * gf * (1.0 - gf)
-        dz[:, 2 * h : 3 * h] = d_cand * (1.0 - gc * gc)
-        dz[:, 3 * h :] = d_out * go * (1.0 - go)
-        grads["lstm.U"] += hidden[step].T @ dz
-        d_hidden = dz @ w_rec.T
-        d_cell = d_cell * gf
+        dz_i, dz_f, dz_c, dz_o = (dz[:, k * h : (k + 1) * h] for k in range(4))
+        # Each product is taken left to right, as written here; products
+        # build in the contiguous work buffers, and only the last factor
+        # writes into the strided slice of dz.
+        # output gate: d_hidden * tc * go * (1 - go)
+        np.multiply(d_hidden, tc, out=work)
+        work *= go
+        np.subtract(1.0, go, out=deriv)
+        np.multiply(work, deriv, out=dz_o)
+        # cell state: d_cell + d_hidden * go * (1 - tc * tc)
+        np.multiply(d_hidden, go, out=work)
+        np.multiply(tc, tc, out=deriv)
+        np.subtract(1.0, deriv, out=deriv)
+        work *= deriv
+        d_cell += work
+        # input gate: d_cell * gc * gi * (1 - gi)
+        np.multiply(d_cell, gc, out=work)
+        work *= gi
+        np.subtract(1.0, gi, out=deriv)
+        np.multiply(work, deriv, out=dz_i)
+        # forget gate: d_cell * c_prev * gf * (1 - gf)
+        np.multiply(d_cell, cell[step], out=work)
+        work *= gf
+        np.subtract(1.0, gf, out=deriv)
+        np.multiply(work, deriv, out=dz_f)
+        # cell gate: d_cell * gi * (1 - gc * gc)
+        np.multiply(d_cell, gi, out=work)
+        np.multiply(gc, gc, out=deriv)
+        np.subtract(1.0, deriv, out=deriv)
+        np.multiply(work, deriv, out=dz_c)
+        np.matmul(hidden[step].T, dz, out=d_rec)
+        grads["lstm.U"] += d_rec
+        d_hidden = np.matmul(dz, w_rec.T, out=d_hidden_buf)
+        d_cell *= gf
 
     flat_dz = d_z_all.reshape(batch * steps, 4 * h)
     grads["lstm.W"] = x.reshape(batch * steps, -1).T @ flat_dz
     grads["lstm.b"] = flat_dz.sum(axis=0)
-    d_input = (flat_dz @ w_in.T).reshape(batch, steps, -1)
-    return grads, d_input
+    if not input_grad:
+        return grads, None
+    return grads, (flat_dz @ w_in.T).reshape(batch, steps, -1)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict, sample_weights=None) -> dict:
@@ -423,7 +465,7 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     x_arr = np.asarray(x, dtype=np.float64)
     _, trace = forward(params, x_arr, mask=None)
     batch = trace.head_in.shape[0]
-    _, d_input = _backprop(params, trace, {head: np.ones(batch)})
+    _, d_input = _backprop(params, trace, {head: np.ones(batch)}, input_grad=True)
     if trace.squeezed:
         d_input = d_input[0]
     return d_input.reshape(x_arr.shape)

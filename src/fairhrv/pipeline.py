@@ -38,9 +38,27 @@ class ModelRun:
     selection: object = None
 
 
-def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False) -> SplitCohort:
-    """75/25 split followed by train-statistics standardization."""
-    return standardize(split_cohort(cohort, seed, by_participant=by_participant))
+def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
+                  protected: str | None = None) -> SplitCohort:
+    """75/25 split followed by train-statistics standardization.
+
+    Raises:
+        ValueError: the train or the test part lacks one of the two labels
+            or, with ``protected``, one of the two groups; raised before
+            any training can start.
+    """
+    split = split_cohort(cohort, seed, by_participant=by_participant)
+    for part_name, part in (("train", split.train), ("test", split.test)):
+        columns = {"anxiety 1/0": part.labels()}
+        if protected is not None:
+            columns[f"{protected} privileged/unprivileged"] = part.protected_values(protected)
+        counts = {name: (int(np.sum(v == 1)), int(np.sum(v == 0))) for name, v in columns.items()}
+        if any(0 in pair for pair in counts.values()):
+            kind = "by-participant" if by_participant else "window"
+            detail = ", ".join(f"{name} = {ones}/{zeros}" for name, (ones, zeros) in counts.items())
+            raise ValueError(f"{kind} split, seed {seed}: {part_name} windows have {detail}; "
+                             "train and test each need both values of each")
+    return standardize(split)
 
 
 def _test_metrics(preds, test: Cohort, protected: str | None) -> dict:
@@ -109,7 +127,7 @@ COMPARISON_COLUMNS = (
 def run_comparison(cohort: Cohort, protected: str, config: TrainConfig,
                    by_participant: bool = False) -> dict:
     """Train all three models on one split and collect the comparison table."""
-    split = prepare_split(cohort, config.seed, by_participant=by_participant)
+    split = prepare_split(cohort, config.seed, by_participant=by_participant, protected=protected)
     runs = {
         "base": run_base_model(split, protected, config),
         "reweighting": run_reweighted_model(split, protected, config),

@@ -1,6 +1,10 @@
 """CLI tests: artifacts, exit codes, manifests, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,8 @@ def _corrupt(lines, defect):
         fields.pop()
     elif defect == "feature":
         fields[5] = "n/a"
+    elif defect in ("inf", "nan"):
+        fields[5] = defect  # parses as a float, but not a finite one
     else:
         fields[2] = defect  # a step outside [0, 24) or not an integer
     lines[1] = ",".join(fields)
@@ -166,7 +172,7 @@ def _corrupt(lines, defect):
 
 class TestWindowsReader:
     @pytest.mark.parametrize("command", ["saliency", "train-base"])
-    @pytest.mark.parametrize("defect", ["24", "-1", "x", "duplicate", "columns", "feature"])
+    @pytest.mark.parametrize("defect", ["24", "-1", "x", "duplicate", "columns", "feature", "inf", "nan"])
     def test_malformed_windows_exit_1_naming_file_and_line(
         self, synth_dir, base_dir, tmp_path, capsys, command, defect
     ):
@@ -184,6 +190,62 @@ class TestWindowsReader:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {bad}, line {line_no}:")
+
+
+class TestLabelsReader:
+    @pytest.mark.parametrize("defect,line_no,row", [
+        ("header", 1, "id,label"),
+        ("columns", 2, "s000000"),
+        ("non-integer", 2, "s000000,x"),
+        ("not binary", 2, "s000000,2"),
+        ("repeated", 3, "s000000,0"),
+    ])
+    def test_malformed_labels_exit_1_naming_file_and_line(
+        self, synth_dir, tmp_path, capsys, defect, line_no, row
+    ):
+        lines = (synth_dir / "labels.csv").read_text().splitlines()
+        lines[line_no - 1] = row
+        bad = tmp_path / "bad_labels.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["train-base", "--windows", str(synth_dir / "windows.csv"), "--labels", str(bad),
+                     *FAST_TRAIN, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {bad}, line {line_no}:")
+        assert not (out / "model.bin").exists()
+
+
+class TestSplitCheck:
+    @pytest.mark.parametrize("command", ["train-base", "mitigate", "compare"])
+    def test_split_lacking_a_group_exits_1_before_training(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN,
+                     "--by-participant", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: by-participant split, seed 0: test windows have anxiety 1/0 = 9/3, "
+                       "group privileged/unprivileged = 12/0; train and test each need both values of each"]
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_split_with_both_groups_and_labels_trains(self, synth_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train-base", *data_args(synth_dir), "--protected", "group", *FAST_TRAIN,
+                     "--by-participant", "--seed", "1", "--out", str(out)]) == 0
+
+    def test_split_lacking_a_label_exits_1_before_training(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "labels.csv").read_text().splitlines()
+        negatives = tmp_path / "negatives.csv"
+        negatives.write_text("\n".join([lines[0]] + [f"{line.split(',')[0]},0" for line in lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        code = main(["train-base", "--windows", str(synth_dir / "windows.csv"), "--labels", str(negatives),
+                     *FAST_TRAIN, "--seed", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: window split, seed 5: train windows have anxiety 1/0 = 0/45; "
+                       "train and test each need both values of each"]
+        assert not (out / "model.bin").exists()
 
 
 class TestTrainingInputs:
@@ -310,3 +372,13 @@ class TestTrainAndMitigate:
             assert row in text
         for col in ("Base Model", "Reweighting", "Proposed Method"):
             assert col in text
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Only feature extraction needs scipy.signal and scipy.interpolate."""
+    code = ("import sys, fairhrv.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

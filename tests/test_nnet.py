@@ -28,6 +28,7 @@ from gradcheck import (
     max_rel_error,
     random_case,
 )
+from reference_lstm import reference_backprop, reference_lstm_states
 from scalar_lstm import scalar_lstm_final_hidden
 
 
@@ -87,6 +88,14 @@ class TestForward:
         batched, _ = forward(params, x)
         single, _ = forward(params, x[1])
         assert batched["anxiety"][1] == pytest.approx(single["anxiety"][0], abs=1e-15)
+
+    @pytest.mark.parametrize("value", [0.5, -1.0, 2.0, np.nan, np.inf])
+    def test_mask_values_other_than_0_and_1_rejected(self, value):
+        values = np.ones((3, 4))
+        values[1, 2] = value
+        with pytest.raises(ValueError, match="only 0/1"):
+            DropoutMask(keep_rate=0.8, masks={"lstm_out": values})
+        DropoutMask(keep_rate=0.8, masks={"lstm_out": np.where(np.eye(3, 4) > 0, 0.0, 1.0)})
 
     def test_mask_requires_matching_width(self):
         params = init_params(SMALL_ARCH, seed=0)
@@ -361,3 +370,63 @@ class TestMcForwardOracle:
         linear = init_params(ModelArch(input_size=6 * 5, lstm_hidden=None, dense_size=None), seed=46)
         with pytest.raises(ShapeMismatch):
             forward(linear, rng.normal(size=(3, 6, 5)), lstm_states=states)
+
+
+class TestKernelOracle:
+    """The buffered recurrence and BPTT give the bits of the allocating form."""
+
+    @staticmethod
+    def case(batch, lstm_hidden, dense_size, squeezed=False):
+        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        params = init_params(arch, seed=60 + batch)
+        rng = np.random.default_rng(61 + batch)
+        for tensor in params.tensors.values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x = rng.normal(size=(24, 25) if squeezed else (batch, 24, 25))
+        return arch, params, x, rng
+
+    @pytest.mark.parametrize("dense_size", [32, None])
+    @pytest.mark.parametrize("keep_rate", [0.8, 1.0])
+    @pytest.mark.parametrize("batch,lstm_hidden,squeezed",
+                             [(1, 64, False), (32, 64, False), (13, 64, False), (1500, 16, False), (1, 64, True)])
+    def test_bit_identical_to_allocating_form(self, monkeypatch, batch, lstm_hidden, squeezed, dense_size, keep_rate):
+        arch, params, x, rng = self.case(batch, lstm_hidden, dense_size, squeezed)
+        x_batched = x[None] if squeezed else x
+
+        got_states = nnet._lstm_states(params, x_batched)
+        want_states = reference_lstm_states(params, x_batched)
+        for gate in want_states[0]:
+            assert np.array_equal(got_states[0][gate], want_states[0][gate]), gate
+        for got, want in zip(got_states[1:], want_states[1:]):
+            assert np.array_equal(got, want)
+
+        mask = sample_dropout_mask(arch, keep_rate, np.random.default_rng(62), batch=batch)
+        targets = {head: (rng.random(batch) < 0.5).astype(float) for head in arch.heads}
+        task_weights = {"anxiety": 4.5, "protected": 0.5}
+        sample_weights = rng.uniform(0.5, 2.0, size=batch)
+        _, trace = forward(params, x, mask=mask)
+        got_grads = backward(params, trace, targets, task_weights, sample_weights=sample_weights)
+        got_input = input_gradient(params, x, "anxiety")
+
+        monkeypatch.setattr(nnet, "_lstm_states", reference_lstm_states)
+        monkeypatch.setattr(nnet, "_backprop", lambda p, tr, seeds, input_grad=False: reference_backprop(p, tr, seeds))
+        _, ref_trace = forward(params, x, mask=mask)
+        want_grads = backward(params, ref_trace, targets, task_weights, sample_weights=sample_weights)
+        want_input = input_gradient(params, x, "anxiety")
+
+        assert set(got_grads) == set(want_grads)
+        for name in want_grads:
+            assert np.array_equal(got_grads[name], want_grads[name]), name
+        assert got_input.shape == x.shape
+        assert np.array_equal(got_input, want_input)
+
+    def test_input_gradient_only_on_request(self):
+        arch, params, x, _ = self.case(4, 8, 4)
+        _, trace = forward(params, x)
+        seeds = {"anxiety": np.ones(4)}
+        grads, d_input = nnet._backprop(params, trace, seeds)
+        assert d_input is None
+        grads_with, d_input = nnet._backprop(params, trace, seeds, input_grad=True)
+        assert d_input.shape == x.shape
+        for name in grads:
+            assert np.array_equal(grads[name], grads_with[name]), name
