@@ -467,6 +467,39 @@ def write_labels_csv(path, cohort: Cohort) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_demographics_csv(path) -> dict:
+    """Demographics CSV -> {attribute: {participant id: raw category}}.
+
+    Raises ValueError, naming the file and line, on a header that is not
+    participant_id followed by distinct attribute names, a wrong column
+    count or a repeated participant; and naming the file when no
+    participant row follows the header.
+    """
+    with open(path, newline="") as fh:
+        reader = _csv.reader(fh)
+        header = next(reader, None)
+        if (header is None or len(header) < 2 or header[0] != "participant_id"
+                or len(set(header)) != len(header)):
+            raise ValueError(f"{path}, line 1: expected the header participant_id,<attribute>,... "
+                             "with distinct names")
+        raw_by_attr = {name: {} for name in header[1:]}
+        seen = set()
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(header)} columns, "
+                                 f"got {len(row)}")
+            if row[0] in seen:
+                raise ValueError(f"{path}, line {reader.line_num}: repeats participant {row[0]!r}")
+            seen.add(row[0])
+            for name, value in zip(header[1:], row[1:]):
+                raw_by_attr[name][row[0]] = value
+    if not seen:
+        raise ValueError(f"{path}: no participant rows after the header")
+    return raw_by_attr
+
+
 def write_demographics_csv(path, cohort: Cohort) -> None:
     """Demographics CSV: participant_id plus one raw-category column per attribute."""
     attrs = cohort.attribute_names()
@@ -504,17 +537,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
     catalog = {}
     participant_codes = {}
     if demographics_path is not None:
-        raw_by_attr = {}
-        with open(demographics_path, newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            attrs = header[1:]
-            for row in reader:
-                if not row:
-                    continue
-                for name, value in zip(attrs, row[1:]):
-                    raw_by_attr.setdefault(name, {})[row[0]] = value
-        for name, raw in raw_by_attr.items():
+        for name, raw in _read_demographics_csv(demographics_path).items():
             codes, coding = encode_protected(raw, name)
             catalog[name] = coding
             participant_codes[name] = codes
@@ -526,7 +549,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
         protected = {}
         for name, codes in participant_codes.items():
             if participant_id not in codes:
-                raise ValueError(f"participant {participant_id!r} missing from demographics")
+                raise ValueError(f"{demographics_path}: participant {participant_id!r} is missing")
             protected[name] = codes[participant_id]
         windows.append(
             LabeledWindow(

@@ -12,6 +12,7 @@ multiple threads.
 from dataclasses import dataclass, field
 from pathlib import Path
 import csv as _csv
+import math
 
 import numpy as np
 
@@ -189,23 +190,29 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     if running_avg <= 0.0:
         raise NoPeaks("signal has no energy peaks above threshold")
 
+    # Python ints and floats from tolist(): numpy scalars make this loop
+    # over every local maximum of the energy twice as slow.
     accepted = []
-    for idx in candidates:
+    accepted_energy = 0.0  # energy at accepted[-1]
+    for idx, height in zip(candidates.tolist(), energy[candidates].tolist()):
         if accepted and idx - accepted[-1] < refractory:
             # Within refractory period: keep whichever bump is taller.
-            if energy[idx] > energy[accepted[-1]]:
+            if height > accepted_energy:
                 accepted[-1] = idx
+                accepted_energy = height
             continue
-        if energy[idx] > 0.5 * running_avg:
+        if height > 0.5 * running_avg:
             accepted.append(idx)
-            running_avg = 0.875 * running_avg + 0.125 * float(energy[idx])
+            accepted_energy = height
+            running_avg = 0.875 * running_avg + 0.125 * height
 
     half_window = max(1, round(0.100 * fs))
+    n_samples = len(x)
     refined = []
     for idx in accepted:
         lo = max(0, idx - half_window)
-        hi = min(len(x), idx + half_window + 1)
-        refined.append(lo + int(np.argmax(x[lo:hi])))
+        hi = min(n_samples, idx + half_window + 1)
+        refined.append(lo + int(x[lo:hi].argmax()))
     refined = sorted(set(refined))
 
     # Re-apply the refractory rule after refinement in case two integrator
@@ -350,43 +357,123 @@ def extract_features(nni: NNIntervalSeries) -> FeatureVector:
     )
 
 
-def read_ecg_csv(path) -> EcgSignal:
-    """Read an ECG trace from a two-column CSV (t_seconds, voltage).
+def _scan_numeric_rows(path, columns, positive):
+    """Row-by-row parse of a headed numeric CSV; raises at its first bad line.
 
-    The header row is required. The sample rate is inferred from the
-    median timestamp spacing; the timestamps must be uniform to 1%.
+    The exact, slow path behind ``_read_numeric_csv``: one ``float()`` per
+    value, with the line numbers ``csv.reader`` counts.
     """
-    path = Path(path)
+    requirement = "a positive finite number" if positive else "a finite number"
+    rows = []
+    with open(path, newline="") as fh:
+        reader = _csv.reader(fh)
+        next(reader, None)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(columns):
+                    raise ValueError(f"{path}, line {reader.line_num}: expected {len(columns)} column(s), "
+                                     f"got {len(row)}")
+                values = []
+                for name, text in zip(columns, row):
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        value = math.nan
+                    if not (math.isfinite(value) and (value > 0 or not positive)):
+                        raise ValueError(f"{path}, line {reader.line_num}: {name} is {text!r}, "
+                                         f"not {requirement}")
+                    values.append(value)
+                rows.append(values)
+        except _csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, len(columns))
+
+
+def _read_numeric_csv(path, columns, positive=False):
+    """(rows, len(columns)) float64 array of the leading columns of a headed CSV.
+
+    The first row is a header of at least ``len(columns)`` fields. Blank
+    lines are skipped, CRLF line endings and quoted numbers are accepted,
+    and columns past ``columns`` are ignored. Every value must be finite,
+    and with ``positive`` also > 0.
+
+    ``np.loadtxt`` parses the body in C, with the same correctly rounded
+    text-to-float64 conversion as ``float()``. When it refuses the body,
+    or the body breaks the rules above, the file is parsed again row by
+    row (``_scan_numeric_rows``). That scan raises at the first bad line,
+    or returns the values that only ``float()`` accepts, such as ``1_000``.
+    loadtxt's own row numbers are 0-based for some errors and 1-based for
+    others, so they are not reported.
+
+    Raises:
+        ValueError: naming the file, and the line for a row defect.
+    """
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected header 't_seconds,voltage'")
-        times, volts = [], []
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            volts.append(float(row[1]))
-    times = np.asarray(times)
-    if len(times) < 3:
+        if header is None or len(header) < len(columns):
+            raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
+        # loadtxt warns about a body without rows, so it never sees one
+        if not any(line.strip("\r\n") for line in fh):
+            return np.zeros((0, len(columns)))
+        header_lines = reader.line_num
+    # Given a path, not an open file, loadtxt reads large blocks instead of
+    # one line at a time: 0.45 s instead of 0.58 s for 1.8 M rows on a
+    # 2-vCPU host. It also opens a path ending in .gz, .bz2 or .xz as
+    # compressed, and then raises OSError on plain text; the row scan reads
+    # such a file as text.
+    try:
+        data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                          skiprows=header_lines, usecols=range(len(columns)), ndmin=2)
+    except (OSError, ValueError):
+        data = None
+    if data is None or not np.isfinite(data).all() or (positive and not (data > 0).all()):
+        data = _scan_numeric_rows(path, columns, positive)
+    return data
+
+
+def read_ecg_csv(path) -> EcgSignal:
+    """Read an ECG trace from a headed CSV whose first two columns are t_seconds, voltage.
+
+    Input rules are those of ``_read_numeric_csv``: blank lines are
+    skipped, CRLF line endings and quoted numbers are accepted, further
+    columns are ignored, and every time and voltage must be finite. The
+    sample rate is inferred from the median timestamp spacing; the
+    timestamps must be uniform to 1%.
+
+    Raises:
+        ValueError: naming the file, and the line for a missing header, a
+            short row or a value that is not a finite number; or naming
+            the file for fewer than 3 samples or non-uniform timestamps.
+    """
+    path = Path(path)
+    data = _read_numeric_csv(path, ("t_seconds", "voltage"))
+    if len(data) < 3:
         raise ValueError(f"{path}: too few samples")
-    dt = np.diff(times)
+    dt = np.diff(data[:, 0])
     if np.max(np.abs(dt - np.median(dt))) > 0.01 * np.median(dt):
         raise ValueError(f"{path}: timestamps are not uniformly spaced")
-    return EcgSignal(samples=np.asarray(volts), sample_rate=1.0 / float(np.median(dt)))
+    return EcgSignal(samples=data[:, 1].copy(), sample_rate=1.0 / float(np.median(dt)))
 
 
 def read_nni_csv(path) -> NNIntervalSeries:
-    """Read NN intervals from a one-column CSV (interval_ms, header required)."""
+    """Read NN intervals from a headed CSV whose first column is interval_ms.
+
+    Input rules are those of ``_read_numeric_csv``, and every interval
+    must be positive.
+
+    Raises:
+        ValueError: naming the file, and the line for a missing header or
+            an interval that is not a positive finite number; or naming
+            the file when it holds no interval.
+    """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 1:
-            raise ValueError(f"{path}: expected header 'interval_ms'")
-        intervals = [float(row[0]) for row in reader if row]
-    return NNIntervalSeries(np.asarray(intervals))
+    data = _read_numeric_csv(path, ("interval_ms",), positive=True)
+    if len(data) == 0:
+        raise ValueError(f"{path}: no intervals after the header")
+    return NNIntervalSeries(data[:, 0].copy())
 
 
 def write_features_csv(path, vectors) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,106 @@ class TestExtract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --steps must be 24")
         assert not out.exists()
+
+
+def _ecg_lines(seconds=3, fs=250):
+    """Header plus a unit-impulse train at 1 Hz, one row per sample."""
+    return ["t_seconds,voltage"] + [f"{i / fs:.3f},{1.0 if i % fs == 0 else 0.0}"
+                                    for i in range(seconds * fs)]
+
+
+class TestExtractInputs:
+    @pytest.mark.parametrize("kind,row,message", [
+        ("ecg", "0.012", "expected 2 column(s), got 1"),
+        ("ecg", "0.012,x", "voltage is 'x', not a finite number"),
+        ("ecg", "0.012,nan", "voltage is 'nan', not a finite number"),
+        ("ecg", "0.012,inf", "voltage is 'inf', not a finite number"),
+        ("ecg", "nan,0.0", "t_seconds is 'nan', not a finite number"),
+        ("nni", "nan", "interval_ms is 'nan', not a positive finite number"),
+        ("nni", "0", "interval_ms is '0', not a positive finite number"),
+        ("nni", "x", "interval_ms is 'x', not a positive finite number"),
+        ("nni", "1e400", "interval_ms is '1e400', not a positive finite number"),
+    ])
+    def test_bad_row_exits_1_naming_file_and_line(self, tmp_path, capsys, kind, row, message):
+        if kind == "ecg":
+            lines = _ecg_lines()
+        else:
+            lines = ["interval_ms"] + [f"{800 + i % 7 * 10}.0" for i in range(400)]
+        lines[4] = row
+        bad = tmp_path / f"bad_{kind}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["extract", f"--{kind}", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}, line 5: {message}"]
+        assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("kind,header,message", [
+        ("ecg", "t_seconds,voltage", "too few samples"),
+        ("nni", "interval_ms", "no intervals after the header"),
+    ])
+    def test_header_only_exits_1_with_one_line(self, tmp_path, capsys, kind, header, message):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(header + "\n\n")
+        with warnings.catch_warnings():
+            # such as the parser's "input contained no data"
+            warnings.simplefilter("error")
+            assert main(["extract", f"--{kind}", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {path}: {message}"]
+
+
+class TestDemographicsReader:
+    @pytest.mark.parametrize("defect,line_no,message", [
+        ("empty", 1, "expected the header participant_id,<attribute>,... with distinct names"),
+        ("no header", 1, "expected the header participant_id,<attribute>,... with distinct names"),
+        ("short row", 2, "expected 2 columns, got 1"),
+        ("long row", 2, "expected 2 columns, got 3"),
+        ("repeated", 3, "repeats participant 'p0000'"),
+    ])
+    @pytest.mark.parametrize("command", ["audit", "train-base"])
+    def test_malformed_demographics_exit_1_naming_file_and_line(
+        self, synth_dir, tmp_path, capsys, command, defect, line_no, message
+    ):
+        lines = (synth_dir / "demographics.csv").read_text().splitlines()
+        if defect == "empty":
+            lines = []
+        elif defect == "no header":
+            lines = lines[1:]
+        elif defect == "short row":
+            lines[1] = lines[1].split(",")[0]
+        elif defect == "long row":
+            lines[1] += ",extra"
+        else:
+            lines.insert(2, lines[1])
+        bad = tmp_path / "bad_demo.csv"
+        bad.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        extra = FAST_TRAIN if command == "train-base" else []
+        code = main([command, "--windows", str(synth_dir / "windows.csv"),
+                     "--labels", str(synth_dir / "labels.csv"), "--demo", str(bad),
+                     "--protected", "group", *extra, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}, line {line_no}: {message}"]
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_header_only_demographics_exit_1_naming_file(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_demo.csv"
+        bad.write_text("participant_id,group\n")
+        code = main(["audit", "--windows", str(synth_dir / "windows.csv"),
+                     "--labels", str(synth_dir / "labels.csv"), "--demo", str(bad),
+                     "--protected", "group", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {bad}: no participant rows after the header"]
+
+    def test_participant_absent_from_demographics_names_the_file(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "demographics.csv").read_text().splitlines()
+        bad = tmp_path / "bad_demo.csv"
+        bad.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        code = main(["audit", "--windows", str(synth_dir / "windows.csv"),
+                     "--labels", str(synth_dir / "labels.csv"), "--demo", str(bad),
+                     "--protected", "group", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}: participant 'p0000' is missing"]
 
 
 def _corrupt(lines, defect):

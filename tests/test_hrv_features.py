@@ -19,6 +19,7 @@ from fairhrv.hrv_features import (
     write_features_csv,
 )
 from hrv_oracle import oracle_features, random_nn_series
+from reference_readers import reference_read_ecg_csv, reference_read_nni_csv
 
 
 def rel_err(a, b, floor=1.0):
@@ -246,3 +247,92 @@ class TestCsv:
         assert lines[0].split(",") == list(FEATURE_NAMES)
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 25
+
+
+def _write_csv(path, header, columns, style):
+    """Write ``columns`` of floats under ``header`` in one of the styles readers accept."""
+    fmt, newline, blank_rows, extra_column, quoted = style
+    lines = [header + (",note" if extra_column else "")]
+    for i, values in enumerate(zip(*columns)):
+        if i in blank_rows:
+            lines.append("")
+        fields = [repr(v) if fmt == "repr" else f"{v:.6f}" for v in values]
+        if quoted:
+            fields = [f'"{f}"' for f in fields]
+        lines.append(",".join(fields) + (",x" if extra_column else ""))
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
+_STYLES = st.tuples(
+    st.sampled_from(["repr", "%.6f"]),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sets(st.integers(0, 60), max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def _same_outcome(read, reference, path):
+    """Both raise ValueError, or both return the same float64 bits."""
+    try:
+        expected = reference(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read(path)
+        return None
+    return read(path), expected
+
+
+class TestReaderOracle:
+    """The loadtxt-based readers return bit for bit what the row-by-row ones did."""
+
+    @given(
+        volts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=20, max_size=60),
+        dt=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0]),
+        t0=st.floats(0.0, 1000.0),
+        style=_STYLES,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ecg_matches_reference(self, tmp_path_factory, volts, dt, t0, style):
+        path = tmp_path_factory.mktemp("ecg") / "ecg.csv"
+        times = [t0 + i * dt for i in range(len(volts))]
+        _write_csv(path, "t_seconds,voltage", (times, volts), style)
+        outcome = _same_outcome(read_ecg_csv, reference_read_ecg_csv, path)
+        if outcome is not None:
+            got, expected = outcome
+            assert got.samples.tobytes() == expected.samples.tobytes()
+            assert got.sample_rate == expected.sample_rate
+
+    @given(
+        intervals=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           min_size=1, max_size=60),
+        style=_STYLES,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nni_matches_reference(self, tmp_path_factory, intervals, style):
+        path = tmp_path_factory.mktemp("nni") / "nni.csv"
+        _write_csv(path, "interval_ms", (intervals,), style)
+        outcome = _same_outcome(read_nni_csv, reference_read_nni_csv, path)
+        if outcome is not None:
+            got, expected = outcome
+            assert got.intervals_ms.tobytes() == expected.intervals_ms.tobytes()
+
+
+class TestReaderErrors:
+    def test_error_names_line_after_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "ecg.csv"
+        path.write_bytes(b"t_seconds,voltage\r\n0,1\r\n\r\n0.5,2\r\n1.0,zz\r\n")
+        with pytest.raises(ValueError, match=r"ecg\.csv, line 5: voltage is 'zz', not a finite number$"):
+            read_ecg_csv(path)
+
+    def test_value_only_float_accepts_is_read(self, tmp_path):
+        # numpy's parser refuses digit separators; the row scan reads them as before
+        path = tmp_path / "nni.csv"
+        path.write_text("interval_ms\n1_000.5\n800\n")
+        assert read_nni_csv(path).intervals_ms.tolist() == [1000.5, 800.0]
+
+    def test_missing_header_names_line_1(self, tmp_path):
+        path = tmp_path / "ecg.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"line 1: expected the header t_seconds,voltage"):
+            read_ecg_csv(path)
