@@ -7,7 +7,7 @@ import numpy as np
 from fairhrv.dataset import generate_synthetic
 from fairhrv.mitigation import TrainConfig, evaluate_uncertainties, final_predict, select_checkpoint, train_mtl_with_checkpoints
 from fairhrv.pipeline import evaluate_predictions, prepare_split, run_base_model
-from fairhrv.saliency import average_saliency
+from fairhrv.saliency import average_saliency_over_windows
 from fairhrv.dataset import PROTECTED_SIGNAL_COLUMNS
 
 seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -42,7 +42,7 @@ print(f"selected epoch {sel.chosen_epoch} gap={sel.gap:.5f}")
 for r, c in zip(records, ckpts):
     preds, probs = final_predict(c, split.test)
     m = evaluate_predictions(preds, split.test.labels(), split.test.protected_values("group"), "group")
-    smap = average_saliency(c, split.test, "anxiety")
+    smap = average_saliency_over_windows(c, split.test.feature_tensor(), "anxiety")
     mass = smap.column_l1_mass(PROTECTED_SIGNAL_COLUMNS)
     total = float(np.sum(np.abs(smap.values)))
     star = "*" if r.epoch == sel.chosen_epoch else " "

@@ -25,7 +25,7 @@ from .mitigation import (
     train_reweighted,
 )
 from .nnet import ModelArch, ModelParams, forward, input_gradient, mc_forward, mtl_loss
-from .saliency import SaliencyMap, average_saliency, saliency_for_sample
+from .saliency import SaliencyMap, average_saliency_over_windows, saliency_for_sample
 
 __all__ = [
     "__version__",
@@ -35,5 +35,5 @@ __all__ = [
     "SelectionResult", "TrainConfig", "UncertaintyRecord", "evaluate_uncertainties", "final_predict",
     "select_checkpoint", "train_baseline", "train_mtl_with_checkpoints", "train_reweighted",
     "ModelArch", "ModelParams", "forward", "input_gradient", "mc_forward", "mtl_loss",
-    "SaliencyMap", "average_saliency", "saliency_for_sample",
+    "SaliencyMap", "average_saliency_over_windows", "saliency_for_sample",
 ]

@@ -11,7 +11,6 @@ dataset.read_windows_csv. Exit codes: 0 success, 1 data or I/O errors,
 """
 
 import argparse
-import csv as _csv
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import dataset, fairness, hrv_features, pipeline, saliency
 from .checkpoint_io import load_checkpoint, save_checkpoint
-from .fileio import atomic_write_text, sha256_file, write_json
+from .fileio import atomic_write_text, sha256_file, write_csv, write_json
 from .mitigation import TrainConfig, TrainingDiverged
 
 
@@ -40,28 +39,25 @@ def _config_echo(args, exclude=("out", "func", "command")) -> dict:
     return config
 
 
+PREDICTIONS_HEADER = ["sample_id", "prediction", "probability"]
+
+
 def _write_predictions_csv(path, sample_ids, preds, probs) -> None:
-    lines = ["sample_id,prediction,probability"]
-    for sid, pred, prob in zip(sample_ids, preds, probs):
-        lines.append(f"{sid},{int(pred)},{repr(float(prob))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, PREDICTIONS_HEADER, (
+        f"{sid},{int(pred)},{repr(float(prob))}" for sid, pred, prob in zip(sample_ids, preds, probs)
+    ))
 
 
-def _read_predictions_csv(path) -> dict:
-    preds = {}
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}, line {reader.line_num}: expected 3 columns, got {len(row)}")
-            try:
-                preds[row[0]] = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}, line {reader.line_num}: prediction {row[1]!r} is not an integer") from None
-    return preds
+def _write_cohort_windows(path, cohort: dataset.Cohort) -> None:
+    windows = cohort.windows
+    dataset.write_windows_csv(path, [w.sample_id for w in windows], [w.participant_id for w in windows],
+                              cohort.feature_tensor())
+
+
+def _check_csv_name(flag, name) -> None:
+    """Reject a name that the CSV files it is written into could not read back."""
+    if any(c in name for c in ',"\r\n'):
+        raise ValueError(f"{flag} {name!r} holds a comma, quote, CR or LF, which the CSV files cannot hold")
 
 
 def _train_config(args) -> TrainConfig:
@@ -100,6 +96,7 @@ def cmd_extract(args) -> int:
         raise ValueError("provide exactly one of --ecg or --nni")
     if args.steps != dataset.WINDOW_STEPS:
         raise ValueError(f"--steps must be {dataset.WINDOW_STEPS}, the window length models take")
+    _check_csv_name("--participant", args.participant)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.ecg is not None:
@@ -125,19 +122,12 @@ def cmd_extract(args) -> int:
 
     rows = np.stack([v.as_array() for v in vectors])
     n_windows = len(vectors) // args.steps
-    windows = []
-    for k in range(n_windows):
-        feats = rows[k * args.steps : (k + 1) * args.steps]
-        windows.append(
-            dataset.LabeledWindow(
-                sample_id=f"{args.participant}_w{k:04d}",
-                participant_id=args.participant,
-                features=feats,
-                anxiety=0,
-                protected={},
-            )
-        )
-    dataset.write_windows_csv(out / "windows.csv", dataset.Cohort(tuple(windows)))
+    dataset.write_windows_csv(
+        out / "windows.csv",
+        [f"{args.participant}_w{k:04d}" for k in range(n_windows)],
+        [args.participant] * n_windows,
+        rows[: n_windows * args.steps].reshape(n_windows, args.steps, dataset.N_FEATURES),
+    )
     if n_windows == 0:
         print(
             f"note: {len(vectors)} segment(s) < {args.steps}; windows.csv has no rows",
@@ -148,10 +138,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_csv_name("--attribute", args.attribute)
+    if args.attribute == "participant_id":
+        raise ValueError("--attribute cannot be participant_id, the demographics id column")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cohort = dataset.generate_synthetic(args.n, args.bias, args.seed, attribute=args.attribute)
-    dataset.write_windows_csv(out / "windows.csv", cohort)
+    _write_cohort_windows(out / "windows.csv", cohort)
     dataset.write_labels_csv(out / "labels.csv", cohort)
     dataset.write_demographics_csv(out / "demographics.csv", cohort)
     dataset.write_catalog_json(out / "catalog.json", cohort)
@@ -169,7 +162,7 @@ def cmd_audit(args) -> int:
         report = fairness.evaluate_predictions(labels, groups=groups, attribute=args.protected)
     else:
         # audit exactly the listed samples: model commands write test-split predictions only
-        by_id = _read_predictions_csv(args.predictions)
+        by_id = dataset.read_outcomes_csv(args.predictions, PREDICTIONS_HEADER, "prediction")
         index = {w.sample_id: i for i, w in enumerate(cohort.windows)}
         unknown = [sid for sid in by_id if sid not in index]
         if unknown:
@@ -236,7 +229,7 @@ def cmd_mitigate(args) -> int:
         run.predictions,
         run.probabilities,
     )
-    dataset.write_windows_csv(out / "test_windows.csv", split.test)
+    _write_cohort_windows(out / "test_windows.csv", split.test)
     _write_manifest(out, "mitigate", _config_echo(args))
     return 0
 

@@ -2,22 +2,20 @@
 
 A cohort is a set of labeled feature windows (24 time steps x 25 HRV
 features) with binary anxiety labels and binary protected attributes.
-This module covers per-participant label binarization, majority-rule
-protected-attribute encoding, seeded 75/25 splitting, train-statistics
-standardization, a synthetic biased-cohort generator, and the CSV/JSON
-interchange formats.
+This module covers majority-rule protected-attribute encoding, seeded
+75/25 splitting, train-statistics standardization, a synthetic
+biased-cohort generator, and the CSV/JSON interchange formats.
 
 Cohorts are immutable after construction and safe to share across threads.
 """
 
-import csv as _csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fileio import atomic_write_text, write_json
+from .fileio import read_csv, write_csv, write_json
 from .hrv_features import FEATURE_NAMES
 from .rng import substream
 
@@ -140,32 +138,6 @@ class SplitCohort:
     test: Cohort
     seed: int
     scaler: FeatureScaler = None
-
-
-@dataclass(frozen=True)
-class BinarizedLabels:
-    labels: dict
-    degenerate: frozenset
-
-
-def binarize_anxiety(scores_per_participant) -> BinarizedLabels:
-    """Binarize raw anxiety scores against each participant's own mean.
-
-    A score strictly above the participant's mean maps to 1, otherwise 0
-    (ties are negative). Participants whose scores have zero variance get
-    all-zero labels and are flagged degenerate.
-    """
-    labels = {}
-    degenerate = set()
-    for pid, scores in scores_per_participant.items():
-        scores = list(scores)
-        if not scores:
-            raise ValueError(f"participant {pid!r} has no scores")
-        mean = sum(scores) / len(scores)
-        labels[pid] = [1 if s > mean else 0 for s in scores]
-        if all(s == scores[0] for s in scores):
-            degenerate.add(pid)
-    return BinarizedLabels(labels=labels, degenerate=frozenset(degenerate))
 
 
 def encode_protected(raw, attribute_name: str):
@@ -374,13 +346,26 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
 WINDOWS_HEADER = ["sample_id", "participant_id", "step", *FEATURE_NAMES]
 
 
-def write_windows_csv(path, cohort: Cohort) -> None:
-    """Windows CSV: sample_id, participant_id, step, then the 25 features."""
-    lines = [",".join(WINDOWS_HEADER)]
-    for w in cohort.windows:
-        for step, row in enumerate(w.features.tolist()):
-            lines.append(f"{w.sample_id},{w.participant_id},{step},{','.join(map(repr, row))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_windows_csv(path, sample_ids, participant_ids, features) -> None:
+    """Windows CSV: sample_id, participant_id, step, then the 25 features.
+
+    Takes what read_windows_csv returns: sample ids, participant ids and
+    the (n, 24, 25) features.
+    """
+    write_csv(path, WINDOWS_HEADER, (
+        f"{sample_id},{participant_id},{step},{','.join(map(repr, row))}"
+        for sample_id, participant_id, window in zip(sample_ids, participant_ids, features)
+        for step, row in enumerate(window.tolist())
+    ))
+
+
+def _rows_after_header(path, header):
+    """The rows of ``read_csv(path)`` after a header that must equal ``header``."""
+    rows = read_csv(path)
+    if next(rows)[1] != header:
+        rows.close()
+        raise ValueError(f"{path}, line 1: expected the header {','.join(header)}")
+    return rows
 
 
 def read_windows_csv(path):
@@ -392,36 +377,27 @@ def read_windows_csv(path):
     repeated (sample, step) row, or a sample with missing steps.
     """
     by_sample = {}  # sample id -> [participant id, features, bitmask of steps seen]
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        if next(reader, None) != WINDOWS_HEADER:
-            raise ValueError(f"{path}: unexpected header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(WINDOWS_HEADER):
-                raise ValueError(f"{path}, line {reader.line_num}: expected {len(WINDOWS_HEADER)} columns")
-            sample_id = row[0]
-            try:
-                step = int(row[2])
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            # a finite sum proves every value finite; an infinite one may be overflow
-            if not math.isfinite(sum(values)):
-                for name, text, value in zip(FEATURE_NAMES, row[3:], values):
-                    if not math.isfinite(value):
-                        raise ValueError(f"{path}, line {reader.line_num}: feature {name!r} is {text!r}, "
-                                         "not a finite number")
-            if not 0 <= step < WINDOW_STEPS:
-                raise ValueError(f"{path}, line {reader.line_num}: step {step} outside [0, {WINDOW_STEPS})")
-            if sample_id not in by_sample:
-                by_sample[sample_id] = [row[1], np.zeros((WINDOW_STEPS, N_FEATURES)), 0]
-            entry = by_sample[sample_id]
-            if entry[2] >> step & 1:
-                raise ValueError(f"{path}, line {reader.line_num}: repeats step {step} of sample {sample_id!r}")
-            entry[1][step] = values
-            entry[2] |= 1 << step
+    for line, row in _rows_after_header(path, WINDOWS_HEADER):
+        sample_id = row[0]
+        try:
+            step = int(row[2])
+            values = [float(v) for v in row[3:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+        # a finite sum proves every value finite; an infinite one may be overflow
+        if not math.isfinite(sum(values)):
+            for name, text, value in zip(FEATURE_NAMES, row[3:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}, line {line}: feature {name!r} is {text!r}, not a finite number")
+        if not 0 <= step < WINDOW_STEPS:
+            raise ValueError(f"{path}, line {line}: step {step} outside [0, {WINDOW_STEPS})")
+        if sample_id not in by_sample:
+            by_sample[sample_id] = [row[1], np.zeros((WINDOW_STEPS, N_FEATURES)), 0]
+        entry = by_sample[sample_id]
+        if entry[2] >> step & 1:
+            raise ValueError(f"{path}, line {line}: repeats step {step} of sample {sample_id!r}")
+        entry[1][step] = values
+        entry[2] |= 1 << step
     for sample_id, (_, _, seen) in by_sample.items():
         if seen != (1 << WINDOW_STEPS) - 1:
             raise ValueError(f"{path}: sample {sample_id!r} is missing time steps")
@@ -432,39 +408,33 @@ def read_windows_csv(path):
 LABELS_HEADER = ["sample_id", "anxiety"]
 
 
-def _read_labels_csv(path) -> dict:
-    """Labels CSV -> {sample id: anxiety label}.
+def read_outcomes_csv(path, header, what) -> dict:
+    """CSV of sample ids and 0/1 outcomes (labels or predictions) -> {sample id: outcome}.
 
-    Raises ValueError, naming the file and line, on a bad header or column
-    count, a label other than the integers 0 and 1, or a repeated sample.
+    ``header`` names the columns; the integer is in the second, and
+    ``what`` names it in errors. Raises ValueError, naming the file and
+    line, on a bad header or column count, a value other than the
+    integers 0 and 1, or a repeated sample; and naming the file when no
+    row follows the header.
     """
-    labels = {}
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        if next(reader, None) != LABELS_HEADER:
-            raise ValueError(f"{path}, line 1: expected the header {','.join(LABELS_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(LABELS_HEADER):
-                raise ValueError(f"{path}, line {reader.line_num}: expected {len(LABELS_HEADER)} columns, "
-                                 f"got {len(row)}")
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}, line {reader.line_num}: label {row[1]!r} is not an integer") from None
-            if label not in (0, 1):
-                raise ValueError(f"{path}, line {reader.line_num}: label {label} is not 0 or 1")
-            if row[0] in labels:
-                raise ValueError(f"{path}, line {reader.line_num}: repeats sample {row[0]!r}")
-            labels[row[0]] = label
-    return labels
+    values = {}
+    for line, (sample_id, text, *_) in _rows_after_header(path, header):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{path}, line {line}: {what} {text!r} is not an integer") from None
+        if value not in (0, 1):
+            raise ValueError(f"{path}, line {line}: {what} {value} is not 0 or 1")
+        if sample_id in values:
+            raise ValueError(f"{path}, line {line}: repeats sample {sample_id!r}")
+        values[sample_id] = value
+    if not values:
+        raise ValueError(f"{path}: no {what}s after the header")
+    return values
 
 
 def write_labels_csv(path, cohort: Cohort) -> None:
-    lines = [",".join(LABELS_HEADER)]
-    lines += [f"{w.sample_id},{w.anxiety}" for w in cohort.windows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, LABELS_HEADER, (f"{w.sample_id},{w.anxiety}" for w in cohort.windows))
 
 
 def _read_demographics_csv(path) -> dict:
@@ -475,27 +445,19 @@ def _read_demographics_csv(path) -> dict:
     count or a repeated participant; and naming the file when no
     participant row follows the header.
     """
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if (header is None or len(header) < 2 or header[0] != "participant_id"
-                or len(set(header)) != len(header)):
-            raise ValueError(f"{path}, line 1: expected the header participant_id,<attribute>,... "
-                             "with distinct names")
-        raw_by_attr = {name: {} for name in header[1:]}
-        seen = set()
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}, line {reader.line_num}: expected {len(header)} columns, "
-                                 f"got {len(row)}")
-            if row[0] in seen:
-                raise ValueError(f"{path}, line {reader.line_num}: repeats participant {row[0]!r}")
-            seen.add(row[0])
-            for name, value in zip(header[1:], row[1:]):
-                raw_by_attr[name][row[0]] = value
-    if not seen:
+    rows = read_csv(path)
+    _, header = next(rows)
+    if len(header) < 2 or header[0] != "participant_id" or len(set(header)) != len(header):
+        rows.close()
+        raise ValueError(f"{path}, line 1: expected the header participant_id,<attribute>,... with distinct names")
+    raw_by_attr = {name: {} for name in header[1:]}
+    participants = raw_by_attr[header[1]]  # every row fills every attribute
+    for line, row in rows:
+        if row[0] in participants:
+            raise ValueError(f"{path}, line {line}: repeats participant {row[0]!r}")
+        for name, value in zip(header[1:], row[1:]):
+            raw_by_attr[name][row[0]] = value
+    if not participants:
         raise ValueError(f"{path}: no participant rows after the header")
     return raw_by_attr
 
@@ -510,11 +472,8 @@ def write_demographics_csv(path, cohort: Cohort) -> None:
     seen = {}
     for w in cohort.windows:
         if w.participant_id not in seen:
-            seen[w.participant_id] = {name: reverse[name][w.protected[name]] for name in attrs}
-    lines = [",".join(("participant_id",) + attrs)]
-    for pid in sorted(seen):
-        lines.append(",".join([pid] + [seen[pid][name] for name in attrs]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            seen[w.participant_id] = [reverse[name][w.protected[name]] for name in attrs]
+    write_csv(path, ("participant_id",) + attrs, (",".join([pid, *seen[pid]]) for pid in sorted(seen)))
 
 
 def write_catalog_json(path, cohort: Cohort) -> None:
@@ -532,7 +491,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
     when provided, are encoded per attribute with the majority rule.
     """
     sample_ids, participant_ids, features = read_windows_csv(windows_path)
-    labels = _read_labels_csv(labels_path)
+    labels = read_outcomes_csv(labels_path, LABELS_HEADER, "label")
 
     catalog = {}
     participant_codes = {}
@@ -545,7 +504,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
     windows = []
     for sample_id, participant_id, feats in zip(sample_ids, participant_ids, features):
         if sample_id not in labels:
-            raise ValueError(f"sample {sample_id!r} has no anxiety label")
+            raise ValueError(f"{labels_path}: sample {sample_id!r} has no anxiety label")
         protected = {}
         for name, codes in participant_codes.items():
             if participant_id not in codes:

@@ -1,5 +1,6 @@
-"""Atomic file writes and artifact checksums."""
+"""Atomic file writes, the CSV codec of the interchange files, and artifact checksums."""
 
+import csv
 import hashlib
 import json
 import os
@@ -29,6 +30,37 @@ def atomic_write_text(path, text: str) -> None:
 def write_json(path, obj) -> None:
     """Serialize ``obj`` as deterministic JSON (sorted keys, no volatile fields)."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_csv(path):
+    """Stream a headed CSV as (line number, fields) pairs.
+
+    The header comes first (``[]`` for an empty file), then every
+    non-blank row, each as wide as the header. Callers check the header.
+
+    Raises:
+        ValueError: naming the file and line, for a row of another width
+            or a line the csv module refuses (such as a field over its size
+            limit).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            yield 1, header
+            width = len(header)
+            for row in reader:
+                if len(row) == width and row:
+                    yield reader.line_num, row
+                elif row:
+                    raise ValueError(f"{path}, line {reader.line_num}: expected {width} columns, got {len(row)}")
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num or 1}: {exc}") from None
+
+
+def write_csv(path, header, lines) -> None:
+    """Atomically write the header fields, then ``lines``, each a formatted CSV row."""
+    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def sha256_file(path) -> str:

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .fileio import write_csv
+
 __all__ = [
     "EcgSignal",
     "NNIntervalSeries",
@@ -148,9 +150,6 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
-    def as_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in FEATURE_NAMES}
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -478,9 +477,4 @@ def read_nni_csv(path) -> NNIntervalSeries:
 
 def write_features_csv(path, vectors) -> None:
     """Write one row per feature vector; exactly the 25 named columns."""
-    from .fileio import atomic_write_text
-
-    lines = [",".join(FEATURE_NAMES)]
-    for vec in vectors:
-        lines.append(",".join(repr(float(v)) for v in vec.as_array()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, FEATURE_NAMES, (",".join(map(repr, vec.as_array().tolist())) for vec in vectors))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import WINDOW_STEPS, Cohort
-from .fileio import atomic_write_text
+from .dataset import WINDOW_STEPS
+from .fileio import atomic_write_text, write_csv
 from .hrv_features import FEATURE_NAMES
 from .nnet import ModelParams, input_gradient
 
@@ -65,7 +65,7 @@ def _kahan_mean(stack: np.ndarray) -> np.ndarray:
 
 
 def average_saliency_over_windows(params: ModelParams, windows, head: str) -> SaliencyMap:
-    """Mean map over an (n, 24, 25) stack of windows.
+    """Mean map over an (n, 24, 25) stack of windows, such as ``cohort.feature_tensor()``.
 
     Raises:
         EmptyCohort: no windows.
@@ -77,23 +77,9 @@ def average_saliency_over_windows(params: ModelParams, windows, head: str) -> Sa
     return SaliencyMap(values=_kahan_mean(grads), feature_names=FEATURE_NAMES, head=head)
 
 
-def average_saliency(params: ModelParams, cohort: Cohort, head: str) -> SaliencyMap:
-    """Elementwise mean map over every window in the cohort.
-
-    Raises:
-        EmptyCohort: no windows.
-    """
-    if len(cohort) == 0:
-        raise EmptyCohort("cannot average saliency over an empty cohort")
-    return average_saliency_over_windows(params, cohort.feature_tensor(), head)
-
-
 def write_saliency_csv(smap: SaliencyMap, path) -> None:
     """24 rows x 25 named columns of signed values."""
-    lines = [",".join(smap.feature_names)]
-    for row in smap.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, smap.feature_names, (",".join(map(repr, row)) for row in smap.values.tolist()))
 
 
 _NEG_COLOR = (59, 76, 192)

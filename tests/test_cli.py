@@ -35,6 +35,11 @@ def base_dir(synth_dir, tmp_path_factory):
     return out
 
 
+# One field over the csv module's 131,072-character limit; tests write "<huge>" for it.
+HUGE_FIELD = "9" * 131_073
+PREDICTIONS_HEADER = "sample_id,prediction,probability\n"
+
+
 def data_args(synth_dir):
     return [
         "--windows", str(synth_dir / "windows.csv"),
@@ -58,6 +63,15 @@ class TestSynth:
         assert main(["synth", "--n", "60", "--bias", "0.8", "--seed", "3", "--out", str(other)]) == 0
         for name in ("windows.csv", "labels.csv", "demographics.csv", "catalog.json"):
             assert (other / name).read_bytes() == (synth_dir / name).read_bytes()
+
+
+    @pytest.mark.parametrize("attribute", ["a,b", 'a"b', "a\nb", "a\rb", "participant_id"])
+    def test_attribute_the_demographics_file_cannot_hold_exits_1(self, tmp_path, capsys, attribute):
+        out = tmp_path / "synth"
+        assert main(["synth", "--n", "40", "--bias", "0.5", "--attribute", attribute, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --attribute "), err
+        assert not out.exists()
 
 
 class TestAudit:
@@ -94,20 +108,28 @@ class TestAudit:
         report = json.loads((out / "report.json").read_text())
         assert report == json.loads((base_dir / "metrics.json").read_text())["metrics"]
 
-    @pytest.mark.parametrize("row,line_no,message", [
-        ("s000000", 3, "expected 3 columns, got 1"),
-        ("s000000,1,0.9,extra", 3, "expected 3 columns, got 4"),
-        ("s000000,yes,0.9", 3, "prediction 'yes' is not an integer"),
-    ])
+    @pytest.mark.parametrize("text,where,message", [
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000\n", ", line 3", "expected 3 columns, got 1"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,1,0.9,extra\n", ", line 3", "expected 3 columns, got 4"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,yes,0.9\n", ", line 3", "prediction 'yes' is not an integer"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,2,0.9\n", ", line 3", "prediction 2 is not 0 or 1"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000001,1,0.9\n", ", line 3", "repeats sample 's000001'"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,1,<huge>\n", ", line 3",
+         "field larger than field limit (131072)"),
+        ("s000001,0,0.1\ns000000,1,0.9\n", ", line 1", "expected the header sample_id,prediction,probability"),
+        ("", ", line 1", "expected the header sample_id,prediction,probability"),
+        (PREDICTIONS_HEADER, "", "no predictions after the header"),
+    ], ids=["short row", "long row", "non-integer", "not binary", "repeated", "huge field", "no header", "empty",
+            "header only"])
     def test_malformed_prediction_row_exits_1_naming_file_and_line(
-        self, synth_dir, tmp_path, capsys, row, line_no, message
+        self, synth_dir, tmp_path, capsys, text, where, message
     ):
         preds = tmp_path / "preds.csv"
-        preds.write_text(f"sample_id,prediction,probability\ns000001,0,0.1\n{row}\n")
+        preds.write_text(text.replace("<huge>", HUGE_FIELD))
         code = main(["audit", *data_args(synth_dir), "--protected", "group",
                      "--predictions", str(preds), "--out", str(tmp_path / "a")])
         assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {preds}, line {line_no}: {message}"]
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {preds}{where}: {message}"]
 
     def test_prediction_for_unknown_sample_exits_1(self, synth_dir, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -149,6 +171,17 @@ class TestExtract:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --steps must be 24")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("participant", ["x,y", 'x"y', "x\ny", "x\ry"])
+    def test_participant_the_windows_file_cannot_hold_exits_1(self, tmp_path, capsys, participant):
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n" + "800.0\n" * 100)
+        out = tmp_path / "ext"
+        assert main(["extract", "--nni", str(nni_csv), "--participant", participant, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --participant "), err
         assert not out.exists()
 
 
@@ -204,6 +237,7 @@ class TestDemographicsReader:
         ("short row", 2, "expected 2 columns, got 1"),
         ("long row", 2, "expected 2 columns, got 3"),
         ("repeated", 3, "repeats participant 'p0000'"),
+        ("huge field", 2, "field larger than field limit (131072)"),
     ])
     @pytest.mark.parametrize("command", ["audit", "train-base"])
     def test_malformed_demographics_exit_1_naming_file_and_line(
@@ -218,6 +252,8 @@ class TestDemographicsReader:
             lines[1] = lines[1].split(",")[0]
         elif defect == "long row":
             lines[1] += ",extra"
+        elif defect == "huge field":
+            lines[1] = lines[1].split(",")[0] + "," + HUGE_FIELD
         else:
             lines.insert(2, lines[1])
         bad = tmp_path / "bad_demo.csv"
@@ -255,6 +291,9 @@ class TestDemographicsReader:
 def _corrupt(lines, defect):
     """Windows-CSV lines with one defect; returns (lines, line number of the defect)."""
     lines = list(lines)
+    if defect == "header":
+        lines[0] = "sample_id,step"
+        return lines, 1
     if defect == "duplicate":
         lines.insert(2, lines[1])
         return lines, 3
@@ -265,6 +304,8 @@ def _corrupt(lines, defect):
         fields[5] = "n/a"
     elif defect in ("inf", "nan"):
         fields[5] = defect  # parses as a float, but not a finite one
+    elif defect == "huge field":
+        fields[5] = HUGE_FIELD
     else:
         fields[2] = defect  # a step outside [0, 24) or not an integer
     lines[1] = ",".join(fields)
@@ -273,7 +314,8 @@ def _corrupt(lines, defect):
 
 class TestWindowsReader:
     @pytest.mark.parametrize("command", ["saliency", "train-base"])
-    @pytest.mark.parametrize("defect", ["24", "-1", "x", "duplicate", "columns", "feature", "inf", "nan"])
+    @pytest.mark.parametrize("defect", ["header", "24", "-1", "x", "duplicate", "columns", "feature", "inf", "nan",
+                                        "huge field"])
     def test_malformed_windows_exit_1_naming_file_and_line(
         self, synth_dir, base_dir, tmp_path, capsys, command, defect
     ):
@@ -300,12 +342,13 @@ class TestLabelsReader:
         ("non-integer", 2, "s000000,x"),
         ("not binary", 2, "s000000,2"),
         ("repeated", 3, "s000000,0"),
+        ("huge field", 2, "s000000,<huge>"),
     ])
     def test_malformed_labels_exit_1_naming_file_and_line(
         self, synth_dir, tmp_path, capsys, defect, line_no, row
     ):
         lines = (synth_dir / "labels.csv").read_text().splitlines()
-        lines[line_no - 1] = row
+        lines[line_no - 1] = row.replace("<huge>", HUGE_FIELD)
         bad = tmp_path / "bad_labels.csv"
         bad.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
@@ -316,6 +359,17 @@ class TestLabelsReader:
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {bad}, line {line_no}:")
         assert not (out / "model.bin").exists()
+
+    def test_window_without_label_names_the_labels_file(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "labels.csv").read_text().splitlines()
+        bad = tmp_path / "bad_labels.csv"
+        bad.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        code = main(["audit", "--windows", str(synth_dir / "windows.csv"), "--labels", str(bad),
+                     "--demo", str(synth_dir / "demographics.csv"), "--protected", "group",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {bad}: sample 's000000' has no anxiety label"]
 
 
 class TestSplitCheck:

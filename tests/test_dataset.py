@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairhrv import dataset
+from fairhrv.cli import PREDICTIONS_HEADER, _write_predictions_csv
 from fairhrv.dataset import (
     AttributeCoding,
     BadStrength,
@@ -15,10 +17,11 @@ from fairhrv.dataset import (
     MissingAttribute,
     NotBinary,
     TooSmall,
-    binarize_anxiety,
     encode_protected,
     generate_synthetic,
     load_cohort,
+    read_outcomes_csv,
+    read_windows_csv,
     split_cohort,
     standardize,
     write_catalog_json,
@@ -46,6 +49,12 @@ def make_cohort(n, seed=0, attribute="group"):
     return Cohort(tuple(windows), {attribute: coding})
 
 
+def write_windows(path, cohort):
+    windows = cohort.windows
+    write_windows_csv(path, [w.sample_id for w in windows], [w.participant_id for w in windows],
+                      cohort.feature_tensor())
+
+
 class TestTypes:
     def test_window_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -71,33 +80,6 @@ class TestTypes:
         cohort = make_cohort(8)
         with pytest.raises(MissingAttribute):
             cohort.protected_values("nope")
-
-
-class TestBinarize:
-    def test_mean_threshold_with_tie_negative(self):
-        result = binarize_anxiety({"p": [1, 2, 3, 4, 5]})
-        assert result.labels["p"] == [0, 0, 0, 1, 1]
-        assert not result.degenerate
-
-    def test_zero_variance_flagged(self):
-        result = binarize_anxiety({"p": [3, 3, 3]})
-        assert result.labels["p"] == [0, 0, 0]
-        assert "p" in result.degenerate
-
-    def test_two_scores(self):
-        assert binarize_anxiety({"p": [20, 80]}).labels["p"] == [0, 1]
-
-    @given(
-        st.lists(st.integers(-100, 100), min_size=1, max_size=30),
-        st.integers(-50, 50),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_constant_shift_invariance(self, scores, shift):
-        # Integer grid keeps the shifted mean exactly representable; with
-        # arbitrary floats, rounding at the tie boundary can flip a label.
-        base = binarize_anxiety({"p": scores}).labels["p"]
-        shifted = binarize_anxiety({"p": [s + shift for s in scores]}).labels["p"]
-        assert base == shifted
 
 
 class TestEncodeProtected:
@@ -241,7 +223,7 @@ class TestSynthetic:
 class TestInterchange:
     def test_round_trip(self, tmp_path):
         cohort = generate_synthetic(50, 0.7, 5)
-        write_windows_csv(tmp_path / "w.csv", cohort)
+        write_windows(tmp_path / "w.csv", cohort)
         write_labels_csv(tmp_path / "l.csv", cohort)
         write_demographics_csv(tmp_path / "d.csv", cohort)
         write_catalog_json(tmp_path / "catalog.json", cohort)
@@ -257,7 +239,7 @@ class TestInterchange:
 
     def test_missing_label_detected(self, tmp_path):
         cohort = generate_synthetic(40, 0.0, 1)
-        write_windows_csv(tmp_path / "w.csv", cohort)
+        write_windows(tmp_path / "w.csv", cohort)
         (tmp_path / "l.csv").write_text("sample_id,anxiety\ns000000,1\n")
         with pytest.raises(ValueError, match="no anxiety label"):
             load_cohort(tmp_path / "w.csv", tmp_path / "l.csv")
@@ -272,3 +254,65 @@ class TestInterchange:
         assert sum(payload["group"]["counts"].values()) == len(
             {w.participant_id for w in cohort.windows}
         )
+
+
+# Ids and attribute names the CLI accepts: printable, without a comma or a quote.
+NAMES = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=',"'), max_size=6)
+# Every finite float64, with the subnormal, signed-zero and extreme values drawn often.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestInterchangeProperties:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windows_round_trip_keeps_ids_and_float_bits(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 3))
+        sample_ids = data.draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+        participant_ids = data.draw(st.lists(NAMES, min_size=n, max_size=n))
+        features = data.draw(hnp.arrays(np.float64, (n, 24, 25), elements=FLOATS))
+        path = tmp_path_factory.mktemp("windows") / "w.csv"
+        write_windows_csv(path, sample_ids, participant_ids, features)
+        got_samples, got_participants, got_features = read_windows_csv(path)
+        assert (got_samples, got_participants) == (sample_ids, participant_ids)
+        assert got_features.shape == features.shape
+        assert np.array_equal(got_features.view(np.uint64), features.view(np.uint64))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:.*category counts tied:RuntimeWarning")
+    def test_labels_and_demographics_round_trip_through_load_cohort(self, tmp_path_factory, data):
+        attribute = data.draw(NAMES.filter(lambda name: name != "participant_id"))
+        participants = data.draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
+        categories = data.draw(st.lists(NAMES, min_size=2, max_size=2, unique=True))
+        raw = {pid: categories[i % 2] if i < 2 else data.draw(st.sampled_from(categories))
+               for i, pid in enumerate(participants)}
+        codes, coding = encode_protected(raw, attribute)
+        # every participant has a window, so the demographics file lists them all
+        owners = participants + data.draw(st.lists(st.sampled_from(participants), max_size=6))
+        cohort = Cohort(tuple(
+            LabeledWindow(f"s{i}", pid, np.zeros((24, 25)), data.draw(st.integers(0, 1)), {attribute: codes[pid]})
+            for i, pid in enumerate(owners)
+        ), {attribute: coding})
+        folder = tmp_path_factory.mktemp("cohort")
+        write_windows(folder / "w.csv", cohort)
+        write_labels_csv(folder / "l.csv", cohort)
+        write_demographics_csv(folder / "d.csv", cohort)
+        loaded = load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv")
+        assert [w.sample_id for w in loaded.windows] == [w.sample_id for w in cohort.windows]
+        assert [w.participant_id for w in loaded.windows] == owners
+        assert np.array_equal(loaded.labels(), cohort.labels())
+        assert np.array_equal(loaded.protected_values(attribute), cohort.protected_values(attribute))
+        assert loaded.attribute_catalog == cohort.attribute_catalog
+
+    @given(st.lists(NAMES, min_size=1, max_size=8, unique=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_predictions_round_trip(self, tmp_path_factory, sample_ids, data):
+        preds = data.draw(st.lists(st.integers(0, 1), min_size=len(sample_ids), max_size=len(sample_ids)))
+        probs = data.draw(st.lists(FLOATS, min_size=len(sample_ids), max_size=len(sample_ids)))
+        path = tmp_path_factory.mktemp("predictions") / "p.csv"
+        _write_predictions_csv(path, sample_ids, preds, probs)
+        assert read_outcomes_csv(path, PREDICTIONS_HEADER, "prediction") == dict(zip(sample_ids, preds))

@@ -9,7 +9,7 @@ from fairhrv.nnet import ModelArch, init_params
 from fairhrv.saliency import (
     EmptyCohort,
     SaliencyMap,
-    average_saliency,
+    average_saliency_over_windows,
     saliency_for_sample,
     write_saliency_csv,
     write_saliency_svg,
@@ -65,7 +65,7 @@ class TestAverage:
         window = cohort.windows[0].features
         single = saliency_for_sample(params, window, "anxiety")
         repeated = Cohort(tuple(cohort.windows[0:1]) * 4, dict(cohort.attribute_catalog))
-        stackavg = average_saliency(params, repeated, "anxiety")
+        stackavg = average_saliency_over_windows(params, repeated.feature_tensor(), "anxiety")
         assert np.allclose(stackavg.values, single.values, atol=1e-12)
 
     def test_mean_of_constant_maps(self):
@@ -79,7 +79,7 @@ class TestAverage:
         from fairhrv.dataset import Cohort
 
         with pytest.raises(EmptyCohort):
-            average_saliency(params, Cohort((), {}), "anxiety")
+            average_saliency_over_windows(params, Cohort((), {}).feature_tensor(), "anxiety")
 
     def test_permutation_stability(self):
         params = init_params(LSTM_ARCH, seed=10)
@@ -87,17 +87,17 @@ class TestAverage:
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         cohort = generate_synthetic(60, 0.5, 12)
-        forward_avg = average_saliency(params, cohort, "anxiety")
+        forward_avg = average_saliency_over_windows(params, cohort.feature_tensor(), "anxiety")
         from fairhrv.dataset import Cohort
 
         reversed_cohort = Cohort(tuple(reversed(cohort.windows)), dict(cohort.attribute_catalog))
-        backward_avg = average_saliency(params, reversed_cohort, "anxiety")
+        backward_avg = average_saliency_over_windows(params, reversed_cohort.feature_tensor(), "anxiety")
         assert np.max(np.abs(forward_avg.values - backward_avg.values)) < 1e-9
 
     def test_matches_plain_mean_closely(self):
         params = init_params(LSTM_ARCH, seed=13)
         cohort = generate_synthetic(50, 0.5, 14)
-        avg = average_saliency(params, cohort, "anxiety")
+        avg = average_saliency_over_windows(params, cohort.feature_tensor(), "anxiety")
         maps = [saliency_for_sample(params, w.features, "anxiety").values for w in cohort.windows]
         assert np.max(np.abs(avg.values - np.mean(maps, axis=0))) < 1e-12
 
