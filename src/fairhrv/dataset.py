@@ -412,19 +412,28 @@ def read_outcomes_csv(path, header, what) -> dict:
     """CSV of sample ids and 0/1 outcomes (labels or predictions) -> {sample id: outcome}.
 
     ``header`` names the columns; the integer is in the second, and
-    ``what`` names it in errors. Raises ValueError, naming the file and
-    line, on a bad header or column count, a value other than the
-    integers 0 and 1, or a repeated sample; and naming the file when no
-    row follows the header.
+    ``what`` names it in errors. Each further column, such as the
+    predictions' probability, must hold a number in [0, 1]. Raises
+    ValueError, naming the file and line, on a bad header or column
+    count, a value other than the integers 0 and 1, a further value
+    outside [0, 1] or not a finite number, or a repeated sample; and
+    naming the file when no row follows the header.
     """
     values = {}
-    for line, (sample_id, text, *_) in _rows_after_header(path, header):
+    for line, (sample_id, text, *fractions) in _rows_after_header(path, header):
         try:
             value = int(text)
         except ValueError:
             raise ValueError(f"{path}, line {line}: {what} {text!r} is not an integer") from None
         if value not in (0, 1):
             raise ValueError(f"{path}, line {line}: {what} {value} is not 0 or 1")
+        for name, fraction in zip(header[2:], fractions):
+            try:
+                in_range = 0.0 <= float(fraction) <= 1.0  # False for nan
+            except ValueError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"{path}, line {line}: {name} {fraction!r} is not a finite number in [0, 1]")
         if sample_id in values:
             raise ValueError(f"{path}, line {line}: repeats sample {sample_id!r}")
         values[sample_id] = value

@@ -41,7 +41,8 @@ def read_csv(path):
     Raises:
         ValueError: naming the file and line, for a row of another width
             or a line the csv module refuses (such as a field over its size
-            limit).
+            limit); naming the file and the byte offset of the first bad
+            byte, for a file that is not UTF-8 text.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -56,6 +57,21 @@ def read_csv(path):
                     raise ValueError(f"{path}, line {reader.line_num}: expected {width} columns, got {len(row)}")
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num or 1}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8_error(path) from None
+
+
+def not_utf8_error(path) -> ValueError:
+    """The error for a text file that is not UTF-8, naming it and its first bad byte.
+
+    A decoder counts its offsets from the block it was handed, not from
+    the start of the file, so the file is decoded again, whole.
+    """
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ValueError(f"{path}: not UTF-8 text (byte offset {exc.start})")
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def write_csv(path, header, lines) -> None:

@@ -6,7 +6,9 @@ of normal-to-normal (NN) heartbeat intervals, plus a minimal R-peak
 detector for raw single-lead ECG.
 
 All operations are pure functions of their inputs and safe to call from
-multiple threads.
+multiple threads. Everything is numpy: the spline and the Welch PSD
+behind the frequency-domain features are written out here rather than
+taken from scipy, whose import would cost more than the extraction.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .fileio import write_csv
+from .fileio import not_utf8_error, write_csv
 
 __all__ = [
     "EcgSignal",
@@ -232,41 +234,92 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     return NNIntervalSeries(intervals)
 
 
+def _notaknot_spline(t: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (t, y), evaluated at xq in [t[0], t[-1]].
+
+    Needs at least 4 strictly increasing knots. The slopes at the knots
+    solve the tridiagonal system of first-derivative continuity, closed by
+    a continuous third derivative across t[1] and t[-2] (the system
+    scipy.interpolate.CubicSpline solves). Gaussian elimination without
+    pivoting is stable on it: the interior rows are diagonally dominant,
+    and eliminating the first row leaves the second a pivot of
+    dt[0] + dt[1] > 0. The sweeps are O(n), so a long segment costs no
+    n x n solve. Each piece is evaluated as a cubic in powers of xq - t[k].
+    """
+    dt = np.diff(t)
+    slope = np.diff(y) / dt
+    lower = np.empty(len(t))
+    diag = np.empty(len(t))
+    upper = np.empty(len(t))
+    rhs = np.empty(len(t))
+    lower[1:-1] = dt[1:]
+    diag[1:-1] = 2.0 * (dt[:-1] + dt[1:])
+    upper[1:-1] = dt[:-1]
+    rhs[1:-1] = 3.0 * (dt[1:] * slope[:-1] + dt[:-1] * slope[1:])
+    span = t[2] - t[0]
+    diag[0] = dt[1]
+    upper[0] = span
+    rhs[0] = ((dt[0] + 2.0 * span) * dt[1] * slope[0] + dt[0] ** 2 * slope[1]) / span
+    span = t[-1] - t[-3]
+    lower[-1] = span
+    diag[-1] = dt[-2]
+    rhs[-1] = (dt[-1] ** 2 * slope[-2] + (2.0 * span + dt[-1]) * dt[-2] * slope[-1]) / span
+
+    # Thomas algorithm on Python floats: a numpy scalar per step is slower
+    lo, di, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, len(r)):
+        w = lo[i] / di[i - 1]
+        di[i] -= w * up[i - 1]
+        r[i] -= w * r[i - 1]
+    r[-1] /= di[-1]
+    for i in range(len(r) - 2, -1, -1):
+        r[i] = (r[i] - up[i] * r[i + 1]) / di[i]
+    s = np.array(r)
+
+    excess = (s[:-1] + s[1:] - 2.0 * slope) / dt
+    cubic = excess / dt
+    quadratic = (slope - s[:-1]) / dt - excess
+    k = np.clip(np.searchsorted(t, xq, side="right") - 1, 0, len(t) - 2)
+    u = xq - t[k]
+    return ((cubic[k] * u + quadratic[k]) * u + s[k]) * u + y[k]
+
+
+def _welch(x: np.ndarray, fs: float, nperseg: int):
+    """Welch PSD of ``x``: (freqs, one-sided density).
+
+    Periodic Hann window of ``nperseg`` points, 50% overlap, no detrend,
+    density scaling, mean over the segments (scipy.signal.welch with
+    those settings).
+    """
+    step = nperseg - nperseg // 2
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi / nperseg * np.arange(nperseg))
+    spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step] * window)
+    psd = np.mean(spectra.real**2 + spectra.imag**2, axis=0) / (fs * np.sum(window * window))
+    # one-sided: double every bin but DC and, for even nperseg, Nyquist
+    psd[1 : (nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
 def _psd_of_interpolated(nni: np.ndarray):
     """Resample the NN series to a uniform grid and return (freqs, psd).
 
     Cubic-spline interpolation (not-a-knot ends) onto a 4 Hz grid; falls
     back to linear interpolation when there are fewer than 4 points. The
     gridded series is mean-subtracted before a Welch PSD (periodic Hann,
-    256-point segments, 50% overlap, no per-segment detrend).
+    256-point segments or the whole series if shorter, 50% overlap, no
+    per-segment detrend).
     """
-    # imported here, not at module level: scipy.signal and scipy.interpolate
-    # take longer to import than the rest of the package, and only feature
-    # extraction needs them
-    from scipy.interpolate import CubicSpline
-    from scipy.signal import welch
-
     t = np.cumsum(nni) / 1000.0
     step = 1.0 / RESAMPLE_HZ
     grid = np.arange(t[0], t[-1], step)
     if len(grid) < 2:
         return None, None
     if len(nni) >= 4:
-        resampled = CubicSpline(t, nni)(grid)
+        resampled = _notaknot_spline(t, nni, grid)
     else:
         resampled = np.interp(grid, t, nni)
     centered = resampled - np.mean(resampled)
-    nperseg = min(WELCH_SEGMENT, len(centered))
-    freqs, psd = welch(
-        centered,
-        fs=RESAMPLE_HZ,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-    )
-    return freqs, psd
+    return _welch(centered, RESAMPLE_HZ, min(WELCH_SEGMENT, len(centered)))
 
 
 def _band_power(freqs: np.ndarray, psd: np.ndarray, band) -> float:
@@ -364,7 +417,7 @@ def _scan_numeric_rows(path, columns, positive):
     """
     requirement = "a positive finite number" if positive else "a finite number"
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
         next(reader, None)
         try:
@@ -407,17 +460,21 @@ def _read_numeric_csv(path, columns, positive=False):
     others, so they are not reported.
 
     Raises:
-        ValueError: naming the file, and the line for a row defect.
+        ValueError: naming the file, and the line for a row defect or the
+            byte offset for a file that is not UTF-8 text.
     """
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < len(columns):
-            raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
-        # loadtxt warns about a body without rows, so it never sees one
-        if not any(line.strip("\r\n") for line in fh):
-            return np.zeros((0, len(columns)))
-        header_lines = reader.line_num
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = _csv.reader(fh)
+            header = next(reader, None)
+            if header is None or len(header) < len(columns):
+                raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
+            # loadtxt warns about a body without rows, so it never sees one
+            if not any(line.strip("\r\n") for line in fh):
+                return np.zeros((0, len(columns)))
+            header_lines = reader.line_num
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     # Given a path, not an open file, loadtxt reads large blocks instead of
     # one line at a time: 0.45 s instead of 0.58 s for 1.8 M rows on a
     # 2-vCPU host. It also opens a path ending in .gz, .bz2 or .xz as

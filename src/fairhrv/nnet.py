@@ -19,14 +19,18 @@ write through ``out=`` into buffers allocated once per call, and keep the
 operation order of the allocating form in tests/reference_lstm.py, which
 the tests require to give the same bits.
 
+Two numpy sigmoids serve two needs. The LSTM gates take
+``gate_sigmoid``, the tanh form, which is about twice as fast as the exp
+form; the heads take ``head_sigmoid``, which keeps its relative accuracy
+in the tails, where the cross-entropy takes its log.
+
 Parameters are immutable during inference; forward passes may run
 concurrently on shared params as long as each caller owns its RNG.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .rng import substream
 
@@ -34,6 +38,32 @@ PROB_CLAMP = 1e-12
 
 # lstm gate slices within the stacked 4H axis
 _GATES = ("input", "forget", "cell", "output")
+
+
+def gate_sigmoid(z, out=None) -> np.ndarray:
+    """Logistic sigmoid as 0.5 * tanh(0.5 * z) + 0.5, written to ``out`` if given.
+
+    Its absolute error is at most about 2.2e-16, but its relative error
+    has no bound in the negative tail: it returns 0 below about z = -38.
+    Use it where the value is only multiplied, as in the LSTM gates, and
+    not where its log is taken.
+    """
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
+def head_sigmoid(z) -> np.ndarray:
+    """Logistic sigmoid to a few ulp relative over the whole real line.
+
+    With e = exp(-|z|), which cannot overflow, it is 1 / (1 + e) for
+    z >= 0 and e / (1 + e) below, so it is exactly 0.5 at 0 and keeps its
+    relative accuracy down to the smallest positive results.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class ShapeMismatch(ValueError):
@@ -222,10 +252,10 @@ def _lstm_states(params: ModelParams, x: np.ndarray) -> tuple:
         z += xw[:, step]
         z += bias
         gi, gf, gc, go = gate_buf[step]
-        sigmoid(z[:, :h], out=gi)
-        sigmoid(z[:, h : 2 * h], out=gf)
+        gate_sigmoid(z[:, :h], out=gi)
+        gate_sigmoid(z[:, h : 2 * h], out=gf)
         np.tanh(z[:, 2 * h : 3 * h], out=gc)
-        sigmoid(z[:, 3 * h :], out=go)
+        gate_sigmoid(z[:, 3 * h :], out=go)
         np.multiply(gf, cell[step], out=cell[step + 1])
         np.multiply(gi, gc, out=input_part)
         cell[step + 1] += input_part
@@ -295,7 +325,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     for head in arch.heads:
         score = (head_in @ t[f"head.{head}.W"])[:, 0] + t[f"head.{head}.b"][0]
         trace.head_scores[head] = score
-        outputs[head] = sigmoid(score)
+        outputs[head] = head_sigmoid(score)
     trace.outputs = outputs
     return outputs, trace
 

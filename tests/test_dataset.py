@@ -312,7 +312,8 @@ class TestInterchangeProperties:
     @settings(max_examples=60, deadline=None)
     def test_predictions_round_trip(self, tmp_path_factory, sample_ids, data):
         preds = data.draw(st.lists(st.integers(0, 1), min_size=len(sample_ids), max_size=len(sample_ids)))
-        probs = data.draw(st.lists(FLOATS, min_size=len(sample_ids), max_size=len(sample_ids)))
+        # the reader takes a probability only in [0, 1]
+        probs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(sample_ids), max_size=len(sample_ids)))
         path = tmp_path_factory.mktemp("predictions") / "p.csv"
         _write_predictions_csv(path, sample_ids, preds, probs)
         assert read_outcomes_csv(path, PREDICTIONS_HEADER, "prediction") == dict(zip(sample_ids, preds))

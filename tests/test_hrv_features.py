@@ -1,10 +1,15 @@
 """Unit and property tests for the HRV feature extractor and R-peak detector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.signal import welch
 
+from fairhrv import hrv_features
 from fairhrv.hrv_features import (
     FEATURE_NAMES,
     EcgSignal,
@@ -212,6 +217,60 @@ class TestAgainstOracle:
             expected = oracle_features(series)
             for name in FEATURE_NAMES:
                 assert rel_err(getattr(vec, name), expected[name]) < 1e-9, name
+
+
+def nn_series(min_size, max_size):
+    """Uneven NN series in ms, in the range the ECG reader keeps."""
+    return st.lists(st.floats(250.0, 3000.0), min_size=min_size, max_size=max_size).map(np.array)
+
+
+def within(got, want, rel):
+    return np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+class TestAgainstScipy:
+    """The numpy spline and Welch PSD against the scipy functions they replace."""
+
+    @staticmethod
+    def resampled(nni):
+        t = np.cumsum(nni) / 1000.0
+        grid = np.arange(t[0], t[-1], 1.0 / hrv_features.RESAMPLE_HZ)
+        return t, grid
+
+    # (4, 4): the fewest knots the spline takes; (4, 20): under 64 s, so
+    # the grid is shorter than one 256-point Welch segment
+    @pytest.mark.parametrize("min_size,max_size", [(4, 4), (4, 20), (21, 400)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_spline_and_welch_match(self, min_size, max_size, data):
+        nni = data.draw(nn_series(min_size, max_size))
+        t, grid = self.resampled(nni)
+        at = np.concatenate([grid, t])
+        want = CubicSpline(t, nni)(at)
+        assert within(hrv_features._notaknot_spline(t, nni, at), want, 1e-12)
+
+        centered = want[: len(grid)] - np.mean(want[: len(grid)])
+        nperseg = min(hrv_features.WELCH_SEGMENT, len(centered))
+        if max_size <= 20:
+            assert nperseg < hrv_features.WELCH_SEGMENT
+        freqs, psd = hrv_features._welch(centered, hrv_features.RESAMPLE_HZ, nperseg)
+        want_freqs, want_psd = welch(centered, fs=hrv_features.RESAMPLE_HZ, window="hann", nperseg=nperseg,
+                                     noverlap=nperseg // 2, detrend=False, scaling="density")
+        assert np.array_equal(freqs, want_freqs)
+        assert within(psd, want_psd, 1e-12)
+
+    def test_long_series_solves_in_linear_memory(self):
+        # a dense 20,000 x 20,000 solve would need 3.2 GB
+        nni = random_nn_series(np.random.default_rng(15), min_len=20_000, max_len=20_000)
+        t, grid = self.resampled(nni)
+        tracemalloc.start()
+        try:
+            got = hrv_features._notaknot_spline(t, nni, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert within(got, CubicSpline(t, nni)(grid), 1e-12)
 
 
 class TestCsv:

@@ -1,9 +1,11 @@
 """Tests for the neural-network engine: forward, loss, BPTT, Adam, MC dropout."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fairhrv import nnet
 from fairhrv.nnet import (
@@ -16,6 +18,8 @@ from fairhrv.nnet import (
     adam_step,
     backward,
     forward,
+    gate_sigmoid,
+    head_sigmoid,
     init_params,
     input_gradient,
     mc_forward,
@@ -102,6 +106,48 @@ class TestForward:
         bad = DropoutMask(keep_rate=0.5, masks={"lstm_out": np.ones((1, 7))})
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros((6, 5)), mask=bad)
+
+
+class TestSigmoid:
+    """Both numpy sigmoids against scipy's expit, an independent implementation."""
+
+    @staticmethod
+    def points(lo, hi):
+        rng = np.random.default_rng(70)
+        return np.concatenate([np.linspace(lo, hi, 200_001), rng.uniform(lo, hi, 200_000),
+                               rng.normal(0.0, 4.0, 200_000).clip(lo, hi)])
+
+    def test_gate_absolute_error(self):
+        z = self.points(-60.0, 60.0)
+        assert np.max(np.abs(gate_sigmoid(z) - expit(z))) <= 2.3e-16
+
+    def test_gate_writes_into_out(self):
+        z = np.random.default_rng(71).normal(size=(3, 4))
+        out = np.empty((3, 4))
+        assert gate_sigmoid(z, out=out) is out
+        assert np.array_equal(out, gate_sigmoid(z))
+
+    def test_head_relative_error_in_ulp(self):
+        # expit computes 1 / (1 + exp(-z)), which underflows to 0 below
+        # about z = -709.78; there sigmoid(z) rounds to exp(z)
+        z = self.points(-745.0, 745.0)
+        want = expit(z)
+        tail = z < -709.0
+        want[tail] = [math.exp(v) for v in z[tail]]
+        got = head_sigmoid(z)
+        assert np.all(got > 0)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+    @pytest.mark.parametrize("sigmoid", [gate_sigmoid, head_sigmoid])
+    def test_exactly_half_at_zero(self, sigmoid):
+        assert np.array_equal(sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
+
+    @pytest.mark.parametrize("sigmoid", [gate_sigmoid, head_sigmoid])
+    def test_extremes_saturate_without_warnings(self, sigmoid):
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            got = sigmoid(np.array([1e308, -1e308, np.inf, -np.inf]))
+        assert np.array_equal(got, [1.0, 0.0, 1.0, 0.0])
 
 
 class TestLoss:
