@@ -18,13 +18,14 @@ Loading a saved file reproduces the parameters bit for bit, including the
 epoch and seed metadata.
 """
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .fileio import atomic_write_bytes
-from .nnet import ModelParams
+from .nnet import ModelArch, ModelParams, ShapeMismatch
 
 MAGIC = b"FRLT"
 VERSION = 1
@@ -72,8 +73,14 @@ class _Reader:
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
+    The payload has no checksum, so a changed weight loads as it reads;
+    any other defect that leaves a model ``forward`` cannot run is found
+    here and names the file.
+
     Raises:
-        CorruptCheckpoint: bad magic, truncation, or trailing bytes.
+        CorruptCheckpoint: bad magic, truncation, trailing bytes, a tensor
+            name that is not UTF-8 or appears twice, or tensors whose names
+            and shapes are not those of a ``ModelArch``.
         UnsupportedVersion: version field differs from the writer's.
     """
     path = Path(path)
@@ -86,12 +93,22 @@ def load_checkpoint(path) -> ModelParams:
     tensors = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"{path}: tensor name at byte {reader.offset - name_len} is not UTF-8") from None
+        if name in tensors:
+            raise CorruptCheckpoint(f"{path}: tensor {name!r} appears twice")
         (rank,) = reader.unpack("<B")
-        dims = reader.unpack(f"<{rank}I") if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = reader.take(8 * size)
+        dims = reader.unpack(f"<{rank}I")
+        # an exact integer product: a garbled rank or dim asks for more bytes than the file has
+        payload = reader.take(8 * math.prod(dims))
         tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     if reader.offset != len(reader.data):
         raise CorruptCheckpoint(f"{path}: {len(reader.data) - reader.offset} trailing bytes")
-    return ModelParams(tensors, epoch=epoch, rng_seed=rng_seed)
+    params = ModelParams(tensors, epoch=epoch, rng_seed=rng_seed)
+    try:
+        ModelArch.from_params(params)
+    except ShapeMismatch as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
+    return params

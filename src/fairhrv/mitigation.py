@@ -27,13 +27,14 @@ from .nnet import (
     init_params,
     mc_forward,
     mtl_loss,
+    predict,
     sample_dropout_mask,
 )
 from .rng import substream
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite loss appeared during training."""
+    """A non-finite loss or gradient appeared during training."""
 
 
 class NoCheckpoints(ValueError):
@@ -127,7 +128,8 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
     config.seed, so a trajectory depends only on (data, config).
 
     Raises:
-        TrainingDiverged: a batch loss is not finite.
+        TrainingDiverged: a batch loss or gradient is not finite; the
+            parameters never take a non-finite update.
     """
     arch = config.arch(heads)
     params = init_params(arch, config.seed)
@@ -156,9 +158,13 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batches} (lr={config.lr})"
                 )
+            grads = backward(params, trace, tb, task_w, sample_weights=sw)
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                raise TrainingDiverged(
+                    f"non-finite gradient at epoch {epoch}, batch {batches} (lr={config.lr})"
+                )
             total += loss
             batches += 1
-            grads = backward(params, trace, tb, task_w, sample_weights=sw)
             params, state = adam_step(params, grads, state, config.lr)
         epoch_losses.append(total / max(1, batches))
         if epoch in checkpoint_epochs:
@@ -215,7 +221,7 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
 
     Raises:
         MissingAttribute: cohort lacks the protected attribute.
-        TrainingDiverged: non-finite loss.
+        TrainingDiverged: non-finite loss or gradient.
     """
     x, targets = _cohort_inputs(train, protected)
     task_w = {"anxiety": config.task_weights[0], "protected": config.task_weights[1]}
@@ -286,9 +292,11 @@ def final_predict(checkpoint, cohort: Cohort, threshold: float = 0.5):
 
     ``checkpoint`` may be ModelParams or a path to a serialized file. The
     protected head's output is discarded. Returns (predictions, probabilities).
+    The pass keeps no backpropagation trace (``nnet.predict``), so its
+    memory does not grow with the window's steps, and its bits are those
+    of ``forward``.
     """
     params = checkpoint if isinstance(checkpoint, ModelParams) else load_checkpoint(checkpoint)
-    outputs, _ = forward(params, cohort.feature_tensor(), mask=None)
-    probs = outputs["anxiety"]
+    probs = predict(params, cohort.feature_tensor())["anxiety"]
     preds = (probs >= threshold).astype(np.int64)
     return preds, probs

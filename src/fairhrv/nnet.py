@@ -10,14 +10,29 @@ Dropout acts only after the recurrence, so the LSTM states of an input
 are deterministic: Monte-Carlo dropout computes them once per call and
 repeats only mask -> dense -> heads in each pass.
 
+Inference keeps only what it uses. Training needs the recurrence's whole
+history for backpropagation through time, about 136 KB per window at
+H 64; MC dropout (``mc_forward``) and prediction (``predict``) need only
+the last hidden state, so they run the recurrence without a trace, in
+memory that does not grow with the steps, and give the bits of the traced
+form: the h @ U products have the same (batch, H) x (H, 4H) shapes, and
+x @ W is taken for at least two steps at a time, so numpy never hands a
+one-row product to gemv, whose sums round differently from a GEMM row.
+Saliency (``input_gradient``) needs the trace, and runs forward and
+backward over blocks of at most 64 windows, never of one window unless
+the input has one, for the same reason.
+
 The LSTM stacks its gates in the order input, forget, cell, output along
-the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in one
-(steps, 4, batch, H) buffer: gate k of step t is the contiguous (batch, H)
+the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in a
+(slots, 4, batch, H) buffer: gate k of slot t is the contiguous (batch, H)
 block [t, k], so the elementwise work of each step, forward and backward,
-runs on contiguous memory. The recurrence and backpropagation through time
-write through ``out=`` into buffers allocated once per call, and keep the
-operation order of the allocating form in tests/reference_lstm.py, which
-the tests require to give the same bits.
+runs on contiguous memory. The traced recurrence has a slot per step; the
+trace-free one writes every step over one slot, and alternates between
+two slots for the hidden and cell states. The recurrence and
+backpropagation through time write through ``out=`` into buffers
+allocated once per call, and keep the operation order of the allocating
+form in tests/reference_lstm.py, which the tests require to give the same
+bits.
 
 Two numpy sigmoids serve two needs. The LSTM gates take
 ``gate_sigmoid``, the tanh form, which is about twice as fast as the exp
@@ -28,6 +43,7 @@ Parameters are immutable during inference; forward passes may run
 concurrently on shared params as long as each caller owns its RNG.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +54,11 @@ PROB_CLAMP = 1e-12
 
 # lstm gate slices within the stacked 4H axis
 _GATES = ("input", "forget", "cell", "output")
+# fewest steps per x @ W product of the trace-free recurrence, and most
+# windows per forward+backward block of input_gradient; the module
+# docstring says why neither may leave a one-row product
+XW_BLOCK_STEPS = 2
+INPUT_GRADIENT_BLOCK = 64
 
 
 def gate_sigmoid(z, out=None) -> np.ndarray:
@@ -104,19 +125,44 @@ class ModelArch:
     def head_input_size(self) -> int:
         return self.trunk_size() if self.dense_size is None else self.dense_size
 
+    def param_shapes(self) -> dict:
+        """The name and shape of every tensor this topology has."""
+        shapes = {}
+        if self.lstm_hidden is not None:
+            h = self.lstm_hidden
+            shapes.update({"lstm.W": (self.input_size, 4 * h), "lstm.U": (h, 4 * h), "lstm.b": (4 * h,)})
+        if self.dense_size is not None:
+            shapes.update({"dense.W": (self.trunk_size(), self.dense_size), "dense.b": (self.dense_size,)})
+        for head in self.heads:
+            shapes.update({f"head.{head}.W": (self.head_input_size(), 1), f"head.{head}.b": (1,)})
+        return shapes
+
     @staticmethod
     def from_params(params: "ModelParams") -> "ModelArch":
-        t = params.tensors
-        heads = tuple(name.split(".")[1] for name in t if name.startswith("head.") and name.endswith(".W"))
-        lstm_hidden = t["lstm.U"].shape[0] if "lstm.W" in t else None
-        dense_size = t["dense.W"].shape[1] if "dense.W" in t else None
-        if lstm_hidden is not None:
-            input_size = t["lstm.W"].shape[0]
-        elif dense_size is not None:
-            input_size = t["dense.W"].shape[0]
-        else:
-            input_size = t[f"head.{heads[0]}.W"].shape[0]
-        return ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=heads)
+        """The topology of a set of tensors.
+
+        Raises:
+            ShapeMismatch: the tensor names or shapes are not those of any
+                topology, such as a missing bias or a recurrent matrix whose
+                width is not four times its height.
+        """
+        shapes = {name: tensor.shape for name, tensor in params.tensors.items()}
+        heads = tuple(name.split(".")[1] for name in shapes if name.startswith("head.") and name.endswith(".W"))
+        try:
+            lstm_hidden = shapes["lstm.U"][0] if "lstm.W" in shapes else None
+            dense_size = shapes["dense.W"][1] if "dense.W" in shapes else None
+            if lstm_hidden is not None:
+                input_size = shapes["lstm.W"][0]
+            elif dense_size is not None:
+                input_size = shapes["dense.W"][0]
+            else:
+                input_size = shapes[f"head.{heads[0]}.W"][0]
+        except (KeyError, IndexError):
+            raise ShapeMismatch(f"tensors {sorted(shapes)} name no model topology") from None
+        arch = ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=heads)
+        if shapes != arch.param_shapes():
+            raise ShapeMismatch(f"tensor shapes {shapes} do not fit {arch}")
+        return arch
 
 
 @dataclass
@@ -156,7 +202,8 @@ class ForwardTrace:
     head_scores: dict
     param_shapes: dict
     squeezed: bool
-    # lstm caches, shaped (T, B, H); states include t=0
+    # lstm caches, shaped (T, B, H); states include t=0; None when the
+    # recurrence ran without a trace, and backward then refuses the trace
     gates: dict = None
     cell: np.ndarray = None
     hidden: np.ndarray = None
@@ -227,40 +274,62 @@ def _prepare_input(arch: ModelArch, x) -> tuple:
     return x, squeezed
 
 
-def _lstm_states(params: ModelParams, x: np.ndarray) -> tuple:
+def _lstm_states(params: ModelParams, x: np.ndarray, trace: bool = True):
     """The LSTM recurrence over a (batch, steps, features) input.
 
-    Returns (gates, cell, hidden, tanh_cell): gates maps each gate name to
-    a (steps, batch, H) view into one (steps, 4, batch, H) buffer, cell and
+    With ``trace`` it returns (gates, cell, hidden, tanh_cell), the history
+    backpropagation through time needs: gates maps each gate name to a
+    (steps, batch, H) view into one (steps, 4, batch, H) buffer, cell and
     hidden are (steps + 1, batch, H) with the zero state at t=0, tanh_cell
-    is (steps, batch, H).
+    is (steps, batch, H). x @ W is one GEMM over all steps.
+
+    Without ``trace`` it returns only the last hidden state, (batch, H),
+    with the same bits. The same loop then writes each step over one gate
+    block and one tanh-cell block, alternates between two slots for h and
+    c, and takes x @ W over blocks of two or three steps (one step only
+    when the input has one), so its memory does not grow with the steps.
     """
     t = params.tensors
     batch, steps, _ = x.shape
     w_in, w_rec, bias = t["lstm.W"], t["lstm.U"], t["lstm.b"]
     h = w_rec.shape[0]
-    xw = x.reshape(batch * steps, -1) @ w_in
-    xw = xw.reshape(batch, steps, 4 * h)
-    gate_buf = np.empty((steps, 4, batch, h))
-    hidden = np.zeros((steps + 1, batch, h))
-    cell = np.zeros((steps + 1, batch, h))
-    tanh_cell = np.empty((steps, batch, h))
+    if trace:
+        blocks = [np.arange(steps)]
+        gate_buf = np.empty((steps, 4, batch, h))
+        hidden = np.zeros((steps + 1, batch, h))
+        cell = np.zeros((steps + 1, batch, h))
+        tanh_cell = np.empty((steps, batch, h))
+    else:
+        blocks = np.array_split(np.arange(steps), max(1, steps // XW_BLOCK_STEPS))
+        gate_buf = np.empty((1, 4, batch, h))
+        hidden = np.zeros((2, batch, h))
+        cell = np.zeros((2, batch, h))
+        tanh_cell = np.empty((1, batch, h))
+    # array_split puts the longest blocks first
+    xw_buf = np.empty((batch * len(blocks[0]), 4 * h))
     z = np.empty((batch, 4 * h))
     input_part = np.empty((batch, h))
-    for step in range(steps):
-        np.matmul(hidden[step], w_rec, out=z)
-        z += xw[:, step]
-        z += bias
-        gi, gf, gc, go = gate_buf[step]
-        gate_sigmoid(z[:, :h], out=gi)
-        gate_sigmoid(z[:, h : 2 * h], out=gf)
-        np.tanh(z[:, 2 * h : 3 * h], out=gc)
-        gate_sigmoid(z[:, 3 * h :], out=go)
-        np.multiply(gf, cell[step], out=cell[step + 1])
-        np.multiply(gi, gc, out=input_part)
-        cell[step + 1] += input_part
-        np.tanh(cell[step + 1], out=tanh_cell[step])
-        np.multiply(go, tanh_cell[step], out=hidden[step + 1])
+    for block in blocks:
+        first, size = int(block[0]), len(block)
+        x_block = x[:, first : first + size].reshape(batch * size, -1)
+        xw = np.matmul(x_block, w_in, out=xw_buf[: batch * size]).reshape(batch, size, 4 * h)
+        for step in range(first, first + size):
+            now, prev, nxt = (step, step, step + 1) if trace else (0, step % 2, (step + 1) % 2)
+            np.matmul(hidden[prev], w_rec, out=z)
+            z += xw[:, step - first]
+            z += bias
+            gi, gf, gc, go = gate_buf[now]
+            gate_sigmoid(z[:, :h], out=gi)
+            gate_sigmoid(z[:, h : 2 * h], out=gf)
+            np.tanh(z[:, 2 * h : 3 * h], out=gc)
+            gate_sigmoid(z[:, 3 * h :], out=go)
+            np.multiply(gf, cell[prev], out=cell[nxt])
+            np.multiply(gi, gc, out=input_part)
+            cell[nxt] += input_part
+            np.tanh(cell[nxt], out=tanh_cell[now])
+            np.multiply(go, tanh_cell[now], out=hidden[nxt])
+    if not trace:
+        return hidden[steps % 2]
     gates = {name: gate_buf[:, k] for k, name in enumerate(_GATES)}
     return gates, cell, hidden, tanh_cell
 
@@ -272,8 +341,10 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     deterministic (inverted dropout needs no inference-time rescaling).
     Masked activations are scaled by 1/keep_rate so expectations match
     the unmasked pass. ``lstm_states`` are the recurrence's results for
-    this ``x`` and these params, as computed by ``_lstm_states``; when
-    None they are computed here.
+    this ``x`` and these params, as computed by ``_lstm_states``: its full
+    trace, or only the last hidden state (``trace=False``), in which case
+    the returned trace cannot be backpropagated. When None the full trace
+    is computed here.
 
     Raises:
         ShapeMismatch: ``x``, ``mask`` or ``lstm_states`` do not fit the params.
@@ -290,11 +361,15 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     if arch.lstm_hidden is not None:
         if lstm_states is None:
             lstm_states = _lstm_states(params, x)
-        elif lstm_states[2].shape != (x.shape[1] + 1, x.shape[0], arch.lstm_hidden):
-            raise ShapeMismatch(f"lstm_states of hidden shape {lstm_states[2].shape} do not fit "
+        if isinstance(lstm_states, np.ndarray):
+            trunk, hidden_shape, want = lstm_states, lstm_states.shape, (x.shape[0], arch.lstm_hidden)
+        else:
+            trace.gates, trace.cell, trace.hidden, trace.tanh_cell = lstm_states
+            trunk, hidden_shape = trace.hidden[-1], trace.hidden.shape
+            want = (x.shape[1] + 1, x.shape[0], arch.lstm_hidden)
+        if hidden_shape != want:
+            raise ShapeMismatch(f"lstm_states of hidden shape {hidden_shape} do not fit "
                                 f"input {x.shape} and hidden size {arch.lstm_hidden}")
-        trace.gates, trace.cell, trace.hidden, trace.tanh_cell = lstm_states
-        trunk = trace.hidden[-1]
     elif lstm_states is not None:
         raise ShapeMismatch("lstm_states given to a model without an LSTM")
     else:
@@ -361,6 +436,8 @@ def _check_trace(params: ModelParams, trace: ForwardTrace):
     shapes = {k: v.shape for k, v in params.tensors.items()}
     if shapes != trace.param_shapes:
         raise StaleTrace("trace was produced by parameters of different shapes")
+    if "lstm.U" in shapes and trace.hidden is None:
+        raise StaleTrace("trace holds only the last hidden state, not the recurrence history")
 
 
 def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
@@ -488,17 +565,39 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
 
     Dropout is disabled. For a purely linear model this returns the
     head's weight matrix reshaped to the input shape.
+
+    Backpropagation through time needs the recurrence's full trace, about
+    136 KB per window at H 64, so the windows go through forward and
+    backward in blocks of at most INPUT_GRADIENT_BLOCK and only the input
+    gradients are kept. Every window's gradient depends on that window
+    alone, and ``np.array_split`` makes no block of one window unless the
+    input has one, so the results have the bits of one whole-batch pass.
     """
     arch = ModelArch.from_params(params)
     if head not in arch.heads:
         raise KeyError(f"unknown head {head!r}")
     x_arr = np.asarray(x, dtype=np.float64)
-    _, trace = forward(params, x_arr, mask=None)
-    batch = trace.head_in.shape[0]
-    _, d_input = _backprop(params, trace, {head: np.ones(batch)}, input_grad=True)
-    if trace.squeezed:
-        d_input = d_input[0]
-    return d_input.reshape(x_arr.shape)
+    x_batched, _ = _prepare_input(arch, x_arr)
+    parts = []
+    for block in np.array_split(x_batched, max(1, math.ceil(len(x_batched) / INPUT_GRADIENT_BLOCK))):
+        _, trace = forward(params, block, mask=None)
+        _, d_input = _backprop(params, trace, {head: np.ones(len(block))}, input_grad=True)
+        parts.append(d_input)
+    return np.concatenate(parts).reshape(x_arr.shape)
+
+
+def predict(params: ModelParams, x) -> dict:
+    """{head: probabilities} with dropout disabled.
+
+    The same outputs, bit for bit, as ``forward(params, x)``, but the
+    recurrence keeps only its last hidden state, so memory does not grow
+    with the steps; no trace is returned.
+    """
+    arch = ModelArch.from_params(params)
+    x_arr, _ = _prepare_input(arch, x)
+    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
+    outputs, _ = forward(params, x_arr, lstm_states=states)
+    return outputs
 
 
 def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tuple:
@@ -510,16 +609,17 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     exactly zero variance.
 
     Dropout acts only after the recurrence, so the LSTM states are the
-    same in every pass: they are computed once per call, and each pass
-    runs only mask -> dense -> heads. The results are bit-identical to
-    ``passes`` full forward passes with the same masks.
+    same in every pass: the recurrence runs once per call, keeping only
+    its last hidden state, and each pass runs only mask -> dense -> heads.
+    The results are bit-identical to ``passes`` full forward passes with
+    the same masks.
     """
     if passes < 1:
         raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
     x_arr, _ = _prepare_input(arch, x)
     batch = x_arr.shape[0]
-    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr)
+    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
     samples = {head: np.empty((passes, batch)) for head in arch.heads}
     for i in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fairhrv import mitigation
 from fairhrv.checkpoint_io import save_checkpoint
 from fairhrv.dataset import (
     AttributeCoding,
@@ -17,6 +18,7 @@ from fairhrv.mitigation import (
     NoCheckpoints,
     SelectionResult,
     TrainConfig,
+    TrainingDiverged,
     UncertaintyRecord,
     evaluate_uncertainties,
     final_predict,
@@ -27,6 +29,7 @@ from fairhrv.mitigation import (
 )
 from fairhrv.nnet import backward, forward, init_params, mc_forward, mtl_loss
 from fairhrv.rng import substream
+from peak_memory import peak_mb
 
 TINY = dict(lstm_hidden=6, dense_size=4, mc_passes=8, batch_size=16, lr=3e-3)
 
@@ -102,6 +105,28 @@ class TestBaseline:
         b, _ = train_baseline(cohort, config)
         for name in a.tensors:
             assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
+
+    def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
+        calls = {"backward": 0, "adam_step": 0}
+        original_backward, original_adam_step = mitigation.backward, mitigation.adam_step
+
+        def poisoned_backward(*args, **kwargs):
+            calls["backward"] += 1
+            grads = original_backward(*args, **kwargs)
+            if calls["backward"] == 3:
+                grads["dense.W"][1, 2] = np.inf
+            return grads
+
+        def counting_adam_step(*args, **kwargs):
+            calls["adam_step"] += 1
+            return original_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(mitigation, "backward", poisoned_backward)
+        monkeypatch.setattr(mitigation, "adam_step", counting_adam_step)
+        # 40 windows in batches of 16: the third backward is epoch 1, batch 2
+        with pytest.raises(TrainingDiverged, match="non-finite gradient at epoch 1, batch 2"):
+            train_baseline(separable_cohort(40), tiny_config(epochs=5, checkpoint_every=5, seed=4))
+        assert calls["adam_step"] == 2
 
 
 class TestReweighted:
@@ -283,6 +308,12 @@ class TestFinalPredict:
         from_disk = final_predict(tmp_path / "ckpt_epoch_5.bin", cohort)
         assert np.array_equal(from_memory[0], from_disk[0])
         assert from_memory[1].tobytes() == from_disk[1].tobytes()
+
+    def test_memory_bounded(self):
+        # the full trace of 500 windows at H 64 is about 68 MB
+        cohort = generate_synthetic(500, 0.5, 26)
+        params = init_params(TrainConfig().arch(("anxiety", "protected")), seed=27)
+        assert peak_mb(final_predict, params, cohort) < 16
 
     def test_threshold_rule(self):
         cohort = generate_synthetic(48, 0.5, 24)

@@ -24,6 +24,7 @@ from fairhrv.nnet import (
     input_gradient,
     mc_forward,
     mtl_loss,
+    predict,
     sample_dropout_mask,
 )
 from gradcheck import (
@@ -32,6 +33,7 @@ from gradcheck import (
     max_rel_error,
     random_case,
 )
+from peak_memory import peak_mb
 from reference_lstm import reference_backprop, reference_lstm_states
 from scalar_lstm import scalar_lstm_final_hidden
 
@@ -392,9 +394,9 @@ class TestMcForwardOracle:
         calls = []
         original = nnet._lstm_states
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(nnet, "_lstm_states", counting)
         params = init_params(SMALL_ARCH, seed=43)
@@ -476,3 +478,63 @@ class TestKernelOracle:
         assert d_input.shape == x.shape
         for name in grads:
             assert np.array_equal(grads[name], grads_with[name]), name
+
+
+
+class TestTraceFreeInference:
+    """Inference keeps only the last hidden state, and gets the traced form's bits."""
+
+    @staticmethod
+    def case(batch, steps=24, lstm_hidden=64, dense_size=32):
+        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        params = init_params(arch, seed=70 + batch)
+        rng = np.random.default_rng(71 + batch)
+        for tensor in params.tensors.values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        return params, rng.normal(size=(batch, steps, 25))
+
+    # the window's 24 steps at the batches MC dropout and prediction see, and
+    # at batch 1 and 3 step counts whose x @ W blocks are uneven or single
+    @pytest.mark.parametrize("batch,steps", [(1, 24), (2, 24), (3, 24), (13, 24), (32, 24), (1500, 24)]
+                             + [(batch, steps) for batch in (1, 3) for steps in (1, 2, 3, 5, 7, 9, 25)])
+    def test_last_hidden_state_bit_identical(self, batch, steps):
+        params, x = self.case(batch, steps=steps)
+        last = nnet._lstm_states(params, x, trace=False)
+        assert np.array_equal(last, nnet._lstm_states(params, x)[2][-1])
+
+    @pytest.mark.parametrize("shape", [(7, 24, 25), (24, 25)])  # a batch, a squeezed single window
+    @pytest.mark.parametrize("lstm_hidden,dense_size", [(64, 32), (8, None), (None, 4), (None, None)])
+    def test_predict_matches_forward(self, lstm_hidden, dense_size, shape):
+        arch = ModelArch(input_size=25 if lstm_hidden else 24 * 25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        params = init_params(arch, seed=72)
+        x = np.random.default_rng(73).normal(size=shape)
+        want, _ = forward(params, x)
+        got = predict(params, x)
+        assert set(got) == set(arch.heads)
+        for head in arch.heads:
+            assert np.array_equal(got[head], want[head]), head
+
+    def test_trace_of_last_state_not_backpropagated(self):
+        params, x = self.case(3, lstm_hidden=4, dense_size=4)
+        _, trace = forward(params, x, lstm_states=nnet._lstm_states(params, x, trace=False))
+        with pytest.raises(StaleTrace):
+            backward(params, trace, {"anxiety": np.ones(3)}, {"anxiety": 1.0})
+
+    def test_last_state_of_another_batch_rejected(self):
+        params, x = self.case(3, lstm_hidden=4, dense_size=4)
+        last = nnet._lstm_states(params, x, trace=False)
+        with pytest.raises(ShapeMismatch):
+            forward(params, x[:2], lstm_states=last)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 500])
+    def test_input_gradient_blocks_bit_identical(self, n):
+        params, x = self.case(n)
+        _, trace = forward(params, x)
+        _, want = nnet._backprop(params, trace, {"anxiety": np.ones(n)}, input_grad=True)
+        assert np.array_equal(input_gradient(params, x, "anxiety"), want)
+
+    def test_mc_forward_memory_bounded(self):
+        # the full trace of 1,500 windows at H 64 is about 205 MB
+        params, x = self.case(1500)
+        peak = peak_mb(mc_forward, params, x, passes=50, keep_rate=0.8, rng=np.random.default_rng(74))
+        assert peak < 32

@@ -15,6 +15,7 @@ from fairhrv.saliency import (
     write_saliency_svg,
 )
 from gradcheck import finite_diff_input_grad
+from peak_memory import peak_mb
 
 LINEAR_ARCH = ModelArch(input_size=24 * 25, lstm_hidden=None, dense_size=None, heads=("anxiety",))
 LSTM_ARCH = ModelArch(input_size=25, lstm_hidden=5, dense_size=4, heads=("anxiety", "protected"))
@@ -93,6 +94,12 @@ class TestAverage:
         reversed_cohort = Cohort(tuple(reversed(cohort.windows)), dict(cohort.attribute_catalog))
         backward_avg = average_saliency_over_windows(params, reversed_cohort.feature_tensor(), "anxiety")
         assert np.max(np.abs(forward_avg.values - backward_avg.values)) < 1e-9
+
+    def test_memory_bounded(self):
+        # the full trace of 500 windows at H 64 is about 68 MB
+        params = init_params(ModelArch(input_size=25, lstm_hidden=64, dense_size=32), seed=15)
+        windows = generate_synthetic(500, 0.5, 16).feature_tensor()
+        assert peak_mb(average_saliency_over_windows, params, windows, "anxiety") < 24
 
     def test_matches_plain_mean_closely(self):
         params = init_params(LSTM_ARCH, seed=13)
