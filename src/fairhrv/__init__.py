@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .dataset import Cohort, LabeledWindow, SplitCohort, generate_synthetic, read_windows_csv, split_cohort, standardize
 from .fairness import disparate_impact, equalized_odds_diffs, evaluate_predictions, reweigh_weights
-from .hrv_features import FEATURE_NAMES, EcgSignal, FeatureVector, NNIntervalSeries, detect_r_peaks, extract_features
+from .hrv_features import FEATURE_NAMES, EcgSignal, NNIntervalSeries, detect_r_peaks, extract_features
 from .mitigation import (
     SelectionResult,
     TrainConfig,
@@ -25,15 +25,15 @@ from .mitigation import (
     train_reweighted,
 )
 from .nnet import ModelArch, ModelParams, forward, input_gradient, mc_forward, mtl_loss
-from .saliency import SaliencyMap, average_saliency_over_windows, saliency_for_sample
+from .saliency import SaliencyMap, average_saliency_over_windows
 
 __all__ = [
     "__version__",
     "Cohort", "LabeledWindow", "SplitCohort", "generate_synthetic", "read_windows_csv", "split_cohort", "standardize",
     "disparate_impact", "equalized_odds_diffs", "evaluate_predictions", "reweigh_weights",
-    "FEATURE_NAMES", "EcgSignal", "FeatureVector", "NNIntervalSeries", "detect_r_peaks", "extract_features",
+    "FEATURE_NAMES", "EcgSignal", "NNIntervalSeries", "detect_r_peaks", "extract_features",
     "SelectionResult", "TrainConfig", "UncertaintyRecord", "evaluate_uncertainties", "final_predict",
     "select_checkpoint", "train_baseline", "train_mtl_with_checkpoints", "train_reweighted",
     "ModelArch", "ModelParams", "forward", "input_gradient", "mc_forward", "mtl_loss",
-    "SaliencyMap", "average_saliency_over_windows", "saliency_for_sample",
+    "SaliencyMap", "average_saliency_over_windows",
 ]

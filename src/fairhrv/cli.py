@@ -20,6 +20,7 @@ from . import dataset, fairness, hrv_features, pipeline, saliency
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .fileio import atomic_write_text, sha256_file, write_csv, write_json
 from .mitigation import TrainConfig, TrainingDiverged
+from .nnet import ModelArch
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -80,11 +81,15 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _load_cohort_from_args(args, need_demo=False) -> dataset.Cohort:
-    demo = getattr(args, "demo", None)
-    if need_demo and demo is None:
-        raise ValueError("this command requires --demo with the protected attribute column")
-    return dataset.load_cohort(args.windows, args.labels, demo)
+def _load_cohort(args) -> dataset.Cohort:
+    """The cohort of --windows, --labels and --demo, holding the --protected attribute when one is named."""
+    if args.protected is not None and args.demo is None:
+        raise ValueError("--protected needs --demo, the demographics CSV with that attribute column")
+    cohort = dataset.load_cohort(args.windows, args.labels, args.demo)
+    if args.protected is not None and args.protected not in cohort.attribute_catalog:
+        raise ValueError(f"{args.demo} has no attribute column {args.protected!r}; "
+                         f"its attribute columns are {', '.join(cohort.attribute_catalog)}")
+    return cohort
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,8 @@ def cmd_extract(args) -> int:
         raise ValueError("provide exactly one of --ecg or --nni")
     if args.steps != dataset.WINDOW_STEPS:
         raise ValueError(f"--steps must be {dataset.WINDOW_STEPS}, the window length models take")
+    if not (np.isfinite(args.segment_seconds) and args.segment_seconds > 0):
+        raise ValueError(f"--segment-seconds must be finite and positive, got {args.segment_seconds}")
     _check_csv_name("--participant", args.participant)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,23 +112,21 @@ def cmd_extract(args) -> int:
     else:
         nni = hrv_features.read_nni_csv(args.nni)
 
-    # assign each interval to the fixed-length segment containing its end
+    # each interval goes to the segment holding its end; cut where the id
+    # changes (ids past the float range are inf, whose nan differences cut too)
     intervals = nni.intervals_ms
-    end_times = np.cumsum(intervals) / 1000.0
-    segment_ids = (end_times // args.segment_seconds).astype(int)
-    vectors = []
-    for seg in range(int(segment_ids[-1]) + 1):
-        chunk = intervals[segment_ids == seg]
-        if len(chunk) < 2:
-            print(f"note: segment {seg} has {len(chunk)} interval(s); skipped", file=sys.stderr)
-            continue
-        vectors.append(hrv_features.extract_features(hrv_features.NNIntervalSeries(chunk)))
-    if not vectors:
+    segment_ids = (np.cumsum(intervals) / 1000.0) // args.segment_seconds
+    chunks = np.split(intervals, np.flatnonzero(np.diff(segment_ids)) + 1)
+    rows = [hrv_features.extract_features(hrv_features.NNIntervalSeries(c)) for c in chunks if len(c) >= 2]
+    if len(rows) < len(chunks):
+        print(f"note: {len(chunks) - len(rows)} of {len(chunks)} segment(s) had fewer than 2 intervals; skipped",
+              file=sys.stderr)
+    if not rows:
         raise ValueError("no segment had enough intervals for feature extraction")
-    hrv_features.write_features_csv(out / "features.csv", vectors)
+    rows = np.stack(rows)
+    hrv_features.write_features_csv(out / "features.csv", rows)
 
-    rows = np.stack([v.as_array() for v in vectors])
-    n_windows = len(vectors) // args.steps
+    n_windows = len(rows) // args.steps
     dataset.write_windows_csv(
         out / "windows.csv",
         [f"{args.participant}_w{k:04d}" for k in range(n_windows)],
@@ -129,10 +134,7 @@ def cmd_extract(args) -> int:
         rows[: n_windows * args.steps].reshape(n_windows, args.steps, dataset.N_FEATURES),
     )
     if n_windows == 0:
-        print(
-            f"note: {len(vectors)} segment(s) < {args.steps}; windows.csv has no rows",
-            file=sys.stderr,
-        )
+        print(f"note: {len(rows)} segment(s) < {args.steps}; windows.csv has no rows", file=sys.stderr)
     _write_manifest(out, "extract", _config_echo(args))
     return 0
 
@@ -155,7 +157,7 @@ def cmd_synth(args) -> int:
 def cmd_audit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort_from_args(args, need_demo=True)
+    cohort = _load_cohort(args)
     groups = cohort.protected_values(args.protected)
     labels = cohort.labels()
     if args.predictions is None:
@@ -178,8 +180,7 @@ def _run_single_model(args, variant: str) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    need_demo = variant == "reweighting" or args.protected is not None
-    cohort = _load_cohort_from_args(args, need_demo=need_demo)
+    cohort = _load_cohort(args)
     split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
                                    protected=args.protected)
     run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
@@ -208,7 +209,7 @@ def cmd_mitigate(args) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort_from_args(args, need_demo=True)
+    cohort = _load_cohort(args)
     split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
                                    protected=args.protected)
     run = pipeline.run_mitigation(
@@ -238,6 +239,9 @@ def cmd_saliency(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = load_checkpoint(args.checkpoint)
+    heads = ModelArch.from_params(params).heads
+    if args.head not in heads:
+        raise ValueError(f"{args.checkpoint} has no head {args.head!r}; its heads are {', '.join(heads)}")
     _, _, windows = dataset.read_windows_csv(args.windows)
     smap = saliency.average_saliency_over_windows(params, windows, args.head)
     saliency.write_saliency_csv(smap, out / "saliency.csv")
@@ -252,7 +256,7 @@ def cmd_compare(args) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort_from_args(args, need_demo=True)
+    cohort = _load_cohort(args)
     comparison = pipeline.run_comparison(cohort, args.protected, config, by_participant=args.by_participant)
     write_json(out / "comparison.json", comparison)
     atomic_write_text(out / "comparison.txt", pipeline.render_comparison_text(comparison))

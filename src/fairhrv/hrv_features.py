@@ -11,7 +11,7 @@ behind the frequency-domain features are written out here rather than
 taken from scipy, whose import would cost more than the extraction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import csv as _csv
 import math
@@ -23,7 +23,6 @@ from .fileio import not_utf8_error, write_csv
 __all__ = [
     "EcgSignal",
     "NNIntervalSeries",
-    "FeatureVector",
     "NoPeaks",
     "TooFewIntervals",
     "FEATURE_NAMES",
@@ -109,49 +108,6 @@ class NNIntervalSeries:
 
     def __len__(self):
         return len(self.intervals_ms)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One value per feature in ``FEATURE_NAMES``.
-
-    ``frequency_undefined`` marks series too short to resolve one cycle of
-    the lowest VLF frequency; the band powers are still computed from the
-    PSD and reported. ``degenerate_poincare`` marks series where the
-    Poincare ellipse collapses (zero transverse or longitudinal axis), in
-    which case csi and/or cvi are emitted as 0.
-    """
-
-    mean_nni: float
-    sdnn: float
-    sdsd: float
-    nni_50: float
-    pnni_50: float
-    nni_20: float
-    pnni_20: float
-    rmssd: float
-    median_nni: float
-    range_nni: float
-    cvsd: float
-    cvnni: float
-    mean_hr: float
-    max_hr: float
-    min_hr: float
-    std_hr: float
-    lf: float
-    hf: float
-    lf_hf_ratio: float
-    lfnu: float
-    hfnu: float
-    total_power: float
-    vlf: float
-    csi: float
-    cvi: float
-    frequency_undefined: bool = field(default=False, compare=False)
-    degenerate_poincare: bool = field(default=False, compare=False)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -329,14 +285,17 @@ def _band_power(freqs: np.ndarray, psd: np.ndarray, band) -> float:
     return float(np.sum(psd[mask]) * df)
 
 
-def extract_features(nni: NNIntervalSeries) -> FeatureVector:
-    """Compute all 25 HRV features for one NN interval series.
+def extract_features(nni: NNIntervalSeries) -> np.ndarray:
+    """The 25 HRV features of one NN interval series, a (25,) float64 row in ``FEATURE_NAMES`` order.
 
     Time-domain conventions: sdnn and sdsd are sample standard deviations
     (divisor n-1); nni_50/nni_20 count successive differences strictly
     greater than 50/20 ms in magnitude; pnni_x = 100 * nni_x / (n-1);
     the heart-rate statistics are taken over the instantaneous rate
     60000/nni per interval, with std_hr the population standard deviation.
+
+    Band powers are 0 for a series too short to resample to two points at 4 Hz,
+    and csi and/or cvi are 0 where the Poincare ellipse collapses.
 
     Raises:
         TooFewIntervals: fewer than 2 intervals.
@@ -370,13 +329,10 @@ def extract_features(nni: NNIntervalSeries) -> FeatureVector:
     freqs, psd = _psd_of_interpolated(x)
     if freqs is None:
         vlf = lf = hf = 0.0
-        frequency_undefined = True
     else:
         vlf = _band_power(freqs, psd, VLF_BAND)
         lf = _band_power(freqs, psd, LF_BAND)
         hf = _band_power(freqs, psd, HF_BAND)
-        duration_s = float(np.sum(x[1:])) / 1000.0
-        frequency_undefined = duration_s < 1.0 / VLF_BAND[0]
     total_power = vlf + lf + hf
     if lf + hf > 0:
         lfnu = 100.0 * lf / (lf + hf)
@@ -391,22 +347,16 @@ def extract_features(nni: NNIntervalSeries) -> FeatureVector:
     sd2 = float(np.sqrt(max(0.0, 2.0 * sdnn**2 - sdsd**2 / 2.0)))
     longitudinal = 4.0 * sd2
     transverse = 4.0 * sd1
-    degenerate = transverse == 0.0 or longitudinal == 0.0
     csi = longitudinal / transverse if transverse > 0 else 0.0
     cvi = float(np.log10(longitudinal * transverse)) if longitudinal * transverse > 0 else 0.0
 
-    return FeatureVector(
-        mean_nni=mean_nni, sdnn=sdnn, sdsd=sdsd,
-        nni_50=nni_50, pnni_50=pnni_50, nni_20=nni_20, pnni_20=pnni_20,
-        rmssd=rmssd, median_nni=median_nni, range_nni=range_nni,
-        cvsd=cvsd, cvnni=cvnni,
-        mean_hr=mean_hr, max_hr=max_hr, min_hr=min_hr, std_hr=std_hr,
-        lf=lf, hf=hf, lf_hf_ratio=lf_hf_ratio, lfnu=lfnu, hfnu=hfnu,
-        total_power=total_power, vlf=vlf,
-        csi=csi, cvi=cvi,
-        frequency_undefined=frequency_undefined,
-        degenerate_poincare=degenerate,
-    )
+    return np.array([
+        mean_nni, sdnn, sdsd, nni_50, pnni_50, nni_20, pnni_20,
+        rmssd, median_nni, range_nni, cvsd, cvnni,
+        mean_hr, max_hr, min_hr, std_hr,
+        lf, hf, lf_hf_ratio, lfnu, hfnu, total_power, vlf,
+        csi, cvi,
+    ], dtype=np.float64)
 
 
 def _scan_numeric_rows(path, columns, positive):
@@ -532,6 +482,6 @@ def read_nni_csv(path) -> NNIntervalSeries:
     return NNIntervalSeries(data[:, 0].copy())
 
 
-def write_features_csv(path, vectors) -> None:
-    """Write one row per feature vector; exactly the 25 named columns."""
-    write_csv(path, FEATURE_NAMES, (",".join(map(repr, vec.as_array().tolist())) for vec in vectors))
+def write_features_csv(path, rows) -> None:
+    """Write a (segments, 25) feature array, one row per segment under the 25 named columns."""
+    write_csv(path, FEATURE_NAMES, (",".join(map(repr, row)) for row in np.asarray(rows).tolist()))

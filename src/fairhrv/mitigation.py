@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint_io import load_checkpoint, save_checkpoint
+from .checkpoint_io import save_checkpoint
 from .dataset import N_FEATURES, Cohort
 from .nnet import (
     AdamState,
@@ -69,8 +69,11 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.checkpoint_every < 1 or self.epochs % self.checkpoint_every != 0:
             raise ValueError("epochs must be a multiple of checkpoint_every")
-        if any(w < 0 for w in self.task_weights):
-            raise ValueError("task weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.task_weights):
+            raise ValueError(f"task weights must be finite and non-negative, got {self.task_weights}")
+        for name in ("lstm_hidden", "dense_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.mc_passes < 2:
             raise ValueError("need at least 2 Monte-Carlo passes")
         if not 0.0 < self.keep_rate <= 1.0:
@@ -133,7 +136,6 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
     """
     arch = config.arch(heads)
     params = init_params(arch, config.seed)
-    params.rng_seed = config.seed
     state = AdamState.for_params(params)
     n = x.shape[0]
     task_w = {head: task_weights[head] for head in heads}
@@ -170,7 +172,6 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
         if epoch in checkpoint_epochs:
             snapshot = params.copy()
             snapshot.epoch = epoch
-            snapshot.rng_seed = config.seed
             if out_dir is not None:
                 save_checkpoint(snapshot, out_dir / f"ckpt_epoch_{epoch}.bin")
             checkpoints.append(snapshot)
@@ -287,16 +288,12 @@ def select_checkpoint(records) -> SelectionResult:
     return SelectionResult(chosen_epoch=best.epoch, gap=best.gap)
 
 
-def final_predict(checkpoint, cohort: Cohort, threshold: float = 0.5):
-    """Deterministic anxiety predictions from a checkpoint.
+def final_predict(params: ModelParams, cohort: Cohort, threshold: float = 0.5):
+    """Deterministic anxiety predictions of a model; returns (predictions, probabilities).
 
-    ``checkpoint`` may be ModelParams or a path to a serialized file. The
-    protected head's output is discarded. Returns (predictions, probabilities).
-    The pass keeps no backpropagation trace (``nnet.predict``), so its
-    memory does not grow with the window's steps, and its bits are those
-    of ``forward``.
+    The protected head's output is discarded. The pass keeps no backprop
+    trace (``nnet.predict``), so its memory does not grow with the steps.
     """
-    params = checkpoint if isinstance(checkpoint, ModelParams) else load_checkpoint(checkpoint)
     probs = predict(params, cohort.feature_tensor())["anxiety"]
     preds = (probs >= threshold).astype(np.int64)
     return preds, probs

@@ -14,10 +14,11 @@ Inference keeps only what it uses. Training needs the recurrence's whole
 history for backpropagation through time, about 136 KB per window at
 H 64; MC dropout (``mc_forward``) and prediction (``predict``) need only
 the last hidden state, so they run the recurrence without a trace, in
-memory that does not grow with the steps, and give the bits of the traced
-form: the h @ U products have the same (batch, H) x (H, 4H) shapes, and
-x @ W is taken for at least two steps at a time, so numpy never hands a
-one-row product to gemv, whose sums round differently from a GEMM row.
+memory that does not grow with the steps, and hand ``forward`` only that
+state. The bits are those of the traced form: the h @ U products have the
+same (batch, H) x (H, 4H) shapes, and x @ W is taken for at least two
+steps at a time, so numpy never hands a one-row product to gemv, whose
+sums round differently from a GEMM row.
 Saliency (``input_gradient``) needs the trace, and runs forward and
 backward over blocks of at most 64 windows, never of one window unless
 the input has one, for the same reason.
@@ -201,9 +202,8 @@ class ForwardTrace:
     outputs: dict
     head_scores: dict
     param_shapes: dict
-    squeezed: bool
-    # lstm caches, shaped (T, B, H); states include t=0; None when the
-    # recurrence ran without a trace, and backward then refuses the trace
+    # lstm caches, shaped (T, B, H); states include t=0; None when forward
+    # was given the last hidden state, and backward then refuses the trace
     gates: dict = None
     cell: np.ndarray = None
     hidden: np.ndarray = None
@@ -243,35 +243,30 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
 
 def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int = 1) -> DropoutMask:
     """Draw independent Bernoulli keep masks for every dropout point."""
-    if not 0.0 < keep_rate <= 1.0:
-        raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
     masks = {}
     for name, width in arch.dropout_points():
         masks[name] = (rng.random((batch, width)) < keep_rate).astype(np.float64)
     return DropoutMask(keep_rate=keep_rate, masks=masks)
 
 
-def _prepare_input(arch: ModelArch, x) -> tuple:
+def _prepare_input(arch: ModelArch, x) -> np.ndarray:
+    """``x`` as a batch: (batch, steps, features) for an LSTM, (batch, input_size) without one."""
     x = np.asarray(x, dtype=np.float64)
-    squeezed = False
     if arch.lstm_hidden is not None:
         if x.ndim == 2:
             x = x[None]
-            squeezed = True
         if x.ndim != 3 or x.shape[2] != arch.input_size:
             raise ShapeMismatch(f"expected (batch, steps, {arch.input_size}), got {x.shape}")
     else:
         if x.ndim == 2 and x.shape[0] * x.shape[1] == arch.input_size:
             x = x.reshape(1, -1)
-            squeezed = True
         elif x.ndim == 3:
             x = x.reshape(x.shape[0], -1)
         elif x.ndim == 1:
             x = x[None]
-            squeezed = True
         if x.shape[1] != arch.input_size:
             raise ShapeMismatch(f"expected flattened size {arch.input_size}, got {x.shape}")
-    return x, squeezed
+    return x
 
 
 def _lstm_states(params: ModelParams, x: np.ndarray, trace: bool = True):
@@ -340,36 +335,28 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     With ``mask`` absent, dropout is disabled and the pass is
     deterministic (inverted dropout needs no inference-time rescaling).
     Masked activations are scaled by 1/keep_rate so expectations match
-    the unmasked pass. ``lstm_states`` are the recurrence's results for
-    this ``x`` and these params, as computed by ``_lstm_states``: its full
-    trace, or only the last hidden state (``trace=False``), in which case
-    the returned trace cannot be backpropagated. When None the full trace
-    is computed here.
+    the unmasked pass. ``lstm_states`` is the recurrence's last hidden
+    state for this ``x`` and these params, (batch, H), as
+    ``_lstm_states(params, x, trace=False)`` returns it; the returned
+    trace then holds no recurrence history and cannot be backpropagated.
+    When None the full trace is computed here.
 
     Raises:
         ShapeMismatch: ``x``, ``mask`` or ``lstm_states`` do not fit the params.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
-    x, squeezed = _prepare_input(arch, x)
-    trace = ForwardTrace(
-        x=x, outputs={}, head_scores={},
-        param_shapes={k: v.shape for k, v in t.items()},
-        squeezed=squeezed,
-    )
+    x = _prepare_input(arch, x)
+    trace = ForwardTrace(x=x, outputs={}, head_scores={}, param_shapes={k: v.shape for k, v in t.items()})
 
     if arch.lstm_hidden is not None:
         if lstm_states is None:
-            lstm_states = _lstm_states(params, x)
-        if isinstance(lstm_states, np.ndarray):
-            trunk, hidden_shape, want = lstm_states, lstm_states.shape, (x.shape[0], arch.lstm_hidden)
-        else:
-            trace.gates, trace.cell, trace.hidden, trace.tanh_cell = lstm_states
-            trunk, hidden_shape = trace.hidden[-1], trace.hidden.shape
-            want = (x.shape[1] + 1, x.shape[0], arch.lstm_hidden)
-        if hidden_shape != want:
-            raise ShapeMismatch(f"lstm_states of hidden shape {hidden_shape} do not fit "
+            trace.gates, trace.cell, trace.hidden, trace.tanh_cell = _lstm_states(params, x)
+            lstm_states = trace.hidden[-1]
+        elif lstm_states.shape != (x.shape[0], arch.lstm_hidden):
+            raise ShapeMismatch(f"lstm_states of shape {lstm_states.shape} do not fit "
                                 f"input {x.shape} and hidden size {arch.lstm_hidden}")
+        trunk = lstm_states
     elif lstm_states is not None:
         raise ShapeMismatch("lstm_states given to a model without an LSTM")
     else:
@@ -577,7 +564,7 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     if head not in arch.heads:
         raise KeyError(f"unknown head {head!r}")
     x_arr = np.asarray(x, dtype=np.float64)
-    x_batched, _ = _prepare_input(arch, x_arr)
+    x_batched = _prepare_input(arch, x_arr)
     parts = []
     for block in np.array_split(x_batched, max(1, math.ceil(len(x_batched) / INPUT_GRADIENT_BLOCK))):
         _, trace = forward(params, block, mask=None)
@@ -594,7 +581,7 @@ def predict(params: ModelParams, x) -> dict:
     with the steps; no trace is returned.
     """
     arch = ModelArch.from_params(params)
-    x_arr, _ = _prepare_input(arch, x)
+    x_arr = _prepare_input(arch, x)
     states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
     outputs, _ = forward(params, x_arr, lstm_states=states)
     return outputs
@@ -617,7 +604,7 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     if passes < 1:
         raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
-    x_arr, _ = _prepare_input(arch, x)
+    x_arr = _prepare_input(arch, x)
     batch = x_arr.shape[0]
     states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
     samples = {head: np.empty((passes, batch)) for head in arch.heads}

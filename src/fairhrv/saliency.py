@@ -43,16 +43,6 @@ class SaliencyMap:
         return float(np.sum(np.abs(self.values[:, idx])))
 
 
-def saliency_for_sample(params: ModelParams, window, head: str) -> SaliencyMap:
-    """Map for a single window: gradient of the head's pre-sigmoid score.
-
-    Gradients are signed; dropout is disabled. For a purely linear model
-    the map equals the head's weight matrix.
-    """
-    grad = input_gradient(params, np.asarray(window, dtype=np.float64), head)
-    return SaliencyMap(values=grad, feature_names=FEATURE_NAMES, head=head)
-
-
 def _kahan_mean(stack: np.ndarray) -> np.ndarray:
     total = np.zeros(stack.shape[1:])
     compensation = np.zeros(stack.shape[1:])

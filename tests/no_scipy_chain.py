@@ -2,9 +2,10 @@
 
     python tests/no_scipy_chain.py OUT_DIR
 
-Blocks scipy before fairhrv is imported, then runs synth, train-base,
-mitigate (2 epochs), saliency and extract --ecg at small sizes, writing
-under OUT_DIR. Prints one JSON object: each command's exit code and the
+Blocks scipy before fairhrv is imported, then runs synth, audit (of the
+dataset and of train-base's predictions), train-base, reweigh-train,
+mitigate (2 epochs), saliency, compare, extract --ecg and extract --nni
+at small sizes, writing under OUT_DIR. Prints one JSON object: each command's exit code and the
 scipy modules loaded at the end. Exits 0 only when every command exited 0
 and no scipy module was loaded. With scipy uninstalled the block changes
 nothing, so the same script checks an install that has only numpy.
@@ -23,14 +24,27 @@ TRAIN = ["--epochs", "2", "--ckpt-every", "1", "--mc-passes", "4", "--lstm-hidde
          "--batch-size", "16", "--protected", "group", "--seed", "5"]
 
 
-def write_ecg(path, seconds=130, fs=250):
-    """Unit impulses at R-R intervals swinging 0.75-0.95 s: enough 5 s segments for one window."""
-    beats, t = set(), 0.5
+def rr_intervals(seconds=130):
+    """R-R intervals in seconds, swinging 0.75-0.95 s: enough 5 s segments for one window."""
+    intervals, t = [], 0.5
     while t < seconds:
+        intervals.append(0.85 + 0.1 * math.sin(2 * math.pi * 0.1 * t))
+        t += intervals[-1]
+    return intervals
+
+
+def write_ecg(path, seconds=130, fs=250):
+    """Unit impulses at the R peaks of ``rr_intervals``."""
+    beats, t = set(), 0.5
+    for interval in rr_intervals(seconds):
         beats.add(round(t * fs))
-        t += 0.85 + 0.1 * math.sin(2 * math.pi * 0.1 * t)
+        t += interval
     rows = (f"{i / fs!r},{1.0 if i in beats else 0.0}" for i in range(seconds * fs))
     path.write_text("t_seconds,voltage\n" + "\n".join(rows) + "\n")
+
+
+def write_nni(path):
+    path.write_text("interval_ms\n" + "\n".join(repr(1000.0 * v) for v in rr_intervals()) + "\n")
 
 
 def run(out: Path) -> dict:
@@ -38,13 +52,21 @@ def run(out: Path) -> dict:
     data = ["--windows", str(synth / "windows.csv"), "--labels", str(synth / "labels.csv"),
             "--demo", str(synth / "demographics.csv")]
     write_ecg(out / "ecg.csv")
+    write_nni(out / "nni.csv")
     commands = {
         "synth": ["synth", "--n", "60", "--bias", "0.8", "--seed", "3", "--out", str(synth)],
+        "audit": ["audit", *data, "--protected", "group", "--out", str(out / "audit")],
         "train-base": ["train-base", *data, *TRAIN, "--out", str(out / "base")],
+        "audit --predictions": ["audit", *data, "--protected", "group", "--predictions",
+                                str(out / "base" / "predictions.csv"), "--out", str(out / "audit_base")],
+        "reweigh-train": ["reweigh-train", *data, *TRAIN, "--out", str(out / "reweigh")],
         "mitigate": ["mitigate", *data, *TRAIN, "--out", str(out / "mitigate")],
         "saliency": ["saliency", "--checkpoint", str(out / "mitigate" / "checkpoints" / "ckpt_epoch_2.bin"),
                      "--windows", str(out / "mitigate" / "test_windows.csv"), "--out", str(out / "saliency")],
+        "compare": ["compare", *data, *TRAIN, "--out", str(out / "compare")],
         "extract": ["extract", "--ecg", str(out / "ecg.csv"), "--segment-seconds", "5", "--out", str(out / "extract")],
+        "extract --nni": ["extract", "--nni", str(out / "nni.csv"), "--segment-seconds", "5",
+                          "--out", str(out / "extract_nni")],
     }
     codes = {name: main(argv) for name, argv in commands.items()}
     loaded = sorted(name for name, module in sys.modules.items()

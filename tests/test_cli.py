@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fairhrv.cli import main
+from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
 
 FAST_TRAIN = [
     "--epochs", "4", "--ckpt-every", "2", "--mc-passes", "4",
@@ -52,6 +53,15 @@ def write_test_file(path, text) -> int:
 
 def not_utf8(path, offset) -> str:
     return f"error: {path}: not UTF-8 text (byte offset {offset})"
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def source_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(TESTS.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def data_args(synth_dir):
@@ -207,6 +217,43 @@ class TestExtract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --participant "), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["0", "-5", "nan", "inf", "-inf"])
+    def test_segment_length_not_finite_positive_rejected_before_reading(self, tmp_path, capsys, seconds):
+        out = tmp_path / "ext"
+        code = main(["extract", "--nni", str(tmp_path / "absent.csv"), f"--segment-seconds={seconds}",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --segment-seconds must be finite and positive"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["2.5", "4", "7.3", "20", "1e6"])
+    def test_segments_are_the_intervals_ending_in_each_length(self, tmp_path, seconds):
+        intervals = np.random.default_rng(1).uniform(500, 1100, size=400)
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n" + "\n".join(map(repr, intervals.tolist())) + "\n")
+        out = tmp_path / "ext"
+        assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", seconds, "--out", str(out)]) == 0
+        # one mask per segment id, empty segments included
+        ids = (np.cumsum(intervals) / 1000.0 // float(seconds)).astype(int)
+        rows = [extract_features(NNIntervalSeries(intervals[ids == seg])) for seg in range(ids[-1] + 1)
+                if np.sum(ids == seg) >= 2]
+        want = tmp_path / "want.csv"
+        write_features_csv(want, np.stack(rows))
+        assert (out / "features.csv").read_bytes() == want.read_bytes()
+
+    def test_tiny_segment_length_finishes(self, tmp_path):
+        # 2,000 intervals span about 1.6e12 segments of 1e-9 s; one pass over the intervals splits them
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n" + "800.0\n" * 2000)
+        done = subprocess.run([sys.executable, "-m", "fairhrv.cli", "extract", "--nni", str(nni_csv),
+                               "--segment-seconds", "1e-9", "--out", str(tmp_path / "ext")],
+                              env=source_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        err = done.stderr.strip().splitlines()
+        assert err == ["note: 2000 of 2000 segment(s) had fewer than 2 intervals; skipped",
+                       "error: no segment had enough intervals for feature extraction"], err
 
 
 def _ecg_lines(seconds=3, fs=250):
@@ -449,6 +496,28 @@ class TestSplitCheck:
         assert not (out / "model.bin").exists()
 
 
+class TestProtectedAttribute:
+    @pytest.mark.parametrize("command,extra", [
+        ("audit", []), ("audit", ["--predictions", "absent.csv"]), ("train-base", FAST_TRAIN),
+        ("reweigh-train", FAST_TRAIN), ("mitigate", FAST_TRAIN), ("compare", FAST_TRAIN),
+    ])
+    def test_unknown_attribute_names_demographics_file_and_columns(
+        self, synth_dir, tmp_path, capsys, command, extra
+    ):
+        code = main([command, *data_args(synth_dir), "--protected", "nosuch", *extra, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        want = f"error: {synth_dir / 'demographics.csv'} has no attribute column 'nosuch'; its attribute columns are group"
+        assert err == [want], err
+
+    def test_train_base_protected_without_demographics_exits_1(self, synth_dir, tmp_path, capsys):
+        code = main(["train-base", *data_args(synth_dir)[:4], "--protected", "group", *FAST_TRAIN,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --protected needs --demo"), err
+
+
 class TestTrainingInputs:
     @pytest.mark.parametrize("command", ["train-base", "mitigate"])
     @pytest.mark.parametrize("flag,value,message", [
@@ -457,6 +526,12 @@ class TestTrainingInputs:
         ("--threshold", "1.5", "threshold must be in [0, 1]"),
         ("--eval-samples", "0", "eval_samples must be at least 1"),
         ("--eval-samples", "-3", "eval_samples must be at least 1"),
+        ("--lstm-hidden", "0", "lstm_hidden must be at least 1"),
+        ("--lstm-hidden", "-3", "lstm_hidden must be at least 1"),
+        ("--dense-size", "0", "dense_size must be at least 1"),
+        ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
+        ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
+        ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
     ])
     def test_bad_config_exits_1_before_training(
         self, synth_dir, tmp_path, capsys, command, flag, value, message
@@ -559,6 +634,15 @@ class TestTrainAndMitigate:
         assert (out / "saliency_abs.csv").exists()
         assert (out / "saliency.svg").exists()
 
+    def test_saliency_of_a_head_the_checkpoint_lacks_names_checkpoint_and_heads(self, base_dir, tmp_path, capsys):
+        checkpoint = base_dir / "model.bin"
+        out = tmp_path / "sal"
+        code = main(["saliency", "--checkpoint", str(checkpoint), "--windows", str(tmp_path / "absent.csv"),
+                     "--head", "protected", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {checkpoint} has no head 'protected'; its heads are anxiety"], err
+
     def test_compare_table(self, synth_dir, tmp_path):
         out = tmp_path / "cmp"
         code = main([
@@ -577,12 +661,10 @@ class TestTrainAndMitigate:
 
 def test_commands_run_without_scipy(tmp_path):
     """scipy is a test dependency only: every command runs, and loads no scipy module, without it."""
-    tests = Path(__file__).resolve().parent
-    src = str(tests.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, str(tests / "no_scipy_chain.py"), str(tmp_path)],
-                         env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, str(TESTS / "no_scipy_chain.py"), str(tmp_path)],
+                         env=source_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout)
-    assert result == {"exit_codes": dict.fromkeys(["extract", "mitigate", "saliency", "synth", "train-base"], 0),
-                      "scipy_modules": []}
+    commands = ["audit", "audit --predictions", "compare", "extract", "extract --nni", "mitigate", "reweigh-train",
+                "saliency", "synth", "train-base"]
+    assert result == {"exit_codes": dict.fromkeys(commands, 0), "scipy_modules": []}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairhrv import mitigation
-from fairhrv.checkpoint_io import save_checkpoint
+from fairhrv.checkpoint_io import load_checkpoint, save_checkpoint
 from fairhrv.dataset import (
     AttributeCoding,
     Cohort,
@@ -305,7 +305,7 @@ class TestFinalPredict:
         config = tiny_config(epochs=5, checkpoint_every=5, seed=23)
         checkpoints, _, _ = train_mtl_with_checkpoints(cohort, "group", config, out_dir=tmp_path)
         from_memory = final_predict(checkpoints[0], cohort)
-        from_disk = final_predict(tmp_path / "ckpt_epoch_5.bin", cohort)
+        from_disk = final_predict(load_checkpoint(tmp_path / "ckpt_epoch_5.bin"), cohort)
         assert np.array_equal(from_memory[0], from_disk[0])
         assert from_memory[1].tobytes() == from_disk[1].tobytes()
 

@@ -10,7 +10,6 @@ from fairhrv.saliency import (
     EmptyCohort,
     SaliencyMap,
     average_saliency_over_windows,
-    saliency_for_sample,
     write_saliency_csv,
     write_saliency_svg,
 )
@@ -21,11 +20,16 @@ LINEAR_ARCH = ModelArch(input_size=24 * 25, lstm_hidden=None, dense_size=None, h
 LSTM_ARCH = ModelArch(input_size=25, lstm_hidden=5, dense_size=4, heads=("anxiety", "protected"))
 
 
+def saliency_of_window(params, window, head):
+    """The map of one (24, 25) window: the average over a one-window stack."""
+    return average_saliency_over_windows(params, np.asarray(window)[None], head)
+
+
 class TestSingleSample:
     def test_linear_model_map_is_weight_matrix(self):
         params = init_params(LINEAR_ARCH, seed=0)
         window = np.random.default_rng(1).normal(size=(24, 25))
-        smap = saliency_for_sample(params, window, "anxiety")
+        smap = saliency_of_window(params, window, "anxiety")
         expected = params.tensors["head.anxiety.W"][:, 0].reshape(24, 25)
         assert np.array_equal(smap.values, expected)
 
@@ -35,7 +39,7 @@ class TestSingleSample:
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         window = rng.normal(size=(24, 25))
-        smap = saliency_for_sample(params, window, "anxiety")
+        smap = saliency_of_window(params, window, "anxiety")
         numeric = finite_diff_input_grad(params, window, "anxiety")
         denom = np.maximum(1e-6, np.maximum(np.abs(smap.values), np.abs(numeric)))
         assert np.max(np.abs(smap.values - numeric) / denom) < 1e-4
@@ -43,16 +47,16 @@ class TestSingleSample:
     def test_head_weight_scaling_scales_map(self):
         params = init_params(LSTM_ARCH, seed=4)
         window = np.random.default_rng(5).normal(size=(24, 25))
-        base = saliency_for_sample(params, window, "anxiety")
+        base = saliency_of_window(params, window, "anxiety")
         scaled_params = params.copy()
         scaled_params.tensors["head.anxiety.W"] *= 3.0
         scaled_params.tensors["head.anxiety.b"] *= 3.0
-        scaled = saliency_for_sample(scaled_params, window, "anxiety")
+        scaled = saliency_of_window(scaled_params, window, "anxiety")
         assert np.allclose(scaled.values, 3.0 * base.values, atol=1e-12)
 
     def test_values_finite_and_shaped(self):
         params = init_params(LSTM_ARCH, seed=6)
-        smap = saliency_for_sample(params, np.zeros((24, 25)), "protected")
+        smap = saliency_of_window(params, np.zeros((24, 25)), "protected")
         assert smap.values.shape == (24, 25)
         assert np.all(np.isfinite(smap.values))
 
@@ -64,7 +68,7 @@ class TestAverage:
         params = init_params(LSTM_ARCH, seed=7)
         cohort = generate_synthetic(40, 0.0, 8)
         window = cohort.windows[0].features
-        single = saliency_for_sample(params, window, "anxiety")
+        single = saliency_of_window(params, window, "anxiety")
         repeated = Cohort(tuple(cohort.windows[0:1]) * 4, dict(cohort.attribute_catalog))
         stackavg = average_saliency_over_windows(params, repeated.feature_tensor(), "anxiety")
         assert np.allclose(stackavg.values, single.values, atol=1e-12)
@@ -105,14 +109,14 @@ class TestAverage:
         params = init_params(LSTM_ARCH, seed=13)
         cohort = generate_synthetic(50, 0.5, 14)
         avg = average_saliency_over_windows(params, cohort.feature_tensor(), "anxiety")
-        maps = [saliency_for_sample(params, w.features, "anxiety").values for w in cohort.windows]
+        maps = [saliency_of_window(params, w.features, "anxiety").values for w in cohort.windows]
         assert np.max(np.abs(avg.values - np.mean(maps, axis=0))) < 1e-12
 
 
 class TestExports:
     def test_csv_shape(self, tmp_path):
         params = init_params(LSTM_ARCH, seed=15)
-        smap = saliency_for_sample(params, np.random.default_rng(16).normal(size=(24, 25)), "anxiety")
+        smap = saliency_of_window(params, np.random.default_rng(16).normal(size=(24, 25)), "anxiety")
         path = tmp_path / "map.csv"
         write_saliency_csv(smap, path)
         lines = path.read_text().splitlines()
@@ -123,7 +127,7 @@ class TestExports:
 
     def test_svg_contains_grid_and_labels(self, tmp_path):
         params = init_params(LSTM_ARCH, seed=17)
-        smap = saliency_for_sample(params, np.random.default_rng(18).normal(size=(24, 25)), "anxiety")
+        smap = saliency_of_window(params, np.random.default_rng(18).normal(size=(24, 25)), "anxiety")
         path = tmp_path / "map.svg"
         write_saliency_svg(smap, path)
         svg = path.read_text()
@@ -134,7 +138,7 @@ class TestExports:
 
     def test_svg_deterministic(self, tmp_path):
         params = init_params(LSTM_ARCH, seed=19)
-        smap = saliency_for_sample(params, np.ones((24, 25)), "anxiety")
+        smap = saliency_of_window(params, np.ones((24, 25)), "anxiety")
         write_saliency_svg(smap, tmp_path / "a.svg")
         write_saliency_svg(smap, tmp_path / "b.svg")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
