@@ -85,11 +85,7 @@ def _load_cohort(args) -> dataset.Cohort:
     """The cohort of --windows, --labels and --demo, holding the --protected attribute when one is named."""
     if args.protected is not None and args.demo is None:
         raise ValueError("--protected needs --demo, the demographics CSV with that attribute column")
-    cohort = dataset.load_cohort(args.windows, args.labels, args.demo)
-    if args.protected is not None and args.protected not in cohort.attribute_catalog:
-        raise ValueError(f"{args.demo} has no attribute column {args.protected!r}; "
-                         f"its attribute columns are {', '.join(cohort.attribute_catalog)}")
-    return cohort
+    return dataset.load_cohort(args.windows, args.labels, args.demo, args.protected)
 
 
 # ---------------------------------------------------------------------------

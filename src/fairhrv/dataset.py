@@ -6,16 +6,26 @@ This module covers majority-rule protected-attribute encoding, seeded
 75/25 splitting, train-statistics standardization, a synthetic
 biased-cohort generator, and the CSV/JSON interchange formats.
 
+The windows CSV is the largest interchange file, so its codec is the
+fast one. The writer formats chunks of windows in forked processes, one
+per usable CPU, and joins them in order. The reader parses the body with
+``np.loadtxt`` and groups rows by sample with array operations, and
+rescans the file row by row when loadtxt refuses it or a check fails.
+The generator draws all of a cohort's noise in one call. Each of the
+three gives the bytes or bits of its one-at-a-time form.
+
 Cohorts are immutable after construction and safe to share across threads.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_csv, write_csv, write_json
+from .fileio import atomic_write_bytes, read_csv, write_csv, write_json
 from .hrv_features import FEATURE_NAMES
 from .rng import substream
 
@@ -268,6 +278,11 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     rounding). At strength 0 the attribute is independent of both the
     label and the features.
 
+    All the noise comes from one ``standard_normal((n, 24, 25))`` draw,
+    which takes the stream's values in the order a per-window loop of
+    start values and innovations would, and the AR(1) recursion runs
+    over the 24 steps for all windows at once, with the same arithmetic.
+
     Raises:
         BadStrength: bias_strength outside [0, 1].
         ValueError: n < 40.
@@ -286,13 +301,8 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     group_of_participant = np.zeros(n_participants, dtype=np.int64)
     group_of_participant[rng.permutation(n_participants)[:n_priv]] = 1
 
-    participant_ids = [f"p{i:04d}" for i in range(n_participants)]
-    window_groups = []
-    window_participants = []
-    for i, count in enumerate(windows_per_participant):
-        window_groups.extend([int(group_of_participant[i])] * count)
-        window_participants.extend([participant_ids[i]] * count)
-    window_groups = np.array(window_groups)
+    participant_of_window = np.repeat(np.arange(n_participants), windows_per_participant)
+    window_groups = group_of_participant[participant_of_window]
 
     # Exact per-group positive counts.
     labels = np.zeros(n, dtype=np.int64)
@@ -307,36 +317,32 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     anx_cols = [FEATURE_NAMES.index(name) for name in ANXIETY_SIGNAL_COLUMNS]
     prot_cols = [FEATURE_NAMES.index(name) for name in PROTECTED_SIGNAL_COLUMNS]
     intercepts = rng.normal(0.0, SYNTH_PARTICIPANT_SIGMA, size=(n_participants, N_FEATURES))
-    pid_index = {pid: i for i, pid in enumerate(participant_ids)}
 
     rho = SYNTH_AR_COEFF
-    innovation_std = math.sqrt(1.0 - rho**2)
-    windows = []
-    for i in range(n):
-        noise = np.empty((WINDOW_STEPS, N_FEATURES))
-        noise[0] = rng.normal(0.0, 1.0, size=N_FEATURES)
-        steps = rng.normal(0.0, innovation_std, size=(WINDOW_STEPS - 1, N_FEATURES))
-        for t in range(1, WINDOW_STEPS):
-            noise[t] = rho * noise[t - 1] + steps[t - 1]
-        feats = noise + intercepts[pid_index[window_participants[i]]]
-        feats[:, anx_cols] += SYNTH_ANXIETY_SHIFT * (2 * labels[i] - 1)
-        feats[:, prot_cols] += SYNTH_PROTECTED_SHIFT * bias_strength * (2 * window_groups[i] - 1)
-        windows.append(
-            LabeledWindow(
-                sample_id=f"s{i:06d}",
-                participant_id=window_participants[i],
-                features=feats,
-                anxiety=int(labels[i]),
-                protected={attribute: int(window_groups[i])},
-            )
+    feats = rng.standard_normal((n, WINDOW_STEPS, N_FEATURES))
+    feats[:, 1:] *= math.sqrt(1.0 - rho**2)
+    for t in range(1, WINDOW_STEPS):
+        feats[:, t] += rho * feats[:, t - 1]
+    feats += intercepts[participant_of_window, None, :]
+    feats[:, :, anx_cols] += (SYNTH_ANXIETY_SHIFT * (2 * labels - 1))[:, None, None]
+    feats[:, :, prot_cols] += (SYNTH_PROTECTED_SHIFT * bias_strength * (2 * window_groups - 1))[:, None, None]
+    windows = tuple(
+        LabeledWindow(
+            sample_id=f"s{i:06d}",
+            participant_id=f"p{participant_of_window[i]:04d}",
+            features=feats[i],
+            anxiety=int(labels[i]),
+            protected={attribute: int(window_groups[i])},
         )
+        for i in range(n)
+    )
 
     priv_cat, unpriv_cat = SYNTH_RAW_CATEGORIES
     coding = AttributeCoding(
         mapping={priv_cat: 1, unpriv_cat: 0},
         counts={priv_cat: n_priv, unpriv_cat: n_participants - n_priv},
     )
-    return Cohort(tuple(windows), {attribute: coding})
+    return Cohort(windows, {attribute: coding})
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +350,80 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
 
 
 WINDOWS_HEADER = ["sample_id", "participant_id", "step", *FEATURE_NAMES]
+# Windows per chunk of write_windows_csv. Small, as a forked worker starts
+# with this process's resident memory and adds one chunk's text to it.
+WRITE_CHUNK_WINDOWS = 64
+
+
+def _format_windows(chunk) -> bytes:
+    """The UTF-8 windows-CSV rows, each ending in a newline, of (sample ids, participant ids, features)."""
+    sample_ids, participant_ids, features = chunk
+    return "".join(
+        f"{sample_id},{participant_id},{step},{','.join(map(repr, row))}\n"
+        for sample_id, participant_id, window in zip(sample_ids, participant_ids, features)
+        for step, row in enumerate(window.tolist())
+    ).encode("utf-8")
+
+
+def _format_windows_to(names, chunks) -> None:
+    """Write the ``_format_windows`` bytes of each chunk to the file of the same position in ``names``."""
+    for name, chunk in zip(names, chunks):
+        Path(name).write_bytes(_format_windows(chunk))
 
 
 def write_windows_csv(path, sample_ids, participant_ids, features) -> None:
     """Windows CSV: sample_id, participant_id, step, then the 25 features.
 
     Takes what read_windows_csv returns: sample ids, participant ids and
-    the (n, 24, 25) features.
+    the (n, 24, 25) features. Each value is written as its ``repr``, the
+    shortest text that reads back to the same float64.
+
+    The windows are formatted in chunks of ``WRITE_CHUNK_WINDOWS``. Each
+    CPU this process may run on gets a forked worker (at most one per
+    chunk), which formats every so-many-th chunk into a file of its own;
+    this process then reads the files back in chunk order, so the bytes
+    do not depend on the number of workers. With one CPU, one chunk, or
+    no ``fork``, the chunks are formatted in this process. Every worker
+    has exited before the file is written.
+
+    Raises:
+        OSError: a worker failed; it has printed its own traceback.
     """
-    write_csv(path, WINDOWS_HEADER, (
-        f"{sample_id},{participant_id},{step},{','.join(map(repr, row))}"
-        for sample_id, participant_id, window in zip(sample_ids, participant_ids, features)
-        for step, row in enumerate(window.tolist())
-    ))
+    chunks = [
+        (sample_ids[i:i + WRITE_CHUNK_WINDOWS], participant_ids[i:i + WRITE_CHUNK_WINDOWS],
+         features[i:i + WRITE_CHUNK_WINDOWS])
+        for i in range(0, len(features), WRITE_CHUNK_WINDOWS)
+    ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(chunks)) if hasattr(os, "fork") else 1
+    if workers > 1:
+        # imported here, as they would add about 10 ms to every command's start
+        import multiprocessing
+        import tempfile
+
+        # Forked processes that inherit their chunks and hand back files, not a
+        # pool: a pool pickles and receives on helper threads, whose malloc
+        # arenas do not reuse the memory this process has freed (mitigate's
+        # peak RSS went 85 -> 94.5 MB with one, n = 2000, seed 2).
+        context = multiprocessing.get_context("fork")
+        with tempfile.TemporaryDirectory() as tmp:
+            names = [os.path.join(tmp, str(k)) for k in range(len(chunks))]
+            procs = [context.Process(target=_format_windows_to, args=(names[k::workers], chunks[k::workers]))
+                     for k in range(workers)]
+            try:
+                for proc in procs:
+                    proc.start()
+            finally:  # no worker outlives the call, even when a fork fails
+                for proc in procs:
+                    if proc.pid is not None:
+                        proc.join()
+            failed = [proc.exitcode for proc in procs if proc.exitcode]
+            if failed:
+                raise OSError(f"{path}: {len(failed)} of {workers} formatting workers failed")
+            parts = [Path(name).read_bytes() for name in names]
+    else:
+        parts = [_format_windows(chunk) for chunk in chunks]
+    atomic_write_bytes(path, b"".join([",".join(WINDOWS_HEADER).encode("utf-8") + b"\n", *parts]))
 
 
 def _rows_after_header(path, header):
@@ -371,11 +438,72 @@ def _rows_after_header(path, header):
 def read_windows_csv(path):
     """Windows CSV -> (sample ids, participant ids, (n, 24, 25) features).
 
-    Parses row by row into per-sample arrays (samples in order of first
-    row). Raises ValueError, naming the file and line, on a bad header or
+    Samples come in order of their first row, each with the participant
+    id of that row; a sample's rows may come in any order and interleave
+    with other samples' rows. Blank lines are skipped, and CRLF line
+    endings and quoted fields are accepted.
+
+    After the header is checked, ``np.loadtxt`` parses the body in C, with
+    the same correctly rounded text-to-float64 conversion as ``float()``,
+    and the rows are grouped by sample with array operations. When
+    loadtxt refuses the body, or the body breaks a rule below, the file is
+    parsed again row by row (``_scan_windows_rows``). That scan raises at
+    the first bad line, or returns the values that only ``float()``
+    accepts, such as ``1_000``. loadtxt itself also accepts a field longer
+    than the csv module's limit, and a number padded with the ASCII
+    separator controls 0x1C-0x1F, both of which the scan refuses.
+
+    Raises ValueError, naming the file and line, on a bad header or
     column count, a step outside [0, 24), a non-finite feature value, a
-    repeated (sample, step) row, or a sample with missing steps.
+    repeated (sample, step) row, or a sample with missing steps; naming
+    the file and the offset of the first bad byte for a file that is not
+    UTF-8 text.
     """
+    _rows_after_header(path, WINDOWS_HEADER).close()
+    parsed = _load_windows_body(path)
+    return parsed if parsed is not None else _scan_windows_rows(path)
+
+
+def _load_windows_body(path):
+    """``read_windows_csv`` of a file with a valid header, by np.loadtxt; None when the body breaks a rule."""
+    samples, participants = {}, {}  # id -> its number, in order of first row
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"', skiprows=1,
+                              encoding="utf-8", ndmin=2, converters={
+                                  0: lambda text: samples.setdefault(text, len(samples)),
+                                  1: lambda text: participants.setdefault(text, len(participants)),
+                                  2: int,  # as strict as the scan: "1.0" is not a step
+                              })
+    except Exception:  # any refusal, such as a bad value, not UTF-8, or a plain-text path ending in .xz
+        return None  # the scan rereads the file and raises what applies
+    n = len(samples)
+    if n == 0:
+        return [], [], np.zeros((0, WINDOW_STEPS, N_FEATURES))
+    steps, values = data[:, 2], data[:, 3:]
+    # A finite sum proves every value finite. Unlike np.isfinite it makes no
+    # array the size of the rows, which moved mitigate's peak RSS by 1-2 MB.
+    # An infinite sum may be overflow, which the scan accepts.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if (data.shape[1] != len(WINDOWS_HEADER) or steps.min() < 0 or steps.max() >= WINDOW_STEPS
+            or not math.isfinite(total)):
+        return None
+    slot = data[:, 0].astype(np.intp) * WINDOW_STEPS + steps.astype(np.intp)
+    if len(slot) != n * WINDOW_STEPS or not (np.bincount(slot, minlength=n * WINDOW_STEPS) == 1).all():
+        return None  # a repeated (sample, step) row or a missing step
+    # rows in (sample, step) order, as the writer writes them, are returned as a view, not copied
+    if (slot != np.arange(len(slot))).any():
+        values = values[np.argsort(slot)]
+    first_rows = np.unique(data[:, 0], return_index=True)[1]
+    participant_ids = list(participants)
+    return (list(samples), [participant_ids[int(k)] for k in data[first_rows, 1]],
+            values.reshape(n, WINDOW_STEPS, N_FEATURES))
+
+
+def _scan_windows_rows(path):
+    """``read_windows_csv`` by one ``float()`` per value, with the line numbers of ``fileio.read_csv``."""
     by_sample = {}  # sample id -> [participant id, features, bitmask of steps seen]
     for line, row in _rows_after_header(path, WINDOWS_HEADER):
         sample_id = row[0]
@@ -493,39 +621,53 @@ def write_catalog_json(path, cohort: Cohort) -> None:
     write_json(path, payload)
 
 
-def load_cohort(windows_path, labels_path, demographics_path=None) -> Cohort:
+def load_cohort(windows_path, labels_path, demographics_path=None, protected=None) -> Cohort:
     """Assemble a cohort from the interchange CSVs.
 
-    Windows and labels are joined on sample_id; demographic raw categories,
-    when provided, are encoded per attribute with the majority rule.
+    Windows and labels are joined on sample_id. The demographics file,
+    when given, must list every window's participant; only its
+    ``protected`` column is encoded with the majority rule, and none
+    without one, so the other columns may hold any number of categories.
+
+    Raises:
+        ValueError: naming the file, for a sample without a label, a
+            participant missing from the demographics, no ``protected``
+            column, or a ``protected`` column without exactly two
+            categories (``DegenerateGroup``, ``NotBinary``).
     """
     sample_ids, participant_ids, features = read_windows_csv(windows_path)
     labels = read_outcomes_csv(labels_path, LABELS_HEADER, "label")
 
     catalog = {}
-    participant_codes = {}
+    codes = {}
+    participants = None
     if demographics_path is not None:
-        for name, raw in _read_demographics_csv(demographics_path).items():
-            codes, coding = encode_protected(raw, name)
-            catalog[name] = coding
-            participant_codes[name] = codes
+        raw_by_attr = _read_demographics_csv(demographics_path)
+        participants = next(iter(raw_by_attr.values()))  # every row fills every attribute
+        if protected is not None:
+            if protected not in raw_by_attr:
+                raise ValueError(f"{demographics_path} has no attribute column {protected!r}; "
+                                 f"its attribute columns are {', '.join(raw_by_attr)}")
+            try:
+                codes, catalog[protected] = encode_protected(raw_by_attr[protected], protected)
+            except ValueError as exc:
+                raise type(exc)(f"{demographics_path}: {exc}") from None
+    elif protected is not None:
+        raise ValueError(f"protected attribute {protected!r} needs a demographics file")
 
     windows = []
     for sample_id, participant_id, feats in zip(sample_ids, participant_ids, features):
         if sample_id not in labels:
             raise ValueError(f"{labels_path}: sample {sample_id!r} has no anxiety label")
-        protected = {}
-        for name, codes in participant_codes.items():
-            if participant_id not in codes:
-                raise ValueError(f"{demographics_path}: participant {participant_id!r} is missing")
-            protected[name] = codes[participant_id]
+        if participants is not None and participant_id not in participants:
+            raise ValueError(f"{demographics_path}: participant {participant_id!r} is missing")
         windows.append(
             LabeledWindow(
                 sample_id=sample_id,
                 participant_id=participant_id,
                 features=feats,
                 anxiety=labels[sample_id],
-                protected=protected,
+                protected={protected: codes[participant_id]} if codes else {},
             )
         )
     return Cohort(tuple(windows), catalog)

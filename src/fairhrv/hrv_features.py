@@ -428,12 +428,12 @@ def _read_numeric_csv(path, columns, positive=False):
     # Given a path, not an open file, loadtxt reads large blocks instead of
     # one line at a time: 0.45 s instead of 0.58 s for 1.8 M rows on a
     # 2-vCPU host. It also opens a path ending in .gz, .bz2 or .xz as
-    # compressed, and then raises OSError on plain text; the row scan reads
-    # such a file as text.
+    # compressed, and then raises OSError or LZMAError on plain text; the
+    # row scan reads such a file as text.
     try:
         data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
                           skiprows=header_lines, usecols=range(len(columns)), ndmin=2)
-    except (OSError, ValueError):
+    except Exception:  # any refusal: the scan rereads the file and raises what applies
         data = None
     if data is None or not np.isfinite(data).all() or (positive and not (data > 0).all()):
         data = _scan_numeric_rows(path, columns, positive)

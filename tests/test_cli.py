@@ -287,6 +287,16 @@ class TestExtractInputs:
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}, line 5: {message}"]
         assert not (out / "features.csv").exists()
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_text_with_a_compression_suffix_is_read_as_text(self, tmp_path, capsys, suffix):
+        lines = _ecg_lines()
+        lines[4] = "0.012,x"
+        bad = tmp_path / f"ecg.csv{suffix}"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["extract", "--ecg", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}, line 5: voltage is 'x', not a finite number"], err
+
     @pytest.mark.parametrize("kind", ["ecg", "nni"])
     def test_non_utf8_file_exits_1_naming_file_and_offset(self, tmp_path, capsys, kind):
         lines = _ecg_lines() if kind == "ecg" else ["interval_ms"] + ["800.0"] * 400
@@ -516,6 +526,17 @@ class TestProtectedAttribute:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --protected needs --demo"), err
+
+    def test_only_the_requested_column_must_be_binary(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "demographics.csv").read_text().splitlines()
+        demo = tmp_path / "demo_with_age.csv"
+        ages = [f"{line},{20 + i}" for i, line in enumerate(lines[1:])]
+        demo.write_text("\n".join([lines[0] + ",age", *ages]) + "\n")
+        args = [*data_args(synth_dir)[:4], "--demo", str(demo)]
+        assert main(["audit", *args, "--protected", "group", "--out", str(tmp_path / "group")]) == 0
+        assert main(["audit", *args, "--protected", "age", "--out", str(tmp_path / "age")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {demo}: 'age' has 10 categories; coarsen to two first"], err
 
 
 class TestTrainingInputs:

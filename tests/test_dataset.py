@@ -1,5 +1,9 @@
 """Tests for cohort construction, splitting, standardization, and synthesis."""
 
+import functools
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from fairhrv.dataset import (
     write_windows_csv,
 )
 from fairhrv.fairness import disparate_impact
+from reference_dataset import reference_generate_synthetic, reference_windows_csv_bytes
 
 
 def make_cohort(n, seed=0, attribute="group"):
@@ -228,7 +233,7 @@ class TestInterchange:
         write_demographics_csv(tmp_path / "d.csv", cohort)
         write_catalog_json(tmp_path / "catalog.json", cohort)
 
-        loaded = load_cohort(tmp_path / "w.csv", tmp_path / "l.csv", tmp_path / "d.csv")
+        loaded = load_cohort(tmp_path / "w.csv", tmp_path / "l.csv", tmp_path / "d.csv", "group")
         assert len(loaded) == len(cohort)
         for wa, wb in zip(cohort.windows, loaded.windows):
             assert wa.sample_id == wb.sample_id
@@ -301,7 +306,7 @@ class TestInterchangeProperties:
         write_windows(folder / "w.csv", cohort)
         write_labels_csv(folder / "l.csv", cohort)
         write_demographics_csv(folder / "d.csv", cohort)
-        loaded = load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv")
+        loaded = load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv", attribute)
         assert [w.sample_id for w in loaded.windows] == [w.sample_id for w in cohort.windows]
         assert [w.participant_id for w in loaded.windows] == owners
         assert np.array_equal(loaded.labels(), cohort.labels())
@@ -317,3 +322,150 @@ class TestInterchangeProperties:
         path = tmp_path_factory.mktemp("predictions") / "p.csv"
         _write_predictions_csv(path, sample_ids, preds, probs)
         assert read_outcomes_csv(path, PREDICTIONS_HEADER, "prediction") == dict(zip(sample_ids, preds))
+
+
+CHUNK = dataset.WRITE_CHUNK_WINDOWS
+
+
+@functools.cache
+def _codec_case(n):
+    """(sample ids, participant ids, features, reference file bytes) of n windows, values of every magnitude."""
+    rng = np.random.default_rng(n)
+    features = rng.normal(size=(n, 24, 25)) * 10.0 ** rng.integers(-5, 17, size=(n, 24, 25))
+    sample_ids = [f"s{i:06d}" for i in range(n)]
+    participant_ids = [f"p{i // 7:04d}" for i in range(n)]
+    return sample_ids, participant_ids, features, reference_windows_csv_bytes(sample_ids, participant_ids, features)
+
+
+class TestWindowsWriter:
+    @pytest.mark.parametrize("cpus", [{0, 1, 2}, {0}], ids=["pool", "in-process"])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2000])
+    def test_bytes_equal_per_row_reference(self, tmp_path, monkeypatch, n, cpus):
+        sample_ids, participant_ids, features, want = _codec_case(n)
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *a: contexts.append(a) or get_context(*a))
+        write_windows_csv(tmp_path / "w.csv", sample_ids, participant_ids, features)
+        assert (tmp_path / "w.csv").read_bytes() == want
+        # a pool only when there are two chunks and two CPUs to run them on
+        assert contexts == ([("fork",)] if len(cpus) > 1 and n > CHUNK else [])
+        assert multiprocessing.active_children() == []
+
+    def test_failed_worker_raises_and_writes_nothing(self, tmp_path, monkeypatch, capfd):
+        sample_ids, participant_ids, features, _ = _codec_case(2 * CHUNK + 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def fail(chunk):
+            raise RuntimeError("worker failure")
+
+        monkeypatch.setattr(dataset, "_format_windows", fail)  # the forked workers inherit it
+        with pytest.raises(OSError, match="2 of 2 formatting workers failed"):
+            write_windows_csv(tmp_path / "w.csv", sample_ids, participant_ids, features)
+        assert "worker failure" in capfd.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+class TestWindowsReader:
+    def _rows(self, n=3):
+        sample_ids, participant_ids, features, text = _codec_case(n)
+        return text.decode().splitlines()
+
+    def _assert_equal_to_scan(self, path, fast=True):
+        got = read_windows_csv(path)
+        want = dataset._scan_windows_rows(path)
+        assert got[:2] == want[:2]
+        assert got[2].shape == want[2].shape
+        assert np.array_equal(got[2].view(np.uint64), want[2].view(np.uint64))
+        # the loadtxt path served it, or refused it and left it to the scan
+        assert (dataset._load_windows_body(path) is not None) == fast
+        return got
+
+    def test_canonical_file(self, tmp_path):
+        sample_ids, participant_ids, features, text = _codec_case(CHUNK + 1)
+        (tmp_path / "w.csv").write_bytes(text)
+        got = self._assert_equal_to_scan(tmp_path / "w.csv")
+        assert (got[0], got[1]) == (sample_ids, participant_ids)
+        assert np.array_equal(got[2].view(np.uint64), features.view(np.uint64))
+
+    def test_shuffled_and_interleaved_rows(self, tmp_path):
+        header, *rows = self._rows(5)
+        order = np.random.default_rng(3).permutation(len(rows))
+        (tmp_path / "w.csv").write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        self._assert_equal_to_scan(tmp_path / "w.csv")
+
+    def test_participant_is_taken_from_the_first_row(self, tmp_path):
+        header, *rows = self._rows(2)
+        rows[1] = rows[1].replace(",p0000,", ",other,")
+        (tmp_path / "w.csv").write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
+        got = self._assert_equal_to_scan(tmp_path / "w.csv")
+        assert got[1] == ["other", "p0000"]
+
+    def test_crlf_blank_lines_and_quotes(self, tmp_path):
+        header, *rows = self._rows(2)
+        rows = [",".join(f'"{field}"' if k % 3 == 0 else field for k, field in enumerate(row.split(",")))
+                for row in rows]
+        (tmp_path / "w.csv").write_bytes(("\r\n".join([header, "", *rows, ""]) + "\r\n").encode())
+        self._assert_equal_to_scan(tmp_path / "w.csv")
+
+    def test_values_only_float_accepts_go_to_the_scan(self, tmp_path):
+        header, *rows = self._rows(1)
+        fields = rows[4].split(",")
+        fields[7] = "1_000"
+        rows[4] = ",".join(fields)
+        (tmp_path / "w.csv").write_text("\n".join([header, *rows]) + "\n")
+        got = self._assert_equal_to_scan(tmp_path / "w.csv", fast=False)
+        assert got[2][0, 4, 4] == 1000.0
+
+    def test_plain_text_with_a_compression_suffix_goes_to_the_scan(self, tmp_path):
+        (tmp_path / "w.csv.xz").write_bytes(_codec_case(2)[3])
+        self._assert_equal_to_scan(tmp_path / "w.csv.xz", fast=False)
+
+    def test_header_only(self, tmp_path):
+        (tmp_path / "w.csv").write_text(",".join(dataset.WINDOWS_HEADER) + "\n\n")
+        got = self._assert_equal_to_scan(tmp_path / "w.csv")
+        assert got[2].shape == (0, 24, 25)
+
+
+class TestSyntheticReference:
+    @pytest.mark.parametrize("n,bias,seed,attribute", [
+        (40, 0.0, 1, "group"), (57, 0.5, 3, "sex"), (200, 1.0, 7, "group"), (1033, 0.3, 11, "age_band"),
+    ])
+    def test_equals_per_window_loop(self, n, bias, seed, attribute):
+        got = generate_synthetic(n, bias, seed, attribute)
+        want = reference_generate_synthetic(n, bias, seed, attribute)
+        assert got.attribute_catalog == want.attribute_catalog
+        assert [(w.sample_id, w.participant_id, w.anxiety, w.protected) for w in got.windows] == \
+            [(w.sample_id, w.participant_id, w.anxiety, w.protected) for w in want.windows]
+        assert np.array_equal(got.feature_tensor().view(np.uint64), want.feature_tensor().view(np.uint64))
+
+
+class TestRequestedAttribute:
+    @pytest.fixture
+    def folder(self, tmp_path):
+        cohort = generate_synthetic(200, 0.8, 1)
+        write_windows(tmp_path / "w.csv", cohort)
+        write_labels_csv(tmp_path / "l.csv", cohort)
+        write_demographics_csv(tmp_path / "d.csv", cohort)
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        ages = [lines[0] + ",age"] + [f"{line},{20 + i % 10}" for i, line in enumerate(lines[1:])]
+        (tmp_path / "d.csv").write_text("\n".join(ages) + "\n")
+        return tmp_path
+
+    def test_only_the_requested_column_is_encoded(self, folder):
+        loaded = load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv", "group")
+        assert set(loaded.attribute_catalog) == {"group"} and loaded.attribute_names() == ("group",)
+
+    def test_no_column_is_encoded_without_a_request(self, folder):
+        loaded = load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv")
+        assert loaded.attribute_catalog == {} and loaded.attribute_names() == ()
+
+    def test_requested_column_needs_a_demographics_file(self, folder):
+        with pytest.raises(ValueError, match="'group' needs a demographics file"):
+            load_cohort(folder / "w.csv", folder / "l.csv", None, "group")
+
+    def test_requested_column_that_is_not_binary_names_file_and_attribute(self, folder):
+        with pytest.raises(NotBinary) as err:
+            load_cohort(folder / "w.csv", folder / "l.csv", folder / "d.csv", "age")
+        assert str(err.value) == f"{folder / 'd.csv'}: 'age' has 10 categories; coarsen to two first"
