@@ -176,8 +176,8 @@ def _run_single_model(args, variant: str) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
-    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
+    # no name holds the unstandardized cohort, so it is freed before training
+    split = pipeline.prepare_split(_load_cohort(args), config.seed, by_participant=args.by_participant,
                                    protected=args.protected)
     run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
     run = run_model(split, args.protected, config)
@@ -205,8 +205,8 @@ def cmd_mitigate(args) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
-    split = pipeline.prepare_split(cohort, config.seed, by_participant=args.by_participant,
+    # no name holds the unstandardized cohort, so it is freed before training
+    split = pipeline.prepare_split(_load_cohort(args), config.seed, by_participant=args.by_participant,
                                    protected=args.protected)
     run = pipeline.run_mitigation(
         split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on

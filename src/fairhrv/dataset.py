@@ -396,6 +396,8 @@ def write_windows_csv(path, sample_ids, participant_ids, features) -> None:
     ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(chunks)) if hasattr(os, "fork") else 1
+    # one buffer that grows chunk by chunk, so the file is never held twice
+    data = bytearray(",".join(WINDOWS_HEADER).encode("utf-8") + b"\n")
     if workers > 1:
         # imported here, as they would add about 10 ms to every command's start
         import multiprocessing
@@ -420,10 +422,12 @@ def write_windows_csv(path, sample_ids, participant_ids, features) -> None:
             failed = [proc.exitcode for proc in procs if proc.exitcode]
             if failed:
                 raise OSError(f"{path}: {len(failed)} of {workers} formatting workers failed")
-            parts = [Path(name).read_bytes() for name in names]
+            for name in names:
+                data += Path(name).read_bytes()
     else:
-        parts = [_format_windows(chunk) for chunk in chunks]
-    atomic_write_bytes(path, b"".join([",".join(WINDOWS_HEADER).encode("utf-8") + b"\n", *parts]))
+        for chunk in chunks:
+            data += _format_windows(chunk)
+    atomic_write_bytes(path, data)
 
 
 def _rows_after_header(path, header):

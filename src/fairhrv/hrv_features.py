@@ -406,8 +406,11 @@ def _read_numeric_csv(path, columns, positive=False):
     or the body breaks the rules above, the file is parsed again row by
     row (``_scan_numeric_rows``). That scan raises at the first bad line,
     or returns the values that only ``float()`` accepts, such as ``1_000``.
-    loadtxt's own row numbers are 0-based for some errors and 1-based for
-    others, so they are not reported.
+    loadtxt itself also accepts a field longer than the csv module's
+    131,072-character limit, and a number padded with the ASCII separator
+    controls 0x1C-0x1F, both of which the scan refuses. loadtxt's own row
+    numbers are 0-based for some errors and 1-based for others, so they
+    are not reported.
 
     Raises:
         ValueError: naming the file, and the line for a row defect or the

@@ -10,30 +10,25 @@ Dropout acts only after the recurrence, so the LSTM states of an input
 are deterministic: Monte-Carlo dropout computes them once per call and
 repeats only mask -> dense -> heads in each pass.
 
-Inference keeps only what it uses. Training needs the recurrence's whole
-history for backpropagation through time, about 136 KB per window at
-H 64; MC dropout (``mc_forward``) and prediction (``predict``) need only
-the last hidden state, so they run the recurrence without a trace, in
-memory that does not grow with the steps, and hand ``forward`` only that
-state. The bits are those of the traced form: the h @ U products have the
-same (batch, H) x (H, 4H) shapes, and x @ W is taken for at least two
-steps at a time, so numpy never hands a one-row product to gemv, whose
-sums round differently from a GEMM row.
-Saliency (``input_gradient``) needs the trace, and runs forward and
-backward over blocks of at most 64 windows, never of one window unless
-the input has one, for the same reason.
+Inference holds the recurrence's history one block of windows at a time.
+Training keeps the whole history for backpropagation through time, about
+136 KB per window at H 64. MC dropout (``mc_forward``), prediction
+(``predict``) and saliency (``input_gradient``) run the same traced
+recurrence over blocks of at most 64 windows (``_window_blocks``), never
+of one window unless the input has one, and keep only each window's last
+hidden state or input gradient. The bits are those of one whole-batch
+pass: a GEMM row does not depend on how many rows (two or more) share
+the call, but numpy hands a one-row product to gemv, whose sums round
+differently.
 
 The LSTM stacks its gates in the order input, forget, cell, output along
 the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in a
-(slots, 4, batch, H) buffer: gate k of slot t is the contiguous (batch, H)
+(steps, 4, batch, H) buffer: gate k of step t is the contiguous (batch, H)
 block [t, k], so the elementwise work of each step, forward and backward,
-runs on contiguous memory. The traced recurrence has a slot per step; the
-trace-free one writes every step over one slot, and alternates between
-two slots for the hidden and cell states. The recurrence and
-backpropagation through time write through ``out=`` into buffers
-allocated once per call, and keep the operation order of the allocating
-form in tests/reference_lstm.py, which the tests require to give the same
-bits.
+runs on contiguous memory. The recurrence and backpropagation through
+time write through ``out=`` into buffers allocated once per call, and
+keep the operation order of the allocating form in
+tests/reference_lstm.py, which the tests require to give the same bits.
 
 Two numpy sigmoids serve two needs. The LSTM gates take
 ``gate_sigmoid``, the tanh form, which is about twice as fast as the exp
@@ -55,11 +50,8 @@ PROB_CLAMP = 1e-12
 
 # lstm gate slices within the stacked 4H axis
 _GATES = ("input", "forget", "cell", "output")
-# fewest steps per x @ W product of the trace-free recurrence, and most
-# windows per forward+backward block of input_gradient; the module
-# docstring says why neither may leave a one-row product
-XW_BLOCK_STEPS = 2
-INPUT_GRADIENT_BLOCK = 64
+# most windows per block of inference; the module docstring says why
+BLOCK_WINDOWS = 64
 
 
 def gate_sigmoid(z, out=None) -> np.ndarray:
@@ -269,64 +261,66 @@ def _prepare_input(arch: ModelArch, x) -> np.ndarray:
     return x
 
 
-def _lstm_states(params: ModelParams, x: np.ndarray, trace: bool = True):
+def _lstm_states(params: ModelParams, x: np.ndarray):
     """The LSTM recurrence over a (batch, steps, features) input.
 
-    With ``trace`` it returns (gates, cell, hidden, tanh_cell), the history
-    backpropagation through time needs: gates maps each gate name to a
-    (steps, batch, H) view into one (steps, 4, batch, H) buffer, cell and
-    hidden are (steps + 1, batch, H) with the zero state at t=0, tanh_cell
-    is (steps, batch, H). x @ W is one GEMM over all steps.
-
-    Without ``trace`` it returns only the last hidden state, (batch, H),
-    with the same bits. The same loop then writes each step over one gate
-    block and one tanh-cell block, alternates between two slots for h and
-    c, and takes x @ W over blocks of two or three steps (one step only
-    when the input has one), so its memory does not grow with the steps.
+    Returns (gates, cell, hidden, tanh_cell), the history backpropagation
+    through time needs: gates maps each gate name to a (steps, batch, H)
+    view into one (steps, 4, batch, H) buffer, cell and hidden are
+    (steps + 1, batch, H) with the zero state at t=0, tanh_cell is
+    (steps, batch, H). x @ W is one GEMM over all steps.
     """
     t = params.tensors
     batch, steps, _ = x.shape
     w_in, w_rec, bias = t["lstm.W"], t["lstm.U"], t["lstm.b"]
     h = w_rec.shape[0]
-    if trace:
-        blocks = [np.arange(steps)]
-        gate_buf = np.empty((steps, 4, batch, h))
-        hidden = np.zeros((steps + 1, batch, h))
-        cell = np.zeros((steps + 1, batch, h))
-        tanh_cell = np.empty((steps, batch, h))
-    else:
-        blocks = np.array_split(np.arange(steps), max(1, steps // XW_BLOCK_STEPS))
-        gate_buf = np.empty((1, 4, batch, h))
-        hidden = np.zeros((2, batch, h))
-        cell = np.zeros((2, batch, h))
-        tanh_cell = np.empty((1, batch, h))
-    # array_split puts the longest blocks first
-    xw_buf = np.empty((batch * len(blocks[0]), 4 * h))
+    gate_buf = np.empty((steps, 4, batch, h))
+    hidden = np.zeros((steps + 1, batch, h))
+    cell = np.zeros((steps + 1, batch, h))
+    tanh_cell = np.empty((steps, batch, h))
+    xw = (x.reshape(batch * steps, -1) @ w_in).reshape(batch, steps, 4 * h)
     z = np.empty((batch, 4 * h))
     input_part = np.empty((batch, h))
-    for block in blocks:
-        first, size = int(block[0]), len(block)
-        x_block = x[:, first : first + size].reshape(batch * size, -1)
-        xw = np.matmul(x_block, w_in, out=xw_buf[: batch * size]).reshape(batch, size, 4 * h)
-        for step in range(first, first + size):
-            now, prev, nxt = (step, step, step + 1) if trace else (0, step % 2, (step + 1) % 2)
-            np.matmul(hidden[prev], w_rec, out=z)
-            z += xw[:, step - first]
-            z += bias
-            gi, gf, gc, go = gate_buf[now]
-            gate_sigmoid(z[:, :h], out=gi)
-            gate_sigmoid(z[:, h : 2 * h], out=gf)
-            np.tanh(z[:, 2 * h : 3 * h], out=gc)
-            gate_sigmoid(z[:, 3 * h :], out=go)
-            np.multiply(gf, cell[prev], out=cell[nxt])
-            np.multiply(gi, gc, out=input_part)
-            cell[nxt] += input_part
-            np.tanh(cell[nxt], out=tanh_cell[now])
-            np.multiply(go, tanh_cell[now], out=hidden[nxt])
-    if not trace:
-        return hidden[steps % 2]
+    for step in range(steps):
+        np.matmul(hidden[step], w_rec, out=z)
+        z += xw[:, step]
+        z += bias
+        gi, gf, gc, go = gate_buf[step]
+        gate_sigmoid(z[:, :h], out=gi)
+        gate_sigmoid(z[:, h : 2 * h], out=gf)
+        np.tanh(z[:, 2 * h : 3 * h], out=gc)
+        gate_sigmoid(z[:, 3 * h :], out=go)
+        np.multiply(gf, cell[step], out=cell[step + 1])
+        np.multiply(gi, gc, out=input_part)
+        cell[step + 1] += input_part
+        np.tanh(cell[step + 1], out=tanh_cell[step])
+        np.multiply(go, tanh_cell[step], out=hidden[step + 1])
     gates = {name: gate_buf[:, k] for k, name in enumerate(_GATES)}
     return gates, cell, hidden, tanh_cell
+
+
+def _window_blocks(x: np.ndarray) -> list:
+    """``x`` split along its first axis into blocks of at most BLOCK_WINDOWS windows.
+
+    There is more than one block only past BLOCK_WINDOWS windows, and
+    ``np.array_split`` makes blocks that differ by at most one window, so
+    each block holds all of ``x`` or more than BLOCK_WINDOWS / 2 windows.
+    """
+    return np.array_split(x, max(1, math.ceil(len(x) / BLOCK_WINDOWS)))
+
+
+def _last_hidden(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The recurrence's last hidden state, (batch, H), of a (batch, steps, features) input.
+
+    Each block of ``_window_blocks`` runs the traced recurrence, and its
+    last hidden state is copied out, so that no block's history outlives
+    its turn. The bits are those of ``_lstm_states(params, x)[2][-1]``.
+    """
+    last = np.empty((len(x), params.tensors["lstm.U"].shape[0]))
+    # the same number of rows splits into the same blocks
+    for block, rows in zip(_window_blocks(x), _window_blocks(last)):
+        rows[:] = _lstm_states(params, block)[2][-1]
+    return last
 
 
 def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) -> tuple:
@@ -337,7 +331,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     Masked activations are scaled by 1/keep_rate so expectations match
     the unmasked pass. ``lstm_states`` is the recurrence's last hidden
     state for this ``x`` and these params, (batch, H), as
-    ``_lstm_states(params, x, trace=False)`` returns it; the returned
+    ``_last_hidden(params, x)`` returns it; the returned
     trace then holds no recurrence history and cannot be backpropagated.
     When None the full trace is computed here.
 
@@ -553,12 +547,10 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     Dropout is disabled. For a purely linear model this returns the
     head's weight matrix reshaped to the input shape.
 
-    Backpropagation through time needs the recurrence's full trace, about
-    136 KB per window at H 64, so the windows go through forward and
-    backward in blocks of at most INPUT_GRADIENT_BLOCK and only the input
-    gradients are kept. Every window's gradient depends on that window
-    alone, and ``np.array_split`` makes no block of one window unless the
-    input has one, so the results have the bits of one whole-batch pass.
+    The blocks of ``_window_blocks`` go through forward and backward one
+    at a time, and only their input gradients are kept. Every window's
+    gradient depends on that window alone, so the results have the bits
+    of one whole-batch pass.
     """
     arch = ModelArch.from_params(params)
     if head not in arch.heads:
@@ -566,7 +558,7 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     x_arr = np.asarray(x, dtype=np.float64)
     x_batched = _prepare_input(arch, x_arr)
     parts = []
-    for block in np.array_split(x_batched, max(1, math.ceil(len(x_batched) / INPUT_GRADIENT_BLOCK))):
+    for block in _window_blocks(x_batched):
         _, trace = forward(params, block, mask=None)
         _, d_input = _backprop(params, trace, {head: np.ones(len(block))}, input_grad=True)
         parts.append(d_input)
@@ -577,12 +569,12 @@ def predict(params: ModelParams, x) -> dict:
     """{head: probabilities} with dropout disabled.
 
     The same outputs, bit for bit, as ``forward(params, x)``, but the
-    recurrence keeps only its last hidden state, so memory does not grow
-    with the steps; no trace is returned.
+    recurrence keeps the history of one block of windows at a time
+    (``_last_hidden``); no trace is returned.
     """
     arch = ModelArch.from_params(params)
     x_arr = _prepare_input(arch, x)
-    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
+    states = None if arch.lstm_hidden is None else _last_hidden(params, x_arr)
     outputs, _ = forward(params, x_arr, lstm_states=states)
     return outputs
 
@@ -596,8 +588,8 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     exactly zero variance.
 
     Dropout acts only after the recurrence, so the LSTM states are the
-    same in every pass: the recurrence runs once per call, keeping only
-    its last hidden state, and each pass runs only mask -> dense -> heads.
+    same in every pass: the recurrence runs once per call, block by block
+    (``_last_hidden``), and each pass runs only mask -> dense -> heads.
     The results are bit-identical to ``passes`` full forward passes with
     the same masks.
     """
@@ -606,7 +598,7 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     arch = ModelArch.from_params(params)
     x_arr = _prepare_input(arch, x)
     batch = x_arr.shape[0]
-    states = None if arch.lstm_hidden is None else _lstm_states(params, x_arr, trace=False)
+    states = None if arch.lstm_hidden is None else _last_hidden(params, x_arr)
     samples = {head: np.empty((passes, batch)) for head in arch.heads}
     for i in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)

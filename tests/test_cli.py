@@ -12,6 +12,7 @@ import pytest
 
 from fairhrv.cli import main
 from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
+from peak_memory import peak_mb
 
 FAST_TRAIN = [
     "--epochs", "4", "--ckpt-every", "2", "--mc-passes", "4",
@@ -637,6 +638,20 @@ class TestTrainAndMitigate:
             "test_windows.csv", "checkpoints/ckpt_epoch_2.bin", "checkpoints/ckpt_epoch_4.bin",
         ):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    def test_mitigate_memory_per_window(self, tmp_path):
+        # holding the unstandardized cohort through training, or the recurrence
+        # history of the whole MC batch, would each cost several KB per window
+        peaks, codes = {}, []
+        for n in (400, 1600):
+            cohort = tmp_path / f"synth{n}"
+            assert main(["synth", "--n", str(n), "--bias", "0.8", "--seed", "1", "--out", str(cohort)]) == 0
+            argv = ["mitigate", *data_args(cohort), "--protected", "group", "--epochs", "1", "--ckpt-every", "1",
+                    "--lstm-hidden", "64", "--mc-passes", "2", "--out", str(tmp_path / f"mit{n}")]
+            peaks[n] = peak_mb(lambda: codes.append(main(argv)))
+        assert codes == [0, 0]
+        kb_per_window = (peaks[1600] - peaks[400]) * 1024 / 1200
+        assert kb_per_window <= 12, peaks
 
     def test_saliency_command(self, synth_dir, tmp_path):
         mit = tmp_path / "mit"

@@ -412,7 +412,7 @@ class TestMcForwardOracle:
     def test_states_of_another_batch_rejected(self):
         params = init_params(SMALL_ARCH, seed=46)
         rng = np.random.default_rng(47)
-        states = nnet._lstm_states(params, rng.normal(size=(3, 6, 5)), trace=False)
+        states = nnet._last_hidden(params, rng.normal(size=(3, 6, 5)))
         with pytest.raises(ShapeMismatch):
             forward(params, rng.normal(size=(4, 6, 5)), lstm_states=states)
         other = init_params(ModelArch(input_size=5, lstm_hidden=4, dense_size=4), seed=46)
@@ -485,7 +485,7 @@ class TestKernelOracle:
 
 
 class TestTraceFreeInference:
-    """Inference keeps only the last hidden state, and gets the traced form's bits."""
+    """Inference keeps one block's trace at a time, and gets the bits of one whole-batch pass."""
 
     @staticmethod
     def case(batch, steps=24, lstm_hidden=64, dense_size=32):
@@ -496,13 +496,14 @@ class TestTraceFreeInference:
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         return params, rng.normal(size=(batch, steps, 25))
 
-    # the window's 24 steps at the batches MC dropout and prediction see, and
-    # at batch 1 and 3 step counts whose x @ W blocks are uneven or single
+    # the window's 24 steps at the batches MC dropout and prediction see, at
+    # the edges of the 64-window blocks, and at batch 1 and 3 other step counts
     @pytest.mark.parametrize("batch,steps", [(1, 24), (2, 24), (3, 24), (13, 24), (32, 24), (1500, 24)]
-                             + [(batch, steps) for batch in (1, 3) for steps in (1, 2, 3, 5, 7, 9, 25)])
+                             + [(batch, steps) for batch in (1, 3) for steps in (1, 2, 3, 5, 7, 9, 25)]
+                             + [(63, 24), (64, 24), (65, 24), (129, 24)])
     def test_last_hidden_state_bit_identical(self, batch, steps):
         params, x = self.case(batch, steps=steps)
-        last = nnet._lstm_states(params, x, trace=False)
+        last = nnet._last_hidden(params, x)
         assert np.array_equal(last, nnet._lstm_states(params, x)[2][-1])
 
     @pytest.mark.parametrize("shape", [(7, 24, 25), (24, 25)])  # a batch, a squeezed single window
@@ -519,13 +520,13 @@ class TestTraceFreeInference:
 
     def test_trace_of_last_state_not_backpropagated(self):
         params, x = self.case(3, lstm_hidden=4, dense_size=4)
-        _, trace = forward(params, x, lstm_states=nnet._lstm_states(params, x, trace=False))
+        _, trace = forward(params, x, lstm_states=nnet._last_hidden(params, x))
         with pytest.raises(StaleTrace):
             backward(params, trace, {"anxiety": np.ones(3)}, {"anxiety": 1.0})
 
     def test_last_state_of_another_batch_rejected(self):
         params, x = self.case(3, lstm_hidden=4, dense_size=4)
-        last = nnet._lstm_states(params, x, trace=False)
+        last = nnet._last_hidden(params, x)
         with pytest.raises(ShapeMismatch):
             forward(params, x[:2], lstm_states=last)
 
