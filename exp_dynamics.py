@@ -38,14 +38,14 @@ records = evaluate_uncertainties(ckpts, split.train, config)
 print(f"uncertainties {time.time()-t0:.1f}s")
 
 sel = select_checkpoint(records)
-print(f"selected epoch {sel.chosen_epoch} gap={sel.gap:.5f}")
+print(f"selected epoch {sel.epoch} gap={sel.gap:.5f}")
 for r, c in zip(records, ckpts):
     preds, probs = final_predict(c, split.test)
     m = evaluate_predictions(preds, split.test.labels(), split.test.protected_values("group"), "group")
     smap = average_saliency_over_windows(c, split.test.feature_tensor(), "anxiety")
     mass = smap.column_l1_mass(PROTECTED_SIGNAL_COLUMNS)
     total = float(np.sum(np.abs(smap.values)))
-    star = "*" if r.epoch == sel.chosen_epoch else " "
+    star = "*" if r.epoch == sel.epoch else " "
     print(f"{star} ep{r.epoch:3d} c_anx={r.c_anxiety:.5f} c_prot={r.c_protected:.5f} "
           f"gap={r.gap:+.5f} | acc={m['accuracy']:.3f} dir={m['dir'] if m['dir'] is None else round(m['dir'],3)} "
           f"ent={m['prediction_entropy']:.3f} | massS={mass:.3f} frac={mass/total:.3f}")

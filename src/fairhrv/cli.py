@@ -49,6 +49,10 @@ def _write_predictions_csv(path, sample_ids, preds, probs) -> None:
     ))
 
 
+def _write_test_predictions(path, split: dataset.SplitCohort, run: pipeline.ModelRun) -> None:
+    _write_predictions_csv(path, [w.sample_id for w in split.test.windows], run.predictions, run.probabilities)
+
+
 def _write_cohort_windows(path, cohort: dataset.Cohort) -> None:
     windows = cohort.windows
     dataset.write_windows_csv(path, [w.sample_id for w in windows], [w.participant_id for w in windows],
@@ -86,6 +90,12 @@ def _load_cohort(args) -> dataset.Cohort:
     if args.protected is not None and args.demo is None:
         raise ValueError("--protected needs --demo, the demographics CSV with that attribute column")
     return dataset.load_cohort(args.windows, args.labels, args.demo, args.protected)
+
+
+def _standardized_split(args, config: TrainConfig) -> dataset.SplitCohort:
+    """The standardized split of ``_load_cohort(args)``, which no name holds, so it is freed before training."""
+    return pipeline.prepare_split(_load_cohort(args), config.seed, by_participant=args.by_participant,
+                                  protected=args.protected)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +186,11 @@ def _run_single_model(args, variant: str) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # no name holds the unstandardized cohort, so it is freed before training
-    split = pipeline.prepare_split(_load_cohort(args), config.seed, by_participant=args.by_participant,
-                                   protected=args.protected)
+    split = _standardized_split(args, config)
     run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
     run = run_model(split, args.protected, config)
     save_checkpoint(run.params, out / "model.bin")
-    _write_predictions_csv(
-        out / "predictions.csv",
-        [w.sample_id for w in split.test.windows],
-        run.predictions,
-        run.probabilities,
-    )
+    _write_test_predictions(out / "predictions.csv", split, run)
     write_json(out / "metrics.json", {"metrics": run.metrics, "train_losses": list(run.train_losses)})
     _write_manifest(out, variant, _config_echo(args))
     return 0
@@ -205,9 +208,7 @@ def cmd_mitigate(args) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # no name holds the unstandardized cohort, so it is freed before training
-    split = pipeline.prepare_split(_load_cohort(args), config.seed, by_participant=args.by_participant,
-                                   protected=args.protected)
+    split = _standardized_split(args, config)
     run = pipeline.run_mitigation(
         split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on
     )
@@ -218,14 +219,9 @@ def cmd_mitigate(args) -> int:
             for r in run.records
         ],
     )
-    write_json(out / "selection.json", run.selection.as_dict())
+    write_json(out / "selection.json", {"chosen_epoch": run.selection.epoch, "gap": run.selection.gap})
     write_json(out / "report.json", run.metrics)
-    _write_predictions_csv(
-        out / "predictions.csv",
-        [w.sample_id for w in split.test.windows],
-        run.predictions,
-        run.probabilities,
-    )
+    _write_test_predictions(out / "predictions.csv", split, run)
     _write_cohort_windows(out / "test_windows.csv", split.test)
     _write_manifest(out, "mitigate", _config_echo(args))
     return 0
@@ -252,8 +248,7 @@ def cmd_compare(args) -> int:
     config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
-    comparison = pipeline.run_comparison(cohort, args.protected, config, by_participant=args.by_participant)
+    comparison = pipeline.run_comparison(_standardized_split(args, config), args.protected, config)
     write_json(out / "comparison.json", comparison)
     atomic_write_text(out / "comparison.txt", pipeline.render_comparison_text(comparison))
     _write_manifest(out, "compare", _config_echo(args))
@@ -287,6 +282,7 @@ def _add_train_args(p):
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--by-participant", action="store_true",
                    help="split by participant instead of by window")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--protected", default=None, help="audit attribute (optional)")
     _add_train_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_train_base)
 
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_reweigh_train)
 
@@ -342,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protected", required=True)
     _add_train_args(p)
     p.add_argument("--eval-on", choices=("train", "test"), default="train")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_mitigate)
 
@@ -359,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_compare)
 

@@ -20,19 +20,6 @@ import numpy as np
 
 from .fileio import not_utf8_error, write_csv
 
-__all__ = [
-    "EcgSignal",
-    "NNIntervalSeries",
-    "NoPeaks",
-    "TooFewIntervals",
-    "FEATURE_NAMES",
-    "detect_r_peaks",
-    "extract_features",
-    "read_ecg_csv",
-    "read_nni_csv",
-    "write_features_csv",
-]
-
 # Column order used everywhere a feature matrix or CSV appears.
 FEATURE_NAMES = (
     # time domain
@@ -450,21 +437,28 @@ def read_ecg_csv(path) -> EcgSignal:
     skipped, CRLF line endings and quoted numbers are accepted, further
     columns are ignored, and every time and voltage must be finite. The
     sample rate is inferred from the median timestamp spacing; the
-    timestamps must be uniform to 1%.
+    timestamps must increase, be uniform to 1% and give a finite rate.
 
     Raises:
         ValueError: naming the file, and the line for a missing header, a
             short row or a value that is not a finite number; or naming
-            the file for fewer than 3 samples or non-uniform timestamps.
+            the file for fewer than 3 samples, or timestamps that do not
+            increase, are not uniform or are too close for a finite rate.
     """
     path = Path(path)
     data = _read_numeric_csv(path, ("t_seconds", "voltage"))
     if len(data) < 3:
         raise ValueError(f"{path}: too few samples")
     dt = np.diff(data[:, 0])
-    if np.max(np.abs(dt - np.median(dt))) > 0.01 * np.median(dt):
+    if not np.all(dt > 0):
+        raise ValueError(f"{path}: timestamps must increase from row to row")
+    spacing = float(np.median(dt))
+    if np.max(np.abs(dt - spacing)) > 0.01 * spacing:
         raise ValueError(f"{path}: timestamps are not uniformly spaced")
-    return EcgSignal(samples=data[:, 1].copy(), sample_rate=1.0 / float(np.median(dt)))
+    sample_rate = 1.0 / spacing
+    if not math.isfinite(sample_rate):
+        raise ValueError(f"{path}: a timestamp spacing of {spacing!r} s gives no finite sample rate")
+    return EcgSignal(samples=data[:, 1].copy(), sample_rate=sample_rate)
 
 
 def read_nni_csv(path) -> NNIntervalSeries:

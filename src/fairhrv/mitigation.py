@@ -105,27 +105,19 @@ class UncertaintyRecord:
     c_protected: float
     p_anxiety: float
     p_protected: float
-    mc_passes: int
 
     @property
     def gap(self) -> float:
         return self.c_protected - self.c_anxiety
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    chosen_epoch: int
-    gap: float
-
-    def as_dict(self) -> dict:
-        return {"chosen_epoch": self.chosen_epoch, "gap": self.gap}
-
-
 # a diverging run ends with one TrainingDiverged, not with numpy overflow warnings first
 @np.errstate(over="ignore", invalid="ignore")
-def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
+def _train_loop(x, targets, task_weights, config: TrainConfig,
                 sample_weights=None, checkpoint_epochs=(), out_dir=None):
     """Shared minibatch Adam loop; returns (final params, checkpoints, losses).
+
+    The model has one head per ``task_weights`` key, in key order.
 
     All shuffling and dropout randomness derives from named substreams of
     config.seed, so a trajectory depends only on (data, config).
@@ -134,11 +126,10 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
         TrainingDiverged: a batch loss or gradient is not finite; the
             parameters never take a non-finite update.
     """
-    arch = config.arch(heads)
+    arch = config.arch(task_weights)
     params = init_params(arch, config.seed)
     state = AdamState.for_params(params)
     n = x.shape[0]
-    task_w = {head: task_weights[head] for head in heads}
 
     checkpoints = []
     epoch_losses = []
@@ -151,16 +142,16 @@ def _train_loop(x, targets, task_weights, heads, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb = x[idx]
-            tb = {head: targets[head][idx] for head in heads}
+            tb = {head: targets[head][idx] for head in task_weights}
             sw = None if sample_weights is None else sample_weights[idx]
             mask = sample_dropout_mask(arch, config.keep_rate, mask_rng, batch=len(idx))
             outputs, trace = forward(params, xb, mask=mask)
-            loss = mtl_loss(outputs, tb, task_w, sample_weights=sw)
+            loss = mtl_loss(outputs, tb, task_weights, sample_weights=sw)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batches} (lr={config.lr})"
                 )
-            grads = backward(params, trace, tb, task_w, sample_weights=sw)
+            grads = backward(params, trace, tb, task_weights, sample_weights=sw)
             if not all(np.isfinite(g).all() for g in grads.values()):
                 raise TrainingDiverged(
                     f"non-finite gradient at epoch {epoch}, batch {batches} (lr={config.lr})"
@@ -190,7 +181,7 @@ def _cohort_inputs(cohort: Cohort, protected: str = None):
 def train_baseline(train: Cohort, config: TrainConfig):
     """Single-head anxiety model; returns (params, per-epoch mean losses)."""
     x, targets = _cohort_inputs(train)
-    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, ("anxiety",), config)
+    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config)
     return params, losses
 
 
@@ -207,9 +198,7 @@ def train_reweighted(train: Cohort, config: TrainConfig, weights):
     x, targets = _cohort_inputs(train)
     if len(weights) != x.shape[0]:
         raise ValueError("need exactly one weight per training window")
-    params, _, losses = _train_loop(
-        x, targets, {"anxiety": 1.0}, ("anxiety",), config, sample_weights=weights
-    )
+    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config, sample_weights=weights)
     return params, losses
 
 
@@ -230,8 +219,7 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
         range(config.checkpoint_every, config.epochs + 1, config.checkpoint_every)
     )
     params, checkpoints, losses = _train_loop(
-        x, targets, task_w, ("anxiety", "protected"), config,
-        checkpoint_epochs=checkpoint_epochs, out_dir=out_dir,
+        x, targets, task_w, config, checkpoint_epochs=checkpoint_epochs, out_dir=out_dir
     )
     return checkpoints, params, losses
 
@@ -263,14 +251,13 @@ def evaluate_uncertainties(checkpoints, cohort: Cohort, config: TrainConfig):
                 c_protected=float(np.mean(variances["protected"])),
                 p_anxiety=float(np.mean(means["anxiety"])),
                 p_protected=float(np.mean(means["protected"])),
-                mc_passes=config.mc_passes,
             )
         )
     return records
 
 
-def select_checkpoint(records) -> SelectionResult:
-    """Argmax of (c_protected - c_anxiety); ties go to the earliest epoch.
+def select_checkpoint(records) -> UncertaintyRecord:
+    """The record of largest (c_protected - c_anxiety); ties go to the earliest epoch.
 
     Raises:
         NoCheckpoints: empty record list.
@@ -285,7 +272,7 @@ def select_checkpoint(records) -> SelectionResult:
             raise ValueError(f"checkpoint of epoch {record.epoch} has a non-finite uncertainty gap")
         if record.gap > best.gap:
             best = record
-    return SelectionResult(chosen_epoch=best.epoch, gap=best.gap)
+    return best
 
 
 def final_predict(params: ModelParams, cohort: Cohort, threshold: float = 0.5):

@@ -14,6 +14,7 @@ from .dataset import Cohort, SplitCohort, split_cohort, standardize
 from .fairness import evaluate_predictions
 from .mitigation import (
     TrainConfig,
+    UncertaintyRecord,
     evaluate_uncertainties,
     final_predict,
     select_checkpoint,
@@ -26,16 +27,15 @@ from .nnet import ModelParams
 
 @dataclass(frozen=True)
 class ModelRun:
-    """One model's test-split run; the proposed model adds records and selection."""
+    """One model's test-split run; the proposed model adds its records and the selected one."""
 
-    name: str
     params: ModelParams
     predictions: np.ndarray
     probabilities: np.ndarray
     metrics: dict
     train_losses: tuple
     records: tuple = ()
-    selection: object = None
+    selection: UncertaintyRecord | None = None
 
 
 def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
@@ -61,17 +61,21 @@ def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
     return standardize(split)
 
 
-def _test_metrics(preds, test: Cohort, protected: str | None) -> dict:
-    groups = None if protected is None else test.protected_values(protected)
-    return evaluate_predictions(preds, test.labels(), groups, protected)
+def _test_run(params: ModelParams, losses, split: SplitCohort, protected: str | None, config: TrainConfig,
+              records=(), selection=None) -> ModelRun:
+    """Predict ``split.test`` with ``params`` and report the predictions' fairness."""
+    preds, probs = final_predict(params, split.test, threshold=config.threshold)
+    groups = None if protected is None else split.test.protected_values(protected)
+    metrics = evaluate_predictions(preds, split.test.labels(), groups, protected)
+    if selection is not None:
+        metrics["chosen_epoch"] = selection.epoch
+    return ModelRun(params, preds, probs, metrics, tuple(losses), tuple(records), selection)
 
 
 def run_base_model(split: SplitCohort, protected: str | None, config: TrainConfig) -> ModelRun:
     """Train the single-task anxiety model; ``protected`` may be None."""
     params, losses = train_baseline(split.train, config)
-    preds, probs = final_predict(params, split.test, threshold=config.threshold)
-    metrics = _test_metrics(preds, split.test, protected)
-    return ModelRun("base", params, preds, probs, metrics, tuple(losses))
+    return _test_run(params, losses, split, protected, config)
 
 
 def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig) -> ModelRun:
@@ -80,9 +84,7 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
         split.train.labels(), split.train.protected_values(protected)
     )
     params, losses = train_reweighted(split.train, config, weights)
-    preds, probs = final_predict(params, split.test, threshold=config.threshold)
-    metrics = _test_metrics(preds, split.test, protected)
-    return ModelRun("reweighting", params, preds, probs, metrics, tuple(losses))
+    return _test_run(params, losses, split, protected, config)
 
 
 def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
@@ -101,12 +103,8 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
     eval_cohort = split.train if eval_on == "train" else split.test
     records = evaluate_uncertainties(checkpoints, eval_cohort, config)
     selection = select_checkpoint(records)
-    selected = next(c for c in checkpoints if c.epoch == selection.chosen_epoch)
-    preds, probs = final_predict(selected, split.test, threshold=config.threshold)
-    metrics = _test_metrics(preds, split.test, protected)
-    metrics["chosen_epoch"] = selection.chosen_epoch
-    return ModelRun("proposed", selected, preds, probs, metrics, tuple(losses),
-                    records=tuple(records), selection=selection)
+    selected = next(c for c in checkpoints if c.epoch == selection.epoch)
+    return _test_run(selected, losses, split, protected, config, records, selection)
 
 
 COMPARISON_ROWS = (
@@ -124,10 +122,8 @@ COMPARISON_COLUMNS = (
 )
 
 
-def run_comparison(cohort: Cohort, protected: str, config: TrainConfig,
-                   by_participant: bool = False) -> dict:
-    """Train all three models on one split and collect the comparison table."""
-    split = prepare_split(cohort, config.seed, by_participant=by_participant, protected=protected)
+def run_comparison(split: SplitCohort, protected: str, config: TrainConfig) -> dict:
+    """Train all three models on one prepared split and collect the comparison table."""
     runs = {
         "base": run_base_model(split, protected, config),
         "reweighting": run_reweighted_model(split, protected, config),

@@ -5,12 +5,15 @@
 Blocks scipy before fairhrv is imported, then runs synth, audit (of the
 dataset and of train-base's predictions), train-base, reweigh-train,
 mitigate (2 epochs), saliency, compare, extract --ecg and extract --nni
-at small sizes, writing under OUT_DIR. Prints one JSON object: each command's exit code and the
-scipy modules loaded at the end. Exits 0 only when every command exited 0
-and no scipy module was loaded. With scipy uninstalled the block changes
-nothing, so the same script checks an install that has only numpy.
+at small sizes, writing under OUT_DIR. Prints one JSON object: each command's exit code, the
+sha256 of each command's manifest ``artifacts`` map (to diff against another
+checkout's run) and the scipy modules loaded at the end. Exits 0 only when
+every command exited 0 and no scipy module was loaded. With scipy
+uninstalled the block changes nothing, so the same script checks an install
+that has only numpy.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -71,7 +74,17 @@ def run(out: Path) -> dict:
     codes = {name: main(argv) for name, argv in commands.items()}
     loaded = sorted(name for name, module in sys.modules.items()
                     if name.split(".")[0] == "scipy" and module is not None)
-    return {"exit_codes": codes, "scipy_modules": loaded}
+    return {"exit_codes": codes, "artifacts_sha256": {name: artifacts_sha256(argv) for name, argv in commands.items()},
+            "scipy_modules": loaded}
+
+
+def artifacts_sha256(argv):
+    """sha256 of the ``artifacts`` map in the manifest of the command's --out directory, or None without one."""
+    manifest = Path(argv[argv.index("--out") + 1]) / "manifest.json"
+    if not manifest.exists():
+        return None
+    artifacts = json.loads(manifest.read_text())["artifacts"]
+    return hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest()
 
 
 if __name__ == "__main__":

@@ -307,6 +307,13 @@ class TestExtractInputs:
         assert main(["extract", f"--{kind}", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [not_utf8(bad, offset)]
 
+    def test_ecg_timestamps_that_do_not_increase_exit_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "ecg.csv"
+        path.write_text("t_seconds,voltage\n0,1\n0,2\n0,3\n0,4\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: timestamps must increase from row to row"], err
+
     @pytest.mark.parametrize("kind,header,message", [
         ("ecg", "t_seconds,voltage", "too few samples"),
         ("nni", "interval_ms", "no intervals after the header"),
@@ -639,15 +646,16 @@ class TestTrainAndMitigate:
         ):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
-    def test_mitigate_memory_per_window(self, tmp_path):
+    @pytest.mark.parametrize("command", ["mitigate", "compare"])
+    def test_mitigate_memory_per_window(self, tmp_path, command):
         # holding the unstandardized cohort through training, or the recurrence
         # history of the whole MC batch, would each cost several KB per window
         peaks, codes = {}, []
         for n in (400, 1600):
             cohort = tmp_path / f"synth{n}"
             assert main(["synth", "--n", str(n), "--bias", "0.8", "--seed", "1", "--out", str(cohort)]) == 0
-            argv = ["mitigate", *data_args(cohort), "--protected", "group", "--epochs", "1", "--ckpt-every", "1",
-                    "--lstm-hidden", "64", "--mc-passes", "2", "--out", str(tmp_path / f"mit{n}")]
+            argv = [command, *data_args(cohort), "--protected", "group", "--epochs", "1", "--ckpt-every", "1",
+                    "--lstm-hidden", "64", "--mc-passes", "2", "--out", str(tmp_path / f"out{n}")]
             peaks[n] = peak_mb(lambda: codes.append(main(argv)))
         assert codes == [0, 0]
         kb_per_window = (peaks[1600] - peaks[400]) * 1024 / 1200
@@ -703,4 +711,6 @@ def test_commands_run_without_scipy(tmp_path):
     result = json.loads(out.stdout)
     commands = ["audit", "audit --predictions", "compare", "extract", "extract --nni", "mitigate", "reweigh-train",
                 "saliency", "synth", "train-base"]
+    digests = result.pop("artifacts_sha256")
     assert result == {"exit_codes": dict.fromkeys(commands, 0), "scipy_modules": []}
+    assert sorted(digests) == commands and all(len(d) == 64 for d in digests.values()), digests

@@ -387,3 +387,14 @@ class TestReaderErrors:
         path.write_text("")
         with pytest.raises(ValueError, match=r"line 1: expected the header t_seconds,voltage"):
             read_ecg_csv(path)
+
+    @pytest.mark.parametrize("times,message", [
+        (["0", "0", "0", "0"], "timestamps must increase from row to row"),
+        (["0", "1e-320", "2e-320", "3e-320"], "a timestamp spacing of 1e-320 s gives no finite sample rate"),
+    ], ids=["zero-spacing", "subnormal-spacing"])
+    def test_spacing_without_a_finite_sample_rate_names_file(self, tmp_path, times, message):
+        # these once raised ZeroDivisionError and OverflowError
+        path = tmp_path / "ecg.csv"
+        path.write_text("t_seconds,voltage\n" + "".join(f"{t},{i + 1}\n" for i, t in enumerate(times)))
+        with pytest.raises(ValueError, match=rf"ecg\.csv: {message}$"):
+            read_ecg_csv(path)

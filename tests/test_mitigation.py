@@ -16,7 +16,6 @@ from fairhrv.dataset import (
 )
 from fairhrv.mitigation import (
     NoCheckpoints,
-    SelectionResult,
     TrainConfig,
     TrainingDiverged,
     UncertaintyRecord,
@@ -227,7 +226,6 @@ class TestUncertainties:
         records = evaluate_uncertainties(checkpoints, cohort, config)
         assert len(records) == len(checkpoints)
         assert [r.epoch for r in records] == [c.epoch for c in checkpoints]
-        assert all(r.mc_passes == config.mc_passes for r in records)
         assert all(r.c_anxiety >= 0 and r.c_protected >= 0 for r in records)
         assert all(0 <= r.p_anxiety <= 1 and 0 <= r.p_protected <= 1 for r in records)
 
@@ -250,18 +248,18 @@ class TestUncertainties:
 
 class TestSelection:
     def _record(self, epoch, ca, cp):
-        return UncertaintyRecord(epoch, ca, cp, 0.5, 0.5, mc_passes=8)
+        return UncertaintyRecord(epoch, ca, cp, 0.5, 0.5)
 
     def test_argmax_gap(self):
         records = [self._record(5, 0.02, 0.05), self._record(10, 0.01, 0.09)]
         result = select_checkpoint(records)
-        assert result.chosen_epoch == 10
+        assert result is records[1]
         assert result.gap == pytest.approx(0.08)
 
     def test_tie_goes_to_earliest(self):
         # gaps chosen exactly representable so the tie is exact in float
         records = [self._record(5, 0.25, 0.5), self._record(10, 0.5, 0.75)]
-        assert select_checkpoint(records).chosen_epoch == 5
+        assert select_checkpoint(records).epoch == 5
 
     def test_empty_raises(self):
         with pytest.raises(NoCheckpoints):
@@ -284,7 +282,7 @@ class TestSelection:
             result = select_checkpoint(records)
             best_gap = max(r.gap for r in records)
             assert result.gap == best_gap
-            assert result.chosen_epoch == min(r.epoch for r in records if r.gap == best_gap)
+            assert result.epoch == min(r.epoch for r in records if r.gap == best_gap)
             assert all(result.gap >= r.gap for r in records)
 
 
