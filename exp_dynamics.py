@@ -15,7 +15,7 @@ seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 config = TrainConfig(
     epochs=100, checkpoint_every=5, task_weights=(4.5, 0.5), mc_passes=24,
     keep_rate=0.8, lr=1e-3, batch_size=32, seed=seed,
-    lstm_hidden=24, dense_size=16, eval_samples=384,
+    lstm_hidden=24, dense_size=16,
 )
 
 t0 = time.time()

@@ -80,7 +80,6 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         lstm_hidden=args.lstm_hidden,
         dense_size=args.dense_size,
-        eval_samples=args.eval_samples,
         threshold=args.threshold,
     )
 
@@ -277,8 +276,6 @@ def _add_train_args(p):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lstm-hidden", type=int, default=64)
     p.add_argument("--dense-size", type=int, default=32)
-    p.add_argument("--eval-samples", type=int, default=None,
-                   help="cap on windows used for uncertainty evaluation")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--by-participant", action="store_true",
                    help="split by participant instead of by window")

@@ -35,8 +35,9 @@ def write_json(path, obj) -> None:
 def read_csv(path):
     """Stream a headed CSV as (line number, fields) pairs.
 
-    The header comes first (``[]`` for an empty file), then every
-    non-blank row, each as wide as the header. Callers check the header.
+    The header comes first, with the number of lines it spans (0 and
+    ``[]`` for an empty file), then every non-blank row, each as wide as
+    the header. Callers check the header.
 
     Raises:
         ValueError: naming the file and line, for a row of another width
@@ -48,7 +49,7 @@ def read_csv(path):
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            yield 1, header
+            yield reader.line_num, header
             width = len(header)
             for row in reader:
                 if len(row) == width and row:

@@ -13,12 +13,11 @@ taken from scipy, whose import would cost more than the extraction.
 
 from dataclasses import dataclass
 from pathlib import Path
-import csv as _csv
 import math
 
 import numpy as np
 
-from .fileio import not_utf8_error, write_csv
+from .fileio import read_csv, write_csv
 
 # Column order used everywhere a feature matrix or CSV appears.
 FEATURE_NAMES = (
@@ -60,7 +59,7 @@ class EcgSignal:
 
     Attributes:
         samples: voltage values, arbitrary units.
-        sample_rate: sampling frequency in Hz, > 0.
+        sample_rate: sampling frequency in Hz, finite and > 0.
     """
 
     samples: np.ndarray
@@ -69,14 +68,12 @@ class EcgSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
         if samples.ndim != 1:
             raise ValueError("ECG samples must be one-dimensional")
-        if len(samples) < 2 * self.sample_rate:
-            raise ValueError(
-                f"need at least 2 s of signal ({int(2 * self.sample_rate)} samples), got {len(samples)}"
-            )
+        if len(samples) < 2 * self.sample_rate:  # the product is inf for a rate near the float maximum
+            raise ValueError(f"need at least 2 s of signal at {self.sample_rate:g} Hz, got {len(samples)} samples")
 
 
 @dataclass(frozen=True)
@@ -347,37 +344,25 @@ def extract_features(nni: NNIntervalSeries) -> np.ndarray:
 
 
 def _scan_numeric_rows(path, columns, positive):
-    """Row-by-row parse of a headed numeric CSV; raises at its first bad line.
+    """Row-by-row parse of the body of a headed numeric CSV; raises at its first bad line.
 
     The exact, slow path behind ``_read_numeric_csv``: one ``float()`` per
-    value, with the line numbers ``csv.reader`` counts.
+    value, with the line numbers and row rules of ``fileio.read_csv``.
     """
     requirement = "a positive finite number" if positive else "a finite number"
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        next(reader, None)
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < len(columns):
-                    raise ValueError(f"{path}, line {reader.line_num}: expected {len(columns)} column(s), "
-                                     f"got {len(row)}")
-                values = []
-                for name, text in zip(columns, row):
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        value = math.nan
-                    if not (math.isfinite(value) and (value > 0 or not positive)):
-                        raise ValueError(f"{path}, line {reader.line_num}: {name} is {text!r}, "
-                                         f"not {requirement}")
-                    values.append(value)
-                rows.append(values)
-        except _csv.Error as exc:  # such as a field over the csv module's size limit
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    return np.array(rows, dtype=np.float64).reshape(-1, len(columns))
+    rows = read_csv(path)
+    next(rows)
+    values = []
+    for line, row in rows:
+        for name, text in zip(columns, row):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and (value > 0 or not positive)):
+                raise ValueError(f"{path}, line {line}: {name} is {text!r}, not {requirement}")
+            values.append(value)
+    return np.array(values, dtype=np.float64).reshape(-1, len(columns))
 
 
 def _read_numeric_csv(path, columns, positive=False):
@@ -394,27 +379,29 @@ def _read_numeric_csv(path, columns, positive=False):
     row (``_scan_numeric_rows``). That scan raises at the first bad line,
     or returns the values that only ``float()`` accepts, such as ``1_000``.
     loadtxt itself also accepts a field longer than the csv module's
-    131,072-character limit, and a number padded with the ASCII separator
-    controls 0x1C-0x1F, both of which the scan refuses. loadtxt's own row
-    numbers are 0-based for some errors and 1-based for others, so they
-    are not reported.
+    131,072-character limit, a row that holds the leading columns but is
+    not as wide as the header, and a number padded with the ASCII
+    separator controls 0x1C-0x1F, all of which the scan refuses. loadtxt's
+    own row numbers are 0-based for some errors and 1-based for others, so
+    they are not reported.
 
     Raises:
         ValueError: naming the file, and the line for a row defect or the
             byte offset for a file that is not UTF-8 text.
     """
+    rows = read_csv(path)
+    header_lines, header = next(rows)
+    if len(header) < len(columns):
+        rows.close()
+        raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
+    # loadtxt warns about a body without rows, so it never sees one
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < len(columns):
-                raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
-            # loadtxt warns about a body without rows, so it never sees one
-            if not any(line.strip("\r\n") for line in fh):
-                return np.zeros((0, len(columns)))
-            header_lines = reader.line_num
-    except UnicodeDecodeError:
-        raise not_utf8_error(path) from None
+        empty = next(rows, None) is None
+    except ValueError:  # a defect in the first row, which loadtxt or the scan judges
+        empty = False
+    rows.close()
+    if empty:
+        return np.zeros((0, len(columns)))
     # Given a path, not an open file, loadtxt reads large blocks instead of
     # one line at a time: 0.45 s instead of 0.58 s for 1.8 M rows on a
     # 2-vCPU host. It also opens a path ending in .gz, .bz2 or .xz as

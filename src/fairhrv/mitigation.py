@@ -45,10 +45,8 @@ class NoCheckpoints(ValueError):
 class TrainConfig:
     """Hyper-parameters for all training entry points.
 
-    ``task_weights`` orders (anxiety, protected). ``eval_samples`` caps
-    how many training windows the uncertainty evaluation uses (None means
-    all of them); ``mc_passes`` is the number of dropout forward passes
-    per checkpoint.
+    ``task_weights`` orders (anxiety, protected); ``mc_passes`` is the
+    number of dropout forward passes per checkpoint.
     """
 
     epochs: int = 100
@@ -61,7 +59,6 @@ class TrainConfig:
     seed: int = 0
     lstm_hidden: int = 64
     dense_size: int = 32
-    eval_samples: int = None
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -84,8 +81,6 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.eval_samples is not None and self.eval_samples < 1:
-            raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
 
     def arch(self, heads) -> ModelArch:
         return ModelArch(
@@ -230,15 +225,9 @@ def evaluate_uncertainties(checkpoints, cohort: Cohort, config: TrainConfig):
     Per checkpoint: ``mc_passes`` dropout forward passes per window give a
     per-window predictive variance for each head; the record stores the
     arithmetic mean over windows. The mask stream is seeded per checkpoint
-    epoch, so results do not depend on evaluation order. With
-    ``config.eval_samples`` set, a fixed random subset of windows is used.
+    epoch, so results do not depend on evaluation order.
     """
     x = cohort.feature_tensor()
-    if config.eval_samples is not None and config.eval_samples < x.shape[0]:
-        pick = substream(config.seed, "mc-subsample").choice(
-            x.shape[0], size=config.eval_samples, replace=False
-        )
-        x = x[np.sort(pick)]
     records = []
     for ckpt in checkpoints:
         rng = substream(config.seed, "mc-eval", ckpt.epoch)

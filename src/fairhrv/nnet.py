@@ -16,10 +16,13 @@ Training keeps the whole history for backpropagation through time, about
 (``predict``) and saliency (``input_gradient``) run the same traced
 recurrence over blocks of at most 64 windows (``_window_blocks``), never
 of one window unless the input has one, and keep only each window's last
-hidden state or input gradient. The bits are those of one whole-batch
-pass: a GEMM row does not depend on how many rows (two or more) share
-the call, but numpy hands a one-row product to gemv, whose sums round
-differently.
+hidden state or input gradient. The last hidden states, and so MC
+dropout and prediction, have the bits of one whole-batch pass: a row of
+a product without a transposed operand does not depend on how many rows
+(two or more) share the call, but numpy hands a one-row product to gemv,
+whose sums round differently. With OpenBLAS the transposed backward
+product ``dz @ U.T`` breaks that rule: input gradients below H 64 differ
+from a whole-batch pass by up to about 1e-8 relative; at H 64 they agree.
 
 The LSTM stacks its gates in the order input, forget, cell, output along
 the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in a
@@ -549,8 +552,10 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
 
     The blocks of ``_window_blocks`` go through forward and backward one
     at a time, and only their input gradients are kept. Every window's
-    gradient depends on that window alone, so the results have the bits
-    of one whole-batch pass.
+    gradient depends on that window alone, but not its rounding: the
+    transposed product ``dz @ U.T`` rounds a row by how many rows share
+    it, so below H 64 the results may differ from one whole-batch pass
+    in the last bits (see the module docstring).
     """
     arch = ModelArch.from_params(params)
     if head not in arch.heads:

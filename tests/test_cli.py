@@ -265,7 +265,7 @@ def _ecg_lines(seconds=3, fs=250):
 
 class TestExtractInputs:
     @pytest.mark.parametrize("kind,row,message", [
-        ("ecg", "0.012", "expected 2 column(s), got 1"),
+        ("ecg", "0.012", "expected 2 columns, got 1"),
         ("ecg", "0.012,x", "voltage is 'x', not a finite number"),
         ("ecg", "0.012,nan", "voltage is 'nan', not a finite number"),
         ("ecg", "0.012,inf", "voltage is 'inf', not a finite number"),
@@ -313,6 +313,22 @@ class TestExtractInputs:
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: timestamps must increase from row to row"], err
+
+    def test_ecg_spacing_of_a_huge_sample_rate_exits_1_with_one_line(self, tmp_path, capsys):
+        # 1e-308 s spacing gives a finite rate of 1e308 Hz, which once overflowed converting 2 s to samples
+        path = tmp_path / "ecg.csv"
+        path.write_text("t_seconds,voltage\n" + "".join(f"{i}e-308,{i % 2}\n" for i in range(1, 6)))
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: need at least 2 s of signal at 1e+308 Hz, got 5 samples"], err
+
+    @pytest.mark.parametrize("kind,columns", [("ecg", ",voltage"), ("nni", "")])
+    def test_header_field_over_the_csv_limit_exits_1_with_one_line(self, tmp_path, capsys, kind, columns):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("x" * 131_073 + columns + "\n")
+        assert main(["extract", f"--{kind}", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}, line 1: field larger than field limit (131072)"], err
 
     @pytest.mark.parametrize("kind,header,message", [
         ("ecg", "t_seconds,voltage", "too few samples"),
@@ -553,8 +569,6 @@ class TestTrainingInputs:
         ("--batch-size", "0", "batch_size must be at least 1"),
         ("--lr", "0", "lr must be finite and positive"),
         ("--threshold", "1.5", "threshold must be in [0, 1]"),
-        ("--eval-samples", "0", "eval_samples must be at least 1"),
-        ("--eval-samples", "-3", "eval_samples must be at least 1"),
         ("--lstm-hidden", "0", "lstm_hidden must be at least 1"),
         ("--lstm-hidden", "-3", "lstm_hidden must be at least 1"),
         ("--dense-size", "0", "dense_size must be at least 1"),

@@ -44,6 +44,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             EcgSignal(samples=np.zeros(1000), sample_rate=0.0)
 
+    @pytest.mark.parametrize("rate,message", [
+        (float("inf"), "sample_rate must be finite and positive, got inf"),
+        (1e308, "need at least 2 s of signal at 1e\\+308 Hz, got 1000 samples"),
+    ], ids=["inf", "1e308"])
+    def test_ecg_rate_too_large_for_two_seconds(self, rate, message):
+        # these once raised OverflowError converting 2 * rate to an int
+        with pytest.raises(ValueError, match=message):
+            EcgSignal(samples=np.zeros(1000), sample_rate=rate)
+
     def test_nni_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             NNIntervalSeries(np.array([800.0, 0.0]))

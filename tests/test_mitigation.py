@@ -69,14 +69,13 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
         ("threshold", -0.1), ("threshold", 1.1), ("threshold", math.nan),
-        ("eval_samples", 0), ("eval_samples", -3),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
     def test_range_ends_accepted(self):
-        TrainConfig(batch_size=1, threshold=0.0, eval_samples=1)
+        TrainConfig(batch_size=1, threshold=0.0)
         TrainConfig(threshold=1.0)
 
 
