@@ -146,7 +146,6 @@ class FeatureScaler:
 class SplitCohort:
     train: Cohort
     test: Cohort
-    seed: int
     scaler: FeatureScaler = None
 
 
@@ -222,7 +221,6 @@ def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> Spl
     return SplitCohort(
         train=Cohort(tuple(train_windows), catalog),
         test=Cohort(tuple(test_windows), catalog),
-        seed=seed,
     )
 
 
@@ -248,7 +246,6 @@ def standardize(split: SplitCohort) -> SplitCohort:
     return SplitCohort(
         train=transform(split.train),
         test=transform(split.test),
-        seed=split.seed,
         scaler=scaler,
     )
 

@@ -44,6 +44,10 @@ WELCH_SEGMENT = 256
 MIN_NN_MS = 250.0
 MAX_NN_MS = 3000.0
 
+# Samples of the detector's band-pass computed at once; the block holds
+# the windows that straddle it, so any size gives the same bits.
+BAND_BLOCK_SAMPLES = 65536
+
 
 class NoPeaks(ValueError):
     """Fewer than two usable R peaks were found in the signal."""
@@ -94,10 +98,60 @@ class NNIntervalSeries:
         return len(self.intervals_ms)
 
 
-def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
+def _window_means(sums: np.ndarray, width: int, lo: int = 0, hi: int = None) -> np.ndarray:
+    """Moving average, entries [lo, hi), of the series of n values whose running sums are the n + 1 ``sums``.
+
+    Entry i is the mean over [i - width//2, i + (width+1)//2), the window
+    np.convolve's "same" mode centers on i. A window that either end of the
+    series cuts short is divided by the samples it holds, not padded with
+    zeros. Only the sums the windows of [lo, hi) span are read, and each
+    entry has the same bits whatever the range. O(hi - lo) for any width.
+    """
+    n = len(sums) - 1
+    hi = n if hi is None else hi
     width = max(1, int(width))
-    kernel = np.full(width, 1.0 / width)
-    return np.convolve(x, kernel, mode="same")
+    before, after = width // 2, (width + 1) // 2
+    start, end = max(0, lo - before), min(n, hi + after)
+    sums, n = sums[start : end + 1], end - start
+    first = min(before, n)
+    stop = max(first, n - after + 1)  # the windows of entries [first, stop) lie inside the series
+    means = np.empty(n)
+    np.subtract(sums[width : width + stop - first], sums[: stop - first], out=means[first:stop])
+    means[first:stop] /= width
+    edge = np.r_[0:first, stop:n]
+    right, left = np.minimum(edge + after, n), np.maximum(edge - before, 0)
+    means[edge] = (sums[right] - sums[left]) / (right - left)
+    return means[lo - start : hi - start]
+
+
+def _accept_beats(candidates: np.ndarray, heights: np.ndarray, running_avg: float, refractory: int):
+    """One pass of the adaptive threshold over energy maxima: (accepted indices, lowest threshold).
+
+    A maximum within ``refractory`` samples of the last accepted beat
+    replaces it when taller; any other is accepted above 0.5x the running
+    average of accepted heights. Every threshold the pass applies, the
+    accepted height included, is at least the returned lowest value of
+    0.5x the running average.
+    """
+    # Python ints and floats from tolist(): numpy scalars make this loop twice as slow
+    accepted = []
+    last = -refractory  # accepted[-1], placed so that the first maximum is past its refractory period
+    accepted_energy = 0.0  # energy at accepted[-1]
+    threshold = lowest = 0.5 * running_avg
+    for idx, height in zip(candidates.tolist(), heights.tolist()):
+        if idx - last < refractory:
+            # Within refractory period: keep whichever bump is taller.
+            if height > accepted_energy:
+                accepted[-1] = last = idx
+                accepted_energy = height
+        elif height > threshold:
+            accepted.append(idx)
+            last = idx
+            accepted_energy = height
+            running_avg = 0.875 * running_avg + 0.125 * height
+            threshold = 0.5 * running_avg
+            lowest = min(lowest, threshold)
+    return accepted, lowest
 
 
 def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
@@ -110,56 +164,82 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     are refined to the raw-signal maximum within +/-100 ms. Intervals
     outside [250, 3000] ms are dropped as artifacts.
 
+    Each moving average is a running sum (``_window_means``): O(n) where
+    a convolution is O(n * width). The band-pass sums the mean-removed
+    trace, so a DC offset cancels and a constant trace gives no energy,
+    and a window cut short by either end is the mean of the samples it
+    holds, so the edges carry no step from zero padding. Against the
+    zero-padded np.convolve filters this detector once used, the energy
+    envelope moves in its last bits (a difference of running sums rounds
+    otherwise than a dot product), and by more only within half a window
+    of either end or under a DC offset.
+
+    The threshold pass first skips the energy maxima at or below a floor of
+    0.25x the initial running average, most of the ~16 maxima per beat.
+    Every threshold a pass applies is at least its lowest 0.5x running
+    average, and a skipped maximum fails any threshold above the floor, so
+    while the lowest stays above the floor the skipped maxima change
+    nothing and the beats are exactly those of a pass over every maximum.
+    When it reaches the floor, as on a trace whose amplitude decays, that
+    pass is run.
+
     Raises:
         NoPeaks: fewer than two usable peaks found.
     """
     x = signal.samples
     fs = float(signal.sample_rate)
+    n = len(x)
+    if n < 3:
+        raise NoPeaks(f"found 0 peak(s) in {n} sample(s); need at least 2")
 
-    band = _moving_average(x, round(fs / 15.0)) - _moving_average(x, round(fs / 5.0))
-    deriv = np.gradient(band)
-    energy = _moving_average(deriv * deriv, round(0.150 * fs))
+    # one running sum of the mean-removed trace serves both averages of the band-pass
+    sums = np.empty(n + 1)
+    sums[0] = 0.0
+    np.subtract(x, np.mean(x), out=sums[1:])
+    np.cumsum(sums[1:], out=sums[1:])
+    band = _window_means(sums, round(fs / 15.0))
+    wide = round(fs / 5.0)
+    for lo in range(0, n, BAND_BLOCK_SAMPLES):  # the wide average a block at a time: no third full-size buffer
+        band[lo : lo + BAND_BLOCK_SAMPLES] -= _window_means(sums, wide, lo, min(n, lo + BAND_BLOCK_SAMPLES))
+    # np.gradient's central derivative, squared and summed in the same buffer
+    deriv = sums[1:]
+    np.subtract(band[2:], band[:-2], out=deriv[1:-1])
+    deriv[1:-1] *= 0.5
+    deriv[0] = band[1] - band[0]
+    deriv[-1] = band[-1] - band[-2]
+    del band
+    np.square(deriv, out=deriv)
+    np.cumsum(deriv, out=deriv)
+    energy = _window_means(sums, round(0.150 * fs))
+    del sums, deriv
 
     refractory = max(1, round(0.250 * fs))
-    peak_mask = np.zeros(len(energy), dtype=bool)
-    if len(energy) > 2:
-        peak_mask[1:-1] = (energy[1:-1] > energy[:-2]) & (energy[1:-1] >= energy[2:])
-    candidates = np.flatnonzero(peak_mask)
+    candidates = np.flatnonzero((energy[1:-1] > energy[:-2]) & (energy[1:-1] >= energy[2:])) + 1
+    heights = energy[candidates]
 
-    init_region = energy[: max(1, int(2 * fs))]
-    running_avg = float(np.max(init_region))
+    running_avg = float(np.max(energy[: max(1, int(2 * fs))]))
     if running_avg <= 0.0:
         raise NoPeaks("signal has no energy peaks above threshold")
+    floor = 0.25 * running_avg
+    tall = heights > floor
+    accepted, lowest = _accept_beats(candidates[tall], heights[tall], running_avg, refractory)
+    if lowest <= floor:
+        accepted, _ = _accept_beats(candidates, heights, running_avg, refractory)
 
-    # Python ints and floats from tolist(): numpy scalars make this loop
-    # over every local maximum of the energy twice as slow.
-    accepted = []
-    accepted_energy = 0.0  # energy at accepted[-1]
-    for idx, height in zip(candidates.tolist(), energy[candidates].tolist()):
-        if accepted and idx - accepted[-1] < refractory:
-            # Within refractory period: keep whichever bump is taller.
-            if height > accepted_energy:
-                accepted[-1] = idx
-                accepted_energy = height
-            continue
-        if height > 0.5 * running_avg:
-            accepted.append(idx)
-            accepted_energy = height
-            running_avg = 0.875 * running_avg + 0.125 * height
-
+    # refine to the raw maximum within +/-100 ms: one argmax over a window per beat
     half_window = max(1, round(0.100 * fs))
-    n_samples = len(x)
-    refined = []
-    for idx in accepted:
-        lo = max(0, idx - half_window)
-        hi = min(n_samples, idx + half_window + 1)
-        refined.append(lo + int(x[lo:hi].argmax()))
-    refined = sorted(set(refined))
+    beats = np.asarray(accepted, dtype=np.intp)
+    width = min(2 * half_window + 1, n)
+    starts = np.clip(beats - half_window, 0, n - width)
+    refined = starts + np.lib.stride_tricks.sliding_window_view(x, width)[starts].argmax(axis=1)
+    for row in np.flatnonzero(starts != beats - half_window):  # within 100 ms of either end
+        lo = max(0, int(beats[row]) - half_window)
+        refined[row] = lo + int(x[lo : int(beats[row]) + half_window + 1].argmax())
 
     # Re-apply the refractory rule after refinement in case two integrator
     # bumps collapsed onto the same raw maximum neighborhood.
     peaks = []
-    for idx in refined:
+    for idx in np.unique(refined).tolist():
         if peaks and idx - peaks[-1] < refractory:
             continue
         peaks.append(idx)
@@ -368,22 +448,24 @@ def _scan_numeric_rows(path, columns, positive):
 def _read_numeric_csv(path, columns, positive=False):
     """(rows, len(columns)) float64 array of the leading columns of a headed CSV.
 
-    The first row is a header of at least ``len(columns)`` fields. Blank
-    lines are skipped, CRLF line endings and quoted numbers are accepted,
-    and columns past ``columns`` are ignored. Every value must be finite,
-    and with ``positive`` also > 0.
+    The first row is a header of at least ``len(columns)`` fields, and
+    every row is as wide as the header. Blank lines are skipped, CRLF line
+    endings and quoted numbers are accepted, and columns past ``columns``
+    are ignored. Every value in ``columns`` must be finite, and with
+    ``positive`` also > 0.
 
-    ``np.loadtxt`` parses the body in C, with the same correctly rounded
-    text-to-float64 conversion as ``float()``. When it refuses the body,
-    or the body breaks the rules above, the file is parsed again row by
-    row (``_scan_numeric_rows``). That scan raises at the first bad line,
-    or returns the values that only ``float()`` accepts, such as ``1_000``.
-    loadtxt itself also accepts a field longer than the csv module's
-    131,072-character limit, a row that holds the leading columns but is
-    not as wide as the header, and a number padded with the ASCII
-    separator controls 0x1C-0x1F, all of which the scan refuses. loadtxt's
-    own row numbers are 0-based for some errors and 1-based for others, so
-    they are not reported.
+    ``np.loadtxt`` parses the whole body in C, with the same correctly
+    rounded text-to-float64 conversion as ``float()``. When it refuses the
+    body (a row of another width, or a field that is not a number, in any
+    column), or the body breaks the rules above, the file is parsed again
+    row by row (``_scan_numeric_rows``). That scan raises at the first bad
+    line, or returns the values that only ``float()`` accepts, such as
+    ``1_000``, and is the path for a file with a text column. loadtxt
+    itself also accepts a field longer than the csv module's 131,072-
+    character limit and a number padded with the ASCII separator controls
+    0x1C-0x1F, both of which the scan refuses. loadtxt's own row numbers
+    are 0-based for some errors and 1-based for others, so they are not
+    reported.
 
     Raises:
         ValueError: naming the file, and the line for a row defect or the
@@ -409,43 +491,62 @@ def _read_numeric_csv(path, columns, positive=False):
     # row scan reads such a file as text.
     try:
         data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
-                          skiprows=header_lines, usecols=range(len(columns)), ndmin=2)
+                          skiprows=header_lines, ndmin=2)
     except Exception:  # any refusal: the scan rereads the file and raises what applies
         data = None
-    if data is None or not np.isfinite(data).all() or (positive and not (data > 0).all()):
-        data = _scan_numeric_rows(path, columns, positive)
-    return data
+    if data is not None and data.shape[1] == len(header):
+        data = data[:, : len(columns)]
+        # the sum is finite only when every value is; values whose sum overflows go to the scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
+        if math.isfinite(total) and (not positive or data.min() > 0):
+            return data
+    return _scan_numeric_rows(path, columns, positive)
 
 
 def read_ecg_csv(path) -> EcgSignal:
     """Read an ECG trace from a headed CSV whose first two columns are t_seconds, voltage.
 
     Input rules are those of ``_read_numeric_csv``: blank lines are
-    skipped, CRLF line endings and quoted numbers are accepted, further
-    columns are ignored, and every time and voltage must be finite. The
-    sample rate is inferred from the median timestamp spacing; the
-    timestamps must increase, be uniform to 1% and give a finite rate.
+    skipped, CRLF line endings and quoted numbers are accepted, every row
+    is as wide as the header, further columns are ignored, and every time
+    and voltage must be finite. The sample rate is inferred from the
+    median timestamp spacing; the timestamps must increase, be uniform to
+    1% and give a finite rate, and the trace must span 2 s at that rate.
 
     Raises:
         ValueError: naming the file, and the line for a missing header, a
-            short row or a value that is not a finite number; or naming
-            the file for fewer than 3 samples, or timestamps that do not
-            increase, are not uniform or are too close for a finite rate.
+            row of another width than the header or a value that is not a
+            finite number; or naming the file for fewer than 3 samples,
+            timestamps that do not increase, are not uniform or are too
+            close for a finite rate, or less than 2 s of signal.
     """
     path = Path(path)
     data = _read_numeric_csv(path, ("t_seconds", "voltage"))
     if len(data) < 3:
         raise ValueError(f"{path}: too few samples")
-    dt = np.diff(data[:, 0])
-    if not np.all(dt > 0):
+    # the spacings go to the buffer the voltages take after the checks, and are
+    # sorted there: the smallest, the median and the largest without a copy
+    samples = np.empty(len(data))
+    dt = samples[:-1]
+    np.subtract(data[1:, 0], data[:-1, 0], out=dt)
+    dt.sort()
+    low, high = float(dt[0]), float(dt[-1])
+    if not low > 0:
         raise ValueError(f"{path}: timestamps must increase from row to row")
-    spacing = float(np.median(dt))
-    if np.max(np.abs(dt - spacing)) > 0.01 * spacing:
+    middle = (len(dt) - 1) // 2
+    spacing = float(np.mean(dt[middle : middle + 2 - len(dt) % 2]))  # np.median's value
+    # the largest |dt - spacing| is at the smallest or the largest dt, rounding included
+    if max(abs(high - spacing), abs(low - spacing)) > 0.01 * spacing:
         raise ValueError(f"{path}: timestamps are not uniformly spaced")
     sample_rate = 1.0 / spacing
     if not math.isfinite(sample_rate):
         raise ValueError(f"{path}: a timestamp spacing of {spacing!r} s gives no finite sample rate")
-    return EcgSignal(samples=data[:, 1].copy(), sample_rate=sample_rate)
+    samples[:] = data[:, 1]
+    try:
+        return EcgSignal(samples=samples, sample_rate=sample_rate)
+    except ValueError as exc:  # too few samples for 2 s at this rate
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_nni_csv(path) -> NNIntervalSeries:

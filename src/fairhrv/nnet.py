@@ -195,7 +195,6 @@ class ForwardTrace:
 
     x: np.ndarray
     outputs: dict
-    head_scores: dict
     param_shapes: dict
     # lstm caches, shaped (T, B, H); states include t=0; None when forward
     # was given the last hidden state, and backward then refuses the trace
@@ -344,7 +343,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
     arch = ModelArch.from_params(params)
     t = params.tensors
     x = _prepare_input(arch, x)
-    trace = ForwardTrace(x=x, outputs={}, head_scores={}, param_shapes={k: v.shape for k, v in t.items()})
+    trace = ForwardTrace(x=x, outputs={}, param_shapes={k: v.shape for k, v in t.items()})
 
     if arch.lstm_hidden is not None:
         if lstm_states is None:
@@ -382,9 +381,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) 
 
     outputs = {}
     for head in arch.heads:
-        score = (head_in @ t[f"head.{head}.W"])[:, 0] + t[f"head.{head}.b"][0]
-        trace.head_scores[head] = score
-        outputs[head] = head_sigmoid(score)
+        outputs[head] = head_sigmoid((head_in @ t[f"head.{head}.W"])[:, 0] + t[f"head.{head}.b"][0])
     trace.outputs = outputs
     return outputs, trace
 

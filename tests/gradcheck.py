@@ -34,7 +34,8 @@ def finite_diff_input_grad(params, x, head, h=1e-5):
 
     def score_at():
         _, trace = nnet.forward(params, x, mask=None)
-        return float(trace.head_scores[head][0])
+        t = params.tensors
+        return float((trace.head_in @ t[f"head.{head}.W"])[0, 0] + t[f"head.{head}.b"][0])
 
     flat = x.reshape(-1)
     num = np.zeros_like(flat)

@@ -4,9 +4,10 @@
 
 Blocks scipy before fairhrv is imported, then runs synth, audit (of the
 dataset and of train-base's predictions), train-base, reweigh-train,
-mitigate (2 epochs), saliency, compare, extract --ecg and extract --nni
-at small sizes, writing under OUT_DIR. Prints one JSON object: each command's exit code, the
-sha256 of each command's manifest ``artifacts`` map (to diff against another
+mitigate (2 epochs), saliency, compare, extract --ecg (of a trace and of
+the same trace 5 units up) and extract --nni at small sizes, writing under
+OUT_DIR. Prints one JSON object: each command's exit code, the sha256 of
+each command's manifest ``artifacts`` map (to diff against another
 checkout's run) and the scipy modules loaded at the end. Exits 0 only when
 every command exited 0 and no scipy module was loaded. With scipy
 uninstalled the block changes nothing, so the same script checks an install
@@ -36,13 +37,13 @@ def rr_intervals(seconds=130):
     return intervals
 
 
-def write_ecg(path, seconds=130, fs=250):
-    """Unit impulses at the R peaks of ``rr_intervals``."""
+def write_ecg(path, seconds=130, fs=250, offset=0.0):
+    """Unit impulses at the R peaks of ``rr_intervals``, on a baseline of ``offset``."""
     beats, t = set(), 0.5
     for interval in rr_intervals(seconds):
         beats.add(round(t * fs))
         t += interval
-    rows = (f"{i / fs!r},{1.0 if i in beats else 0.0}" for i in range(seconds * fs))
+    rows = (f"{i / fs!r},{offset + (1.0 if i in beats else 0.0)}" for i in range(seconds * fs))
     path.write_text("t_seconds,voltage\n" + "\n".join(rows) + "\n")
 
 
@@ -55,6 +56,7 @@ def run(out: Path) -> dict:
     data = ["--windows", str(synth / "windows.csv"), "--labels", str(synth / "labels.csv"),
             "--demo", str(synth / "demographics.csv")]
     write_ecg(out / "ecg.csv")
+    write_ecg(out / "ecg_offset.csv", offset=5.0)
     write_nni(out / "nni.csv")
     commands = {
         "synth": ["synth", "--n", "60", "--bias", "0.8", "--seed", "3", "--out", str(synth)],
@@ -68,6 +70,8 @@ def run(out: Path) -> dict:
                      "--windows", str(out / "mitigate" / "test_windows.csv"), "--out", str(out / "saliency")],
         "compare": ["compare", *data, *TRAIN, "--out", str(out / "compare")],
         "extract": ["extract", "--ecg", str(out / "ecg.csv"), "--segment-seconds", "5", "--out", str(out / "extract")],
+        "extract --ecg +5": ["extract", "--ecg", str(out / "ecg_offset.csv"), "--segment-seconds", "5",
+                             "--out", str(out / "extract_offset")],
         "extract --nni": ["extract", "--nni", str(out / "nni.csv"), "--segment-seconds", "5",
                           "--out", str(out / "extract_nni")],
     }

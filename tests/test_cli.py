@@ -257,10 +257,20 @@ class TestExtract:
                        "error: no segment had enough intervals for feature extraction"], err
 
 
-def _ecg_lines(seconds=3, fs=250):
-    """Header plus a unit-impulse train at 1 Hz, one row per sample."""
-    return ["t_seconds,voltage"] + [f"{i / fs:.3f},{1.0 if i % fs == 0 else 0.0}"
+def _ecg_lines(seconds=3, fs=250, offset=0.0):
+    """Header plus a unit-impulse train at 1 Hz on a baseline of ``offset``, one row per sample."""
+    return ["t_seconds,voltage"] + [f"{i / fs:.3f},{offset + (1.0 if i % fs == 0 else 0.0)}"
                                     for i in range(seconds * fs)]
+
+
+def _extract_ecg(tmp_path, name, lines):
+    """Exit code of ``extract --ecg`` over ``lines`` in 10 s segments, and the features.csv bytes or None."""
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / name
+    code = main(["extract", "--ecg", str(path), "--segment-seconds", "10", "--out", str(out)])
+    features = out / "features.csv"
+    return code, features.read_bytes() if features.exists() else None
 
 
 class TestExtractInputs:
@@ -314,13 +324,47 @@ class TestExtractInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: timestamps must increase from row to row"], err
 
+    @pytest.mark.parametrize("offset", [5.0, -500.0])
+    def test_ecg_with_a_dc_offset_gives_the_features_without(self, tmp_path, offset):
+        # zero-padded moving averages once let the offset into the band-pass at both ends: the edge
+        # spikes set the threshold, no beat passed it, and the run exited 1 with every interval rejected
+        want = _extract_ecg(tmp_path, "plain", _ecg_lines(seconds=40))
+        assert want[0] == 0
+        assert _extract_ecg(tmp_path, "offset", _ecg_lines(seconds=40, offset=offset)) == want
+
+    def test_ecg_with_a_numeric_extra_column_gives_the_features_of_two_columns(self, tmp_path):
+        lines = _ecg_lines(seconds=40)
+        wide = ["t_seconds,voltage,lead"] + [f"{row},{k % 3}" for k, row in enumerate(lines[1:])]
+        want = _extract_ecg(tmp_path, "two", lines)
+        assert want[0] == 0
+        assert _extract_ecg(tmp_path, "three", wide) == want
+
+    @pytest.mark.parametrize("bad_value", [False, True], ids=["numbers", "zz"])
+    def test_ecg_rows_narrower_than_the_header_exit_1_at_line_2(self, tmp_path, capsys, bad_value):
+        # numpy's parser once read the leading columns of such rows unless a bad value sent the file to the scan
+        lines = ["t_seconds,voltage,note"] + _ecg_lines()[1:]
+        if bad_value:
+            lines[4] = "0.012,zz"
+        path = tmp_path / "ecg.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}, line 2: expected 3 columns, got 2"], err
+
+    def test_ecg_shorter_than_2_s_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ecg.csv"
+        path.write_text("\n".join(_ecg_lines()[:376]) + "\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: need at least 2 s of signal at 250 Hz, got 375 samples"], err
+
     def test_ecg_spacing_of_a_huge_sample_rate_exits_1_with_one_line(self, tmp_path, capsys):
         # 1e-308 s spacing gives a finite rate of 1e308 Hz, which once overflowed converting 2 s to samples
         path = tmp_path / "ecg.csv"
         path.write_text("t_seconds,voltage\n" + "".join(f"{i}e-308,{i % 2}\n" for i in range(1, 6)))
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: need at least 2 s of signal at 1e+308 Hz, got 5 samples"], err
+        assert err == [f"error: {path}: need at least 2 s of signal at 1e+308 Hz, got 5 samples"], err
 
     @pytest.mark.parametrize("kind,columns", [("ecg", ",voltage"), ("nni", "")])
     def test_header_field_over_the_csv_limit_exits_1_with_one_line(self, tmp_path, capsys, kind, columns):
@@ -723,8 +767,10 @@ def test_commands_run_without_scipy(tmp_path):
                          env=source_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout)
-    commands = ["audit", "audit --predictions", "compare", "extract", "extract --nni", "mitigate", "reweigh-train",
-                "saliency", "synth", "train-base"]
+    commands = ["audit", "audit --predictions", "compare", "extract", "extract --ecg +5", "extract --nni", "mitigate",
+                "reweigh-train", "saliency", "synth", "train-base"]
     digests = result.pop("artifacts_sha256")
     assert result == {"exit_codes": dict.fromkeys(commands, 0), "scipy_modules": []}
     assert sorted(digests) == commands and all(len(d) == 64 for d in digests.values()), digests
+    # a DC offset leaves the detected beats, and so every extracted byte, as they were
+    assert digests["extract --ecg +5"] == digests["extract"]

@@ -157,7 +157,7 @@ class TestStandardize:
                 windows.append(LabeledWindow(f"{prefix}{i}", "p0", feats, 0, {}))
             return Cohort(tuple(windows))
 
-        return dataset.SplitCohort(train=build(train_cols, "tr"), test=build(test_cols, "te"), seed=0)
+        return dataset.SplitCohort(train=build(train_cols, "tr"), test=build(test_cols, "te"))
 
     def test_two_point_column(self):
         out = standardize(self._tiny_split([1.0, 3.0], [2.0]))

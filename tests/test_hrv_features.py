@@ -23,6 +23,8 @@ from fairhrv.hrv_features import (
     write_features_csv,
 )
 from hrv_oracle import oracle_features, random_nn_series
+from peak_memory import peak_mb
+from reference_detector import reference_detect_r_peaks
 from reference_readers import reference_read_ecg_csv, reference_read_nni_csv
 
 
@@ -63,6 +65,47 @@ class TestTypes:
         assert row.shape == (25,) and row.dtype == np.float64
 
 
+# (offset from R in s, amplitude, width in s) of the P, Q, R, S and T waves
+ECG_WAVES = ((-0.160, 0.12, 0.025), (-0.025, -0.12, 0.008), (0.0, 1.0, 0.010), (0.025, -0.20, 0.008),
+             (0.280, 0.30, 0.050))
+
+
+def synthetic_ecg(seed, seconds, fs, noise=0.02, jitter_ms=20.0, decay_s=None):
+    """Template beats on a jittered RR series, baseline wander and white noise.
+
+    The beats start at 1 s and stop 1 s before the end. With ``decay_s``
+    their amplitude falls as exp(-t / decay_s).
+    """
+    rng = np.random.default_rng([seed, int(fs)])
+    n = int(round(seconds * fs))
+    t = np.arange(n) / fs
+    x = 0.15 * np.sin(2 * np.pi * 0.3 * t + rng.uniform(0, 2 * np.pi)) + rng.normal(0.0, noise, size=n)
+    r_time = 1.0
+    half = int(0.45 * fs)
+    while r_time < seconds - 1.0:
+        centre = int(round(r_time * fs))
+        lo, hi = max(0, centre - half), min(n, centre + half + 1)
+        dt = t[lo:hi] - r_time
+        amplitude = 1.0 if decay_s is None else np.exp(-r_time / decay_s)
+        x[lo:hi] += amplitude * sum(a * np.exp(-0.5 * ((dt - mu) / w) ** 2) for mu, a, w in ECG_WAVES)
+        r_time += np.clip(0.8 + 0.035 * np.sin(2 * np.pi * 0.25 * r_time) + rng.normal(0.0, jitter_ms / 1000.0),
+                          0.45, 1.4)
+    return EcgSignal(x, fs)
+
+
+def count_threshold_passes(monkeypatch):
+    """Record the number of energy maxima handed to each threshold pass of ``detect_r_peaks``."""
+    sizes = []
+    accept = hrv_features._accept_beats
+
+    def counted(candidates, *args):
+        sizes.append(len(candidates))
+        return accept(candidates, *args)
+
+    monkeypatch.setattr(hrv_features, "_accept_beats", counted)
+    return sizes
+
+
 class TestDetectRPeaks:
     def test_impulse_train_one_hz(self):
         fs = 250.0
@@ -92,6 +135,42 @@ class TestDetectRPeaks:
         assert len(nni.intervals_ms) == len(planted)
         assert np.max(np.abs(nni.intervals_ms - planted)) <= 4.0
 
+    @pytest.mark.parametrize("offset", [5.0, 500.0, -80.0])
+    def test_dc_offset_leaves_the_intervals(self, offset):
+        # zero-padded averages once let an offset into the band-pass at both edges
+        signal = synthetic_ecg(6, 300.0, 250.0)
+        want = detect_r_peaks(signal).intervals_ms
+        got = detect_r_peaks(EcgSignal(signal.samples + offset, 250.0)).intervals_ms
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [5.0, 0.3, -2.7])
+    def test_constant_trace_has_no_peaks(self, value):
+        with pytest.raises(NoPeaks):
+            detect_r_peaks(EcgSignal(np.full(7500, value), 250.0))
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 50, 51, 199, 200, 400, 1001])
+    def test_window_means_are_the_means_of_the_samples_held(self, width):
+        x = np.random.default_rng(width).normal(size=400)
+        sums = np.concatenate(([0.0], np.cumsum(x)))
+        got = hrv_features._window_means(sums, width)
+        want = [x[max(0, i - width // 2) : i + (width + 1) // 2].mean() for i in range(len(x))]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        # away from the ends, the window of np.convolve's "same" mode
+        inner = slice(width // 2, max(width // 2, len(x) - (width + 1) // 2 + 1))
+        assert np.allclose(got[inner], np.convolve(x, np.full(width, 1.0 / width), mode="same")[: len(x)][inner],
+                           rtol=0, atol=1e-12)
+        # a stretch of the sums gives, bit for bit, the means whose windows it holds
+        stretch = hrv_features._window_means(sums[100:301], width)
+        held = slice(width // 2, 200 - (width + 1) // 2 + 1)
+        assert np.array_equal(stretch[held], got[100:300][held])
+
+    @pytest.mark.parametrize("block", [1, 37, 4096])
+    def test_band_pass_block_size_changes_nothing(self, monkeypatch, block):
+        signal = synthetic_ecg(7, 120.0, 250.0)
+        want = detect_r_peaks(signal).intervals_ms
+        monkeypatch.setattr(hrv_features, "BAND_BLOCK_SAMPLES", block)
+        assert np.array_equal(detect_r_peaks(signal).intervals_ms, want)
+
     def test_artifact_intervals_dropped(self):
         # A 5 s pause between bursts produces one interval > 3000 ms, which
         # must be rejected while the surrounding 1 s intervals survive.
@@ -103,6 +182,38 @@ class TestDetectRPeaks:
         nni = detect_r_peaks(EcgSignal(x, fs))
         assert np.allclose(nni.intervals_ms, 1000.0)
         assert len(nni.intervals_ms) == 5
+
+
+class TestDetectorOracle:
+    """The running-sum detector finds exactly the beats of the frozen np.convolve one."""
+
+    @pytest.mark.parametrize("fs,seconds", [(250.0, 300.0), (1000.0, 90.0)])
+    @pytest.mark.parametrize("noise,jitter_ms", [(0.005, 5.0), (0.02, 20.0), (0.05, 60.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_intervals_as_reference(self, monkeypatch, seed, fs, seconds, noise, jitter_ms):
+        signal = synthetic_ecg(seed, seconds, fs, noise, jitter_ms)
+        passes = count_threshold_passes(monkeypatch)
+        got = detect_r_peaks(signal).intervals_ms
+        assert np.array_equal(got, reference_detect_r_peaks(signal).intervals_ms)
+        assert len(got) >= seconds / 1.4 - 3
+        # one pass, over the tall maxima only
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("fs", [250.0, 1000.0])
+    def test_decaying_amplitude_takes_the_full_pass(self, monkeypatch, fs):
+        # the running average of accepted beats falls below twice the floor set from the first 2 s
+        signal = synthetic_ecg(4, 120.0, fs, decay_s=100.0)
+        passes = count_threshold_passes(monkeypatch)
+        got = detect_r_peaks(signal).intervals_ms
+        assert np.array_equal(got, reference_detect_r_peaks(signal).intervals_ms)
+        assert len(passes) == 2 and passes[0] < passes[1], passes
+
+    def test_peak_memory_per_sample(self):
+        # the running sum and the band-pass hold 16 bytes a sample at the peak (the np.convolve detector 32);
+        # one more full-size float64 buffer beside them would make 24
+        signal = synthetic_ecg(5, 1200.0, 250.0)
+        n = len(signal.samples)
+        assert peak_mb(detect_r_peaks, signal) * 2**20 / n < 22
 
 
 class TestExtractFeatures:
