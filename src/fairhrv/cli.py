@@ -6,8 +6,9 @@ saliency, compare. Every command writes its artifacts plus a manifest
 --out directory, so identical configurations and seeds reproduce
 byte-identical outputs. All fairness reports come from
 fairness.evaluate_predictions; all windows CSVs are read by
-dataset.read_windows_csv. Exit codes: 0 success, 1 data or I/O errors,
-2 usage errors.
+dataset.read_windows_csv, and they and the ECG and NN-interval CSVs under
+the one rule of fileio.read_numeric_csv, the row scan's. Exit codes: 0
+success, 1 data or I/O errors, 2 usage errors.
 """
 
 import argparse

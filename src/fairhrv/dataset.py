@@ -8,15 +8,16 @@ biased-cohort generator, and the CSV/JSON interchange formats.
 
 The windows CSV is the largest interchange file, so its codec is the
 fast one. The writer formats chunks of windows in forked processes, one
-per usable CPU, and joins them in order. The reader parses the body with
-``np.loadtxt`` and groups rows by sample with array operations, and
-rescans the file row by row when loadtxt refuses it or a check fails.
-The generator draws all of a cohort's noise in one call. Each of the
-three gives the bytes or bits of its one-at-a-time form.
+per usable CPU, and joins them in order. The reader reads the file under
+the one rule of ``fileio.read_numeric_csv`` and groups rows by sample
+with array operations. The generator draws all of a cohort's noise in
+one call. Each of the three gives the bytes or bits of its one-at-a-time
+form.
 
 Cohorts are immutable after construction and safe to share across threads.
 """
 
+import itertools
 import math
 import os
 import warnings
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, read_csv, write_csv, write_json
+from .fileio import atomic_write_bytes, read_csv, read_numeric_csv, write_csv, write_json
 from .hrv_features import FEATURE_NAMES
 from .rng import substream
 
@@ -439,61 +440,43 @@ def _rows_after_header(path, header):
 def read_windows_csv(path):
     """Windows CSV -> (sample ids, participant ids, (n, 24, 25) features).
 
-    Samples come in order of their first row, each with the participant
-    id of that row; a sample's rows may come in any order and interleave
-    with other samples' rows. Blank lines are skipped, and CRLF line
-    endings and quoted fields are accepted.
+    The file is read under the one rule of ``fileio.read_numeric_csv``,
+    with the header WINDOWS_HEADER: the ids are text, the step an integer
+    in [0, 24), and every feature value a finite number. Samples come in
+    order of their first row, each with the participant id of that row; a
+    sample's rows may come in any order and interleave with other samples'
+    rows, and each of its 24 steps comes once.
 
-    After the header is checked, ``np.loadtxt`` parses the body in C, with
-    the same correctly rounded text-to-float64 conversion as ``float()``,
-    and the rows are grouped by sample with array operations. When
-    loadtxt refuses the body, or the body breaks a rule below, the file is
-    parsed again row by row (``_scan_windows_rows``). That scan raises at
-    the first bad line, or returns the values that only ``float()``
-    accepts, such as ``1_000``. loadtxt itself also accepts a field longer
-    than the csv module's limit, and a number padded with the ASCII
-    separator controls 0x1C-0x1F, both of which the scan refuses.
-
-    Raises ValueError, naming the file and line, on a bad header or
-    column count, a step outside [0, 24), a non-finite feature value, a
-    repeated (sample, step) row, or a sample with missing steps; naming
-    the file and the offset of the first bad byte for a file that is not
-    UTF-8 text.
+    Raises ValueError: naming the file and the first bad line, on a bad
+    header, column count, step or feature value; failing those, naming the
+    file and the line of the first row that repeats an earlier row's
+    (sample, step); naming the file, on a sample with missing steps; and
+    naming the file and the offset of the first bad byte, for a file that
+    is not UTF-8 text.
     """
-    _rows_after_header(path, WINDOWS_HEADER).close()
-    parsed = _load_windows_body(path)
-    return parsed if parsed is not None else _scan_windows_rows(path)
-
-
-def _load_windows_body(path):
-    """``read_windows_csv`` of a file with a valid header, by np.loadtxt; None when the body breaks a rule."""
     samples, participants = {}, {}  # id -> its number, in order of first row
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"', skiprows=1,
-                              encoding="utf-8", ndmin=2, converters={
-                                  0: lambda text: samples.setdefault(text, len(samples)),
-                                  1: lambda text: participants.setdefault(text, len(participants)),
-                                  2: int,  # as strict as the scan: "1.0" is not a step
-                              })
-    except Exception:  # any refusal, such as a bad value, not UTF-8, or a plain-text path ending in .xz
-        return None  # the scan rereads the file and raises what applies
+    data = read_numeric_csv(path, WINDOWS_HEADER, exact_header=True, converters=(
+        lambda text: samples.setdefault(text, len(samples)),
+        lambda text: participants.setdefault(text, len(participants)),
+        _step,
+    ))
     n = len(samples)
     if n == 0:
         return [], [], np.zeros((0, WINDOW_STEPS, N_FEATURES))
-    steps, values = data[:, 2], data[:, 3:]
-    # A finite sum proves every value finite. Unlike np.isfinite it makes no
-    # array the size of the rows, which moved mitigate's peak RSS by 1-2 MB.
-    # An infinite sum may be overflow, which the scan accepts.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = values.sum()
-    if (data.shape[1] != len(WINDOWS_HEADER) or steps.min() < 0 or steps.max() >= WINDOW_STEPS
-            or not math.isfinite(total)):
-        return None
-    slot = data[:, 0].astype(np.intp) * WINDOW_STEPS + steps.astype(np.intp)
-    if len(slot) != n * WINDOW_STEPS or not (np.bincount(slot, minlength=n * WINDOW_STEPS) == 1).all():
-        return None  # a repeated (sample, step) row or a missing step
+    slot = data[:, 0].astype(np.intp) * WINDOW_STEPS + data[:, 2].astype(np.intp)
+    counts = np.bincount(slot, minlength=n * WINDOW_STEPS)
+    if not (counts == 1).all():
+        sample_ids = list(samples)
+        # the rows that repeat the (sample, step) of an earlier row
+        repeats = np.setdiff1d(np.arange(len(slot)), np.unique(slot, return_index=True)[1])
+        if len(repeats):
+            row = repeats[0]
+            line = next(itertools.islice(read_csv(path), row + 1, None))[0]
+            raise ValueError(f"{path}, line {line}: repeats step {int(data[row, 2])} "
+                             f"of sample {sample_ids[int(data[row, 0])]!r}")
+        incomplete = np.flatnonzero(counts.reshape(n, WINDOW_STEPS).min(axis=1) == 0)[0]
+        raise ValueError(f"{path}: sample {sample_ids[incomplete]!r} is missing time steps")
+    values = data[:, 3:]
     # rows in (sample, step) order, as the writer writes them, are returned as a view, not copied
     if (slot != np.arange(len(slot))).any():
         values = values[np.argsort(slot)]
@@ -503,35 +486,12 @@ def _load_windows_body(path):
             values.reshape(n, WINDOW_STEPS, N_FEATURES))
 
 
-def _scan_windows_rows(path):
-    """``read_windows_csv`` by one ``float()`` per value, with the line numbers of ``fileio.read_csv``."""
-    by_sample = {}  # sample id -> [participant id, features, bitmask of steps seen]
-    for line, row in _rows_after_header(path, WINDOWS_HEADER):
-        sample_id = row[0]
-        try:
-            step = int(row[2])
-            values = [float(v) for v in row[3:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {line}: {exc}") from None
-        # a finite sum proves every value finite; an infinite one may be overflow
-        if not math.isfinite(sum(values)):
-            for name, text, value in zip(FEATURE_NAMES, row[3:], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}, line {line}: feature {name!r} is {text!r}, not a finite number")
-        if not 0 <= step < WINDOW_STEPS:
-            raise ValueError(f"{path}, line {line}: step {step} outside [0, {WINDOW_STEPS})")
-        if sample_id not in by_sample:
-            by_sample[sample_id] = [row[1], np.zeros((WINDOW_STEPS, N_FEATURES)), 0]
-        entry = by_sample[sample_id]
-        if entry[2] >> step & 1:
-            raise ValueError(f"{path}, line {line}: repeats step {step} of sample {sample_id!r}")
-        entry[1][step] = values
-        entry[2] |= 1 << step
-    for sample_id, (_, _, seen) in by_sample.items():
-        if seen != (1 << WINDOW_STEPS) - 1:
-            raise ValueError(f"{path}: sample {sample_id!r} is missing time steps")
-    features = np.array([entry[1] for entry in by_sample.values()]).reshape(-1, WINDOW_STEPS, N_FEATURES)
-    return list(by_sample), [entry[0] for entry in by_sample.values()], features
+def _step(text) -> int:
+    """The step of a windows-CSV row, from its text: an integer in [0, WINDOW_STEPS)."""
+    step = int(text)  # as strict as int(): "1.0" is not a step
+    if not 0 <= step < WINDOW_STEPS:
+        raise ValueError(f"step {step} outside [0, {WINDOW_STEPS})")
+    return step
 
 
 LABELS_HEADER = ["sample_id", "anxiety"]

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .fileio import read_csv, write_csv
+from .fileio import read_numeric_csv, write_csv
 
 # Column order used everywhere a feature matrix or CSV appears.
 FEATURE_NAMES = (
@@ -423,96 +423,15 @@ def extract_features(nni: NNIntervalSeries) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def _scan_numeric_rows(path, columns, positive):
-    """Row-by-row parse of the body of a headed numeric CSV; raises at its first bad line.
-
-    The exact, slow path behind ``_read_numeric_csv``: one ``float()`` per
-    value, with the line numbers and row rules of ``fileio.read_csv``.
-    """
-    requirement = "a positive finite number" if positive else "a finite number"
-    rows = read_csv(path)
-    next(rows)
-    values = []
-    for line, row in rows:
-        for name, text in zip(columns, row):
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and (value > 0 or not positive)):
-                raise ValueError(f"{path}, line {line}: {name} is {text!r}, not {requirement}")
-            values.append(value)
-    return np.array(values, dtype=np.float64).reshape(-1, len(columns))
-
-
-def _read_numeric_csv(path, columns, positive=False):
-    """(rows, len(columns)) float64 array of the leading columns of a headed CSV.
-
-    The first row is a header of at least ``len(columns)`` fields, and
-    every row is as wide as the header. Blank lines are skipped, CRLF line
-    endings and quoted numbers are accepted, and columns past ``columns``
-    are ignored. Every value in ``columns`` must be finite, and with
-    ``positive`` also > 0.
-
-    ``np.loadtxt`` parses the whole body in C, with the same correctly
-    rounded text-to-float64 conversion as ``float()``. When it refuses the
-    body (a row of another width, or a field that is not a number, in any
-    column), or the body breaks the rules above, the file is parsed again
-    row by row (``_scan_numeric_rows``). That scan raises at the first bad
-    line, or returns the values that only ``float()`` accepts, such as
-    ``1_000``, and is the path for a file with a text column. loadtxt
-    itself also accepts a field longer than the csv module's 131,072-
-    character limit and a number padded with the ASCII separator controls
-    0x1C-0x1F, both of which the scan refuses. loadtxt's own row numbers
-    are 0-based for some errors and 1-based for others, so they are not
-    reported.
-
-    Raises:
-        ValueError: naming the file, and the line for a row defect or the
-            byte offset for a file that is not UTF-8 text.
-    """
-    rows = read_csv(path)
-    header_lines, header = next(rows)
-    if len(header) < len(columns):
-        rows.close()
-        raise ValueError(f"{path}, line 1: expected the header {','.join(columns)}")
-    # loadtxt warns about a body without rows, so it never sees one
-    try:
-        empty = next(rows, None) is None
-    except ValueError:  # a defect in the first row, which loadtxt or the scan judges
-        empty = False
-    rows.close()
-    if empty:
-        return np.zeros((0, len(columns)))
-    # Given a path, not an open file, loadtxt reads large blocks instead of
-    # one line at a time: 0.45 s instead of 0.58 s for 1.8 M rows on a
-    # 2-vCPU host. It also opens a path ending in .gz, .bz2 or .xz as
-    # compressed, and then raises OSError or LZMAError on plain text; the
-    # row scan reads such a file as text.
-    try:
-        data = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
-                          skiprows=header_lines, ndmin=2)
-    except Exception:  # any refusal: the scan rereads the file and raises what applies
-        data = None
-    if data is not None and data.shape[1] == len(header):
-        data = data[:, : len(columns)]
-        # the sum is finite only when every value is; values whose sum overflows go to the scan
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = data.sum()
-        if math.isfinite(total) and (not positive or data.min() > 0):
-            return data
-    return _scan_numeric_rows(path, columns, positive)
-
-
 def read_ecg_csv(path) -> EcgSignal:
     """Read an ECG trace from a headed CSV whose first two columns are t_seconds, voltage.
 
-    Input rules are those of ``_read_numeric_csv``: blank lines are
-    skipped, CRLF line endings and quoted numbers are accepted, every row
-    is as wide as the header, further columns are ignored, and every time
-    and voltage must be finite. The sample rate is inferred from the
-    median timestamp spacing; the timestamps must increase, be uniform to
-    1% and give a finite rate, and the trace must span 2 s at that rate.
+    The file is read under the one rule of ``fileio.read_numeric_csv``:
+    every row is as wide as the header, further columns are ignored, and
+    every time and voltage must be a finite number. The sample rate is
+    inferred from the median timestamp spacing; the timestamps must
+    increase, be uniform to 1% and give a finite rate, and the trace must
+    span 2 s at that rate.
 
     Raises:
         ValueError: naming the file, and the line for a missing header, a
@@ -522,7 +441,7 @@ def read_ecg_csv(path) -> EcgSignal:
             close for a finite rate, or less than 2 s of signal.
     """
     path = Path(path)
-    data = _read_numeric_csv(path, ("t_seconds", "voltage"))
+    data = read_numeric_csv(path, ("t_seconds", "voltage"))
     if len(data) < 3:
         raise ValueError(f"{path}: too few samples")
     # the spacings go to the buffer the voltages take after the checks, and are
@@ -552,8 +471,8 @@ def read_ecg_csv(path) -> EcgSignal:
 def read_nni_csv(path) -> NNIntervalSeries:
     """Read NN intervals from a headed CSV whose first column is interval_ms.
 
-    Input rules are those of ``_read_numeric_csv``, and every interval
-    must be positive.
+    The file is read under the one rule of ``fileio.read_numeric_csv``, and
+    every interval must be a positive finite number.
 
     Raises:
         ValueError: naming the file, and the line for a missing header or
@@ -561,7 +480,7 @@ def read_nni_csv(path) -> NNIntervalSeries:
             the file when it holds no interval.
     """
     path = Path(path)
-    data = _read_numeric_csv(path, ("interval_ms",), positive=True)
+    data = read_numeric_csv(path, ("interval_ms",), positive=True)
     if len(data) == 0:
         raise ValueError(f"{path}: no intervals after the header")
     return NNIntervalSeries(data[:, 0].copy())

@@ -5,11 +5,13 @@
 Blocks scipy before fairhrv is imported, then runs synth, audit (of the
 dataset and of train-base's predictions), train-base, reweigh-train,
 mitigate (2 epochs), saliency, compare, extract --ecg (of a trace and of
-the same trace 5 units up) and extract --nni at small sizes, writing under
-OUT_DIR. Prints one JSON object: each command's exit code, the sha256 of
-each command's manifest ``artifacts`` map (to diff against another
-checkout's run) and the scipy modules loaded at the end. Exits 0 only when
-every command exited 0 and no scipy module was loaded. With scipy
+the same trace 5 units up) and extract --nni (of the intervals, and of the
+same intervals with one written with a digit separator, which only the
+row scan reads) at small sizes, writing under OUT_DIR. Prints one JSON object: each
+command's exit code, the sha256 of each command's manifest ``artifacts``
+map (to diff against another checkout's run) and the scipy modules loaded
+at the end. Exits 0 only when every command exited 0, no scipy module was
+loaded and the two extract --nni runs wrote the same artifacts. With scipy
 uninstalled the block changes nothing, so the same script checks an install
 that has only numpy.
 """
@@ -47,8 +49,12 @@ def write_ecg(path, seconds=130, fs=250, offset=0.0):
     path.write_text("t_seconds,voltage\n" + "\n".join(rows) + "\n")
 
 
-def write_nni(path):
-    path.write_text("interval_ms\n" + "\n".join(repr(1000.0 * v) for v in rr_intervals()) + "\n")
+def write_nni(path, underscore=False):
+    """The ``rr_intervals`` in ms; with ``underscore``, the first written with a digit separator, as 8_80.9..."""
+    rows = [repr(1000.0 * v) for v in rr_intervals()]
+    if underscore:
+        rows[0] = f"{rows[0][0]}_{rows[0][1:]}"
+    path.write_text("interval_ms\n" + "\n".join(rows) + "\n")
 
 
 def run(out: Path) -> dict:
@@ -58,6 +64,7 @@ def run(out: Path) -> dict:
     write_ecg(out / "ecg.csv")
     write_ecg(out / "ecg_offset.csv", offset=5.0)
     write_nni(out / "nni.csv")
+    write_nni(out / "nni_underscore.csv", underscore=True)
     commands = {
         "synth": ["synth", "--n", "60", "--bias", "0.8", "--seed", "3", "--out", str(synth)],
         "audit": ["audit", *data, "--protected", "group", "--out", str(out / "audit")],
@@ -74,6 +81,8 @@ def run(out: Path) -> dict:
                              "--out", str(out / "extract_offset")],
         "extract --nni": ["extract", "--nni", str(out / "nni.csv"), "--segment-seconds", "5",
                           "--out", str(out / "extract_nni")],
+        "extract --nni 8_80": ["extract", "--nni", str(out / "nni_underscore.csv"), "--segment-seconds", "5",
+                               "--out", str(out / "extract_nni_underscore")],
     }
     codes = {name: main(argv) for name, argv in commands.items()}
     loaded = sorted(name for name, module in sys.modules.items()
@@ -96,4 +105,6 @@ if __name__ == "__main__":
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run(out_dir)
     print(json.dumps(result, sort_keys=True))
-    sys.exit(0 if set(result["exit_codes"].values()) == {0} and not result["scipy_modules"] else 1)
+    digests = result["artifacts_sha256"]
+    same_nni = digests["extract --nni 8_80"] == digests["extract --nni"]
+    sys.exit(0 if set(result["exit_codes"].values()) == {0} and not result["scipy_modules"] and same_nni else 1)

@@ -767,10 +767,12 @@ def test_commands_run_without_scipy(tmp_path):
                          env=source_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout)
-    commands = ["audit", "audit --predictions", "compare", "extract", "extract --ecg +5", "extract --nni", "mitigate",
-                "reweigh-train", "saliency", "synth", "train-base"]
+    commands = ["audit", "audit --predictions", "compare", "extract", "extract --ecg +5", "extract --nni",
+                "extract --nni 8_80", "mitigate", "reweigh-train", "saliency", "synth", "train-base"]
     digests = result.pop("artifacts_sha256")
     assert result == {"exit_codes": dict.fromkeys(commands, 0), "scipy_modules": []}
     assert sorted(digests) == commands and all(len(d) == 64 for d in digests.values()), digests
     # a DC offset leaves the detected beats, and so every extracted byte, as they were
     assert digests["extract --ecg +5"] == digests["extract"]
+    # an interval written with a digit separator, which only the row scan reads, gives the bytes of the plain one
+    assert digests["extract --nni 8_80"] == digests["extract --nni"]

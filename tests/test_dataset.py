@@ -34,6 +34,7 @@ from fairhrv.dataset import (
     write_windows_csv,
 )
 from fairhrv.fairness import disparate_impact
+from reader_outcome import DIVERGENT_VALUES, NOT_A_NUMBER, fast_and_scan
 from reference_dataset import reference_generate_synthetic, reference_windows_csv_bytes
 
 
@@ -373,14 +374,14 @@ class TestWindowsReader:
         return text.decode().splitlines()
 
     def _assert_equal_to_scan(self, path, fast=True):
-        got = read_windows_csv(path)
-        want = dataset._scan_windows_rows(path)
-        assert got[:2] == want[:2]
-        assert got[2].shape == want[2].shape
-        assert np.array_equal(got[2].view(np.uint64), want[2].view(np.uint64))
-        # the loadtxt path served it, or refused it and left it to the scan
-        assert (dataset._load_windows_body(path) is not None) == fast
-        return got
+        """read_windows_csv's features, or its error, are those of the row scan, bit for bit."""
+        got, want, scanned = fast_and_scan(read_windows_csv, path)
+        assert got == want
+        # numpy's parser served it, or left it to the scan
+        assert scanned != fast
+        if isinstance(got, str):
+            return got
+        return read_windows_csv(path)
 
     def test_canonical_file(self, tmp_path):
         sample_ids, participant_ids, features, text = _codec_case(CHUNK + 1)
@@ -407,7 +408,35 @@ class TestWindowsReader:
         rows = [",".join(f'"{field}"' if k % 3 == 0 else field for k, field in enumerate(row.split(",")))
                 for row in rows]
         (tmp_path / "w.csv").write_bytes(("\r\n".join([header, "", *rows, ""]) + "\r\n").encode())
-        self._assert_equal_to_scan(tmp_path / "w.csv")
+        # a quoted field may span lines, which numpy's parser reads otherwise, so quotes go to the scan
+        self._assert_equal_to_scan(tmp_path / "w.csv", fast=False)
+
+    @pytest.mark.parametrize("text,read_as", DIVERGENT_VALUES)
+    def test_value_numpy_once_read_otherwise_is_read_as_the_scan_reads_it(self, tmp_path, text, read_as):
+        header, *rows = self._rows(1)
+        fields = rows[2].split(",")
+        name, fields[7] = dataset.WINDOWS_HEADER[7], text
+        rows[2] = ",".join(fields)
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        got = self._assert_equal_to_scan(path, fast=False)
+        if isinstance(read_as, float):
+            assert got[2][0, 2, 4] == read_as
+        else:
+            end = f"{name} is {text!r}, not a finite number" if read_as == NOT_A_NUMBER else read_as
+            assert got == f"{path}, line 4: {end}"
+
+    def test_padded_value_is_refused_whatever_follows(self, tmp_path):
+        # numpy's parser once read the padded value, unless a later bad one sent the file to the scan
+        header, *rows = self._rows(34)
+        fields = rows[2].split(",")
+        fields[3] = "\x1c" + fields[3]
+        rows[2] = ",".join(fields)
+        rows[799] = rows[799].rsplit(",", 1)[0] + ",zz"
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        got = self._assert_equal_to_scan(path, fast=False)
+        assert got.startswith(f"{path}, line 4: {dataset.WINDOWS_HEADER[3]} is '\\x1c")
 
     def test_values_only_float_accepts_go_to_the_scan(self, tmp_path):
         header, *rows = self._rows(1)

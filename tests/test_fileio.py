@@ -1,0 +1,59 @@
+"""fileio.read_numeric_csv returns what its row scan returns, in bits or in message, whatever the table."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairhrv import fileio
+from reader_outcome import fast_and_scan
+
+PADS = ["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
+NUMBERS = st.one_of(
+    st.floats().map(repr),  # with nan, inf and -inf
+    st.integers(-5, 30).map(str),
+    st.sampled_from(["1e400", "-1e400", "1e308", "-1.7976931348623157e308", "-0.0", ".5", "1.", "1_000", "1__0",
+                     "_1", "0x10", "zz", "", "1.5e", "+inf", "nan(1)"]),
+)
+FIELDS = st.one_of(
+    NUMBERS,
+    st.tuples(st.sampled_from(PADS), NUMBERS, st.sampled_from(PADS)).map("".join),
+    # quoted, with a line break inside or not
+    st.tuples(NUMBERS, st.sampled_from(["", "\n", "\r\n", "\r"])).map(lambda t: f'"{t[0]}{t[1]}"'),
+)
+
+
+@st.composite
+def tables(draw):
+    """(file bytes, columns, number of leading int() columns, positive) of a small headed table."""
+    width = draw(st.integers(1, 3))
+    extra = draw(st.integers(0, 1))
+    columns = tuple(f"c{k}" for k in range(width))
+    lines = [",".join(columns + ("extra",) * extra)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+        # now and then a row of another width
+        row_width = width + extra + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(",".join(draw(FIELDS) for _ in range(max(row_width, 1))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text.encode(), columns, draw(st.integers(0, min(width, 1))), draw(st.booleans())
+
+
+@given(tables())
+@settings(max_examples=400, deadline=None)
+def test_numpy_path_gives_what_the_scan_gives(tmp_path_factory, table):
+    data, columns, converters, positive = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(data)
+    got, want, _ = fast_and_scan(
+        lambda p: fileio.read_numeric_csv(p, columns, converters=(int,) * converters, positive=positive), path)
+    assert got == want
+
+
+@pytest.mark.parametrize("run", [(1 << 16) - 1, (1 << 17) - 1])
+def test_a_64_kib_aligned_block_without_a_newline_goes_to_the_scan(tmp_path, run):
+    # a newline-free run of 2 x 64 KiB - 1 bytes holds an aligned block wherever it starts
+    path = tmp_path / "t.csv"
+    path.write_text("c\n" + ("1" * run + "\n") * 3)
+    assert fileio._parses_as_scan(path) == (run < 1 << 16)

@@ -25,6 +25,7 @@ from fairhrv.hrv_features import (
 from hrv_oracle import oracle_features, random_nn_series
 from peak_memory import peak_mb
 from reference_detector import reference_detect_r_peaks
+from reader_outcome import DIVERGENT_VALUES, NOT_A_NUMBER, fast_and_scan
 from reference_readers import reference_read_ecg_csv, reference_read_nni_csv
 
 
@@ -489,7 +490,59 @@ class TestReaderOracle:
             assert got.intervals_ms.tobytes() == expected.intervals_ms.tobytes()
 
 
+def _numeric_lines(kind, rows=1000):
+    """Header and rows of a valid ECG (250 Hz) or NN-interval CSV."""
+    if kind == "ecg":
+        return ["t_seconds,voltage"] + [f"{i / 250!r},{i % 5 * 0.25}" for i in range(rows)]
+    return ["interval_ms"] + [f"{800 + i % 7 * 10}.0" for i in range(rows)]
+
+
+_READERS = {"ecg": (read_ecg_csv, "voltage", "a finite number"),
+            "nni": (read_nni_csv, "interval_ms", "a positive finite number")}
+
+
 class TestReaderErrors:
+    @pytest.mark.parametrize("kind", ["ecg", "nni"])
+    @pytest.mark.parametrize("text,read_as", DIVERGENT_VALUES)
+    def test_value_numpy_once_read_otherwise_is_read_as_the_scan_reads_it(self, tmp_path, kind, text, read_as):
+        read, name, requirement = _READERS[kind]
+        lines = _numeric_lines(kind)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + text if kind == "ecg" else text
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got, want, scanned = fast_and_scan(read, path)
+        assert got == want and scanned
+        if isinstance(read_as, float):
+            assert (read(path).samples if kind == "ecg" else read(path).intervals_ms)[2] == read_as
+        else:
+            end = f"{name} is {text!r}, not {requirement}" if read_as == NOT_A_NUMBER else read_as
+            assert got == f"{path}, line 4: {end}"
+
+    @pytest.mark.parametrize("kind", ["ecg", "nni"])
+    def test_padded_value_is_refused_whatever_follows(self, tmp_path, kind):
+        # numpy's parser once read the padded value, unless a later bad one sent the file to the scan
+        read, name, requirement = _READERS[kind]
+        lines = _numeric_lines(kind)
+        head, _, value = lines[3].rpartition(",")
+        lines[3] = f"{head},\x1c{value}" if head else f"\x1c{value}"
+        lines[800] = lines[800].rsplit(",", 1)[0] + ",zz" if kind == "ecg" else "zz"
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got, want, _ = fast_and_scan(read, path)
+        assert got == want == f"{path}, line 4: {name} is {chr(0x1c) + value!r}, not {requirement}"
+
+    @pytest.mark.parametrize("kind", ["ecg", "nni"])
+    def test_crlf_and_quoted_numbers_read_as_the_plain_file(self, tmp_path, kind):
+        read = _READERS[kind][0]
+        lines = _numeric_lines(kind)
+        (tmp_path / "plain.csv").write_text("\n".join(lines) + "\n")
+        rows = [",".join(f'"{field}"' for field in line.split(",")) for line in lines[1:]]
+        (tmp_path / "quoted.csv").write_bytes("\r\n".join([lines[0], *rows, ""]).encode())
+        plain, plain_scan, plain_scanned = fast_and_scan(read, tmp_path / "plain.csv")
+        quoted, quoted_scan, quoted_scanned = fast_and_scan(read, tmp_path / "quoted.csv")
+        assert plain == plain_scan == quoted == quoted_scan
+        assert (plain_scanned, quoted_scanned) == (False, True)
+
     def test_error_names_line_after_blank_and_crlf_lines(self, tmp_path):
         path = tmp_path / "ecg.csv"
         path.write_bytes(b"t_seconds,voltage\r\n0,1\r\n\r\n0.5,2\r\n1.0,zz\r\n")
