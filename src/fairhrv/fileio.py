@@ -78,11 +78,11 @@ def read_numeric_csv(path, columns, *, converters=(), positive=False, exact_head
     as wide as the header, and fields past ``columns`` are ignored. Every
     ``float()`` value must be finite, and with ``positive`` also > 0.
 
-    The scan costs a Python call per value, so ``np.loadtxt`` parses the
-    file first, in C and in large blocks, and its array is returned when
-    it holds what the scan would. Only a file that numpy's parser splits
-    and converts as the scan does goes to it (``_parses_as_scan``); any
-    refusal, or a value that breaks the rule, leaves the file to the scan.
+    The scan costs a Python call per value, so numpy's ``loadtxt`` parses
+    the file first, in C and in large blocks, and its array is returned
+    when it holds what the scan would. Only a file that numpy's parser
+    splits and converts as the scan does goes to it (``_parses_as_scan``);
+    any refusal, or a value that breaks the rule, leaves it to the scan.
     A converter returns a float64-exact number, raises ValueError on text
     it refuses, and numbers the same rows the same way when called on them
     again.
