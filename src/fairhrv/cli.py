@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: extract, synth, audit, train-base, reweigh-train, mitigate,
-saliency, compare. Every command writes its artifacts plus a manifest
-(configuration echo and artifact checksums, no volatile fields) into the
---out directory, so identical configurations and seeds reproduce
-byte-identical outputs. All fairness reports come from
+saliency, compare. Each writes its artifacts into --out, made only once
+its inputs pass their checks; on success ``main`` adds a manifest (config
+echo and artifact checksums, no volatile fields), so identical configs and
+seeds reproduce byte-identical outputs. All fairness reports come from
 fairness.evaluate_predictions; all windows CSVs are read by
 dataset.read_windows_csv, and they and the ECG and NN-interval CSVs under
 the one rule of fileio.read_numeric_csv, the row scan's. Exit codes: 0
@@ -32,10 +32,20 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     write_json(out_dir / "manifest.json", {"command": command, "config": config, "artifacts": artifacts})
 
 
-def _config_echo(args, exclude=("out", "func", "command")) -> dict:
+def _out_dir(args) -> Path:
+    """Make the --out directory; a command calls this only once its inputs have passed their checks."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
+
+
+# the manifest's "command" where it is not the subcommand's name
+MANIFEST_COMMANDS = {"train-base": "base", "reweigh-train": "reweighting"}
+
+
+def _config_echo(args) -> dict:
     config = {}
     for key, value in sorted(vars(args).items()):
-        if key in exclude or callable(value):
+        if key in ("out", "func", "command"):
             continue
         config[key] = str(value) if isinstance(value, Path) else value
     return config
@@ -102,7 +112,7 @@ def _standardized_split(args, config: TrainConfig) -> dataset.SplitCohort:
 # commands
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> None:
     if (args.ecg is None) == (args.nni is None):
         raise ValueError("provide exactly one of --ecg or --nni")
     if args.steps != dataset.WINDOW_STEPS:
@@ -110,8 +120,6 @@ def cmd_extract(args) -> int:
     if not (np.isfinite(args.segment_seconds) and args.segment_seconds > 0):
         raise ValueError(f"--segment-seconds must be finite and positive, got {args.segment_seconds}")
     _check_csv_name("--participant", args.participant)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.ecg is not None:
         signal = hrv_features.read_ecg_csv(args.ecg)
         nni = hrv_features.detect_r_peaks(signal)
@@ -130,6 +138,7 @@ def cmd_extract(args) -> int:
     if not rows:
         raise ValueError("no segment had enough intervals for feature extraction")
     rows = np.stack(rows)
+    out = _out_dir(args)
     hrv_features.write_features_csv(out / "features.csv", rows)
 
     n_windows = len(rows) // args.steps
@@ -141,28 +150,21 @@ def cmd_extract(args) -> int:
     )
     if n_windows == 0:
         print(f"note: {len(rows)} segment(s) < {args.steps}; windows.csv has no rows", file=sys.stderr)
-    _write_manifest(out, "extract", _config_echo(args))
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     _check_csv_name("--attribute", args.attribute)
     if args.attribute == "participant_id":
         raise ValueError("--attribute cannot be participant_id, the demographics id column")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cohort = dataset.generate_synthetic(args.n, args.bias, args.seed, attribute=args.attribute)
+    out = _out_dir(args)
     _write_cohort_windows(out / "windows.csv", cohort)
     dataset.write_labels_csv(out / "labels.csv", cohort)
     dataset.write_demographics_csv(out / "demographics.csv", cohort)
     dataset.write_catalog_json(out / "catalog.json", cohort)
-    _write_manifest(out, "synth", _config_echo(args))
-    return 0
 
 
-def cmd_audit(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_audit(args) -> None:
     cohort = _load_cohort(args)
     groups = cohort.protected_values(args.protected)
     labels = cohort.labels()
@@ -177,38 +179,25 @@ def cmd_audit(args) -> int:
             raise ValueError(f"{args.predictions}: sample {unknown[0]!r} is not in the cohort")
         rows = [index[sid] for sid in by_id]
         report = fairness.evaluate_predictions(list(by_id.values()), labels[rows], groups[rows], args.protected)
-    write_json(out / "report.json", report)
-    _write_manifest(out, "audit", _config_echo(args))
-    return 0
+    write_json(_out_dir(args) / "report.json", report)
 
 
-def _run_single_model(args, variant: str) -> int:
+def _run_single_model(args) -> None:
+    """train-base and reweigh-train: one model's checkpoint, test predictions and metrics."""
     config = _train_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     split = _standardized_split(args, config)
-    run_model = pipeline.run_reweighted_model if variant == "reweighting" else pipeline.run_base_model
+    run_model = pipeline.run_reweighted_model if args.command == "reweigh-train" else pipeline.run_base_model
     run = run_model(split, args.protected, config)
+    out = _out_dir(args)
     save_checkpoint(run.params, out / "model.bin")
     _write_test_predictions(out / "predictions.csv", split, run)
     write_json(out / "metrics.json", {"metrics": run.metrics, "train_losses": list(run.train_losses)})
-    _write_manifest(out, variant, _config_echo(args))
-    return 0
 
 
-def cmd_train_base(args) -> int:
-    return _run_single_model(args, "base")
-
-
-def cmd_reweigh_train(args) -> int:
-    return _run_single_model(args, "reweighting")
-
-
-def cmd_mitigate(args) -> int:
+def cmd_mitigate(args) -> None:
     config = _train_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     split = _standardized_split(args, config)
+    out = _out_dir(args)
     run = pipeline.run_mitigation(
         split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on
     )
@@ -223,36 +212,28 @@ def cmd_mitigate(args) -> int:
     write_json(out / "report.json", run.metrics)
     _write_test_predictions(out / "predictions.csv", split, run)
     _write_cohort_windows(out / "test_windows.csv", split.test)
-    _write_manifest(out, "mitigate", _config_echo(args))
-    return 0
 
 
-def cmd_saliency(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_saliency(args) -> None:
     params = load_checkpoint(args.checkpoint)
     heads = ModelArch.from_params(params).heads
     if args.head not in heads:
         raise ValueError(f"{args.checkpoint} has no head {args.head!r}; its heads are {', '.join(heads)}")
     _, _, windows = dataset.read_windows_csv(args.windows)
     smap = saliency.average_saliency_over_windows(params, windows, args.head)
+    out = _out_dir(args)
     saliency.write_saliency_csv(smap, out / "saliency.csv")
     abs_map = saliency.SaliencyMap(np.abs(smap.values), smap.feature_names, smap.head)
     saliency.write_saliency_csv(abs_map, out / "saliency_abs.csv")
     saliency.write_saliency_svg(smap, out / "saliency.svg")
-    _write_manifest(out, "saliency", _config_echo(args))
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     config = _train_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     comparison = pipeline.run_comparison(_standardized_split(args, config), args.protected, config)
+    out = _out_dir(args)
     write_json(out / "comparison.json", comparison)
     atomic_write_text(out / "comparison.txt", pipeline.render_comparison_text(comparison))
-    _write_manifest(out, "compare", _config_echo(args))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +248,20 @@ def _add_data_args(p, need_demo=False):
 
 
 def _add_train_args(p):
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--ckpt-every", type=int, default=5)
-    p.add_argument("--loss-weights", default="4.5,0.5",
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every)
+    p.add_argument("--loss-weights", default=",".join(map(str, TrainConfig.task_weights)),
                    help="task loss weights 'anxiety,protected'")
-    p.add_argument("--mc-passes", type=int, default=50)
-    p.add_argument("--keep-rate", type=float, default=0.8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lstm-hidden", type=int, default=64)
-    p.add_argument("--dense-size", type=int, default=32)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--mc-passes", type=int, default=TrainConfig.mc_passes)
+    p.add_argument("--keep-rate", type=float, default=TrainConfig.keep_rate)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lstm-hidden", type=int, default=TrainConfig.lstm_hidden)
+    p.add_argument("--dense-size", type=int, default=TrainConfig.dense_size)
+    p.add_argument("--threshold", type=float, default=TrainConfig.threshold)
     p.add_argument("--by-participant", action="store_true",
                    help="split by participant instead of by window")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,69 +270,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fairness-aware anxiety prediction on HRV feature windows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, type=Path, help="directory for the artifacts and manifest.json")
 
-    p = sub.add_parser("extract", help="ECG or NN intervals -> feature windows")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[out], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("extract", cmd_extract, "ECG or NN intervals -> feature windows")
     p.add_argument("--ecg", type=Path, help="ECG CSV (t_seconds,voltage)")
     p.add_argument("--nni", type=Path, help="NN-interval CSV (interval_ms)")
     p.add_argument("--segment-seconds", type=float, default=300.0)
     p.add_argument("--steps", type=int, default=24)
     p.add_argument("--participant", default="p0000")
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("synth", help="generate a synthetic biased cohort")
+    p = command("synth", cmd_synth, "generate a synthetic biased cohort")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bias", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attribute", default="group")
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("audit", help="dataset- or prediction-level fairness report")
+    p = command("audit", cmd_audit, "dataset- or prediction-level fairness report")
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     p.add_argument("--predictions", type=Path, default=None,
                    help="predictions CSV; audits the model instead of the dataset")
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("train-base", help="train the single-task anxiety model")
+    p = command("train-base", _run_single_model, "train the single-task anxiety model")
     _add_data_args(p)
     p.add_argument("--protected", default=None, help="audit attribute (optional)")
     _add_train_args(p)
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_train_base)
 
-    p = sub.add_parser("reweigh-train", help="train the reweighted baseline")
+    p = command("reweigh-train", _run_single_model, "train the reweighted baseline")
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_reweigh_train)
 
-    p = sub.add_parser("mitigate", help="checkpointed MTL + uncertainty selection")
+    p = command("mitigate", cmd_mitigate, "checkpointed MTL + uncertainty selection")
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
     p.add_argument("--eval-on", choices=("train", "test"), default="train")
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_mitigate)
 
-    p = sub.add_parser("saliency", help="average saliency map for a checkpoint")
+    p = command("saliency", cmd_saliency, "average saliency map for a checkpoint")
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("--windows", required=True, type=Path,
                    help="windows CSV in the model's input scale "
                         "(e.g. test_windows.csv written by mitigate)")
     p.add_argument("--head", choices=("anxiety", "protected"), default="anxiety")
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_saliency)
 
-    p = sub.add_parser("compare", help="base vs reweighting vs proposed table")
+    p = command("compare", cmd_compare, "base vs reweighting vs proposed table")
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -363,7 +335,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
+        _write_manifest(args.out, MANIFEST_COMMANDS.get(args.command, args.command), _config_echo(args))
+        return 0
     except (OSError, ValueError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -195,9 +195,12 @@ def _round_half_up(x: float) -> int:
 def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> SplitCohort:
     """Shuffle and split 75/25, deterministically for a given seed.
 
-    With ``by_participant`` the 75/25 ratio applies to participants and all
-    of a participant's windows travel together (window proportions are then
-    only approximate).
+    With ``by_participant`` all of a participant's windows travel together,
+    and participants are split 75/25 within each stratum of equal protected
+    codes (those of the participant's first window) and majority anxiety
+    label (a tie counts as 0). A stratum of two or more participants puts
+    at least one in each part; a lone participant goes to train. Window
+    proportions are then only approximate.
 
     Raises:
         TooSmall: fewer than 4 windows.
@@ -207,10 +210,17 @@ def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> Spl
         raise TooSmall(f"need at least 4 windows to split, got {n}")
     rng = substream(seed, "split")
     if by_participant:
-        participants = sorted({w.participant_id for w in cohort.windows})
-        order = list(rng.permutation(len(participants)))
-        n_train_p = _round_half_up(0.75 * len(participants))
-        train_ids = {participants[i] for i in order[:n_train_p]}
+        windows_of = {}
+        for w in cohort.windows:
+            windows_of.setdefault(w.participant_id, []).append(w)
+        strata = {}
+        for pid, ws in sorted(windows_of.items()):
+            majority = 2 * sum(w.anxiety for w in ws) > len(ws)
+            strata.setdefault((tuple(sorted(ws[0].protected.items())), majority), []).append(pid)
+        train_ids = set()
+        for _, members in sorted(strata.items()):
+            n_train_p = min(_round_half_up(0.75 * len(members)), max(1, len(members) - 1))
+            train_ids.update(members[i] for i in rng.permutation(len(members))[:n_train_p])
         train_windows = [w for w in cohort.windows if w.participant_id in train_ids]
         test_windows = [w for w in cohort.windows if w.participant_id not in train_ids]
     else:

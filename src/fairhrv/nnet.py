@@ -235,7 +235,7 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
     return ModelParams(tensors, epoch=0, rng_seed=seed)
 
 
-def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int = 1) -> DropoutMask:
+def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int) -> DropoutMask:
     """Draw independent Bernoulli keep masks for every dropout point."""
     masks = {}
     for name, width in arch.dropout_points():
@@ -632,18 +632,20 @@ class AdamState:
         )
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> tuple:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
+def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> tuple:
     """One Adam update; returns (new params, new state)."""
     t = state.t + 1
     new_tensors, new_m, new_v = {}, {}, {}
     for name, value in params.tensors.items():
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_tensors[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_tensors[name] = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
     return (

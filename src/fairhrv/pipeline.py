@@ -3,6 +3,13 @@
 Wires the dataset, training, and fairness modules into the three model
 variants the comparison table reports: the single-task base model, the
 reweighted baseline, and the uncertainty-selected multi-task model.
+
+The benchmark (``perfbench/tracer.py``) traces ``prepare_split``,
+``evaluate_predictions``, ``run_base_model``, ``run_reweighted_model`` and
+``run_mitigation`` by name, and ``perfbench/score.py`` builds
+``Cohort(windows, catalog)`` and calls ``dataclasses.replace(w,
+features=...)`` on its ``.windows``; folding those wrappers or deleting
+``dataset.LabeledWindow`` waits for a benchmark change.
 """
 
 from dataclasses import dataclass

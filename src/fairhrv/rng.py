@@ -10,7 +10,8 @@ import zlib
 import numpy as np
 
 
-def substream(seed: int, *path) -> np.random.Generator:
+# quoted, so importing this module does not load numpy.random; only a draw does
+def substream(seed: int, *path) -> "np.random.Generator":
     """Return a Generator for the substream identified by ``path``.
 
     Path elements may be strings or integers. The same (seed, path) pair

@@ -1,5 +1,6 @@
 """CLI tests: artifacts, exit codes, manifests, and reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -546,14 +547,19 @@ class TestLabelsReader:
 class TestSplitCheck:
     @pytest.mark.parametrize("command", ["train-base", "mitigate", "compare"])
     def test_split_lacking_a_group_exits_1_before_training(self, synth_dir, tmp_path, capsys, command):
+        # one participant is unprivileged; alone in its stratum, it goes to train
+        demo = tmp_path / "one_unprivileged.csv"
+        demo.write_text("".join(
+            line.replace(",min", ",maj") if not line.startswith("p0004,") else line
+            for line in (synth_dir / "demographics.csv").read_text().splitlines(keepends=True)))
         out = tmp_path / "out"
-        code = main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN,
+        code = main([command, *data_args(synth_dir)[:4], "--demo", str(demo), "--protected", "group", *FAST_TRAIN,
                      "--by-participant", "--seed", "0", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: by-participant split, seed 0: test windows have anxiety 1/0 = 9/3, "
+        assert err == ["error: by-participant split, seed 0: test windows have anxiety 1/0 = 6/6, "
                        "group privileged/unprivileged = 12/0; train and test each need both values of each"]
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_split_with_both_groups_and_labels_trains(self, synth_dir, tmp_path):
         out = tmp_path / "out"
@@ -759,6 +765,66 @@ class TestTrainAndMitigate:
             assert row in text
         for col in ("Base Model", "Reweighting", "Proposed Method"):
             assert col in text
+
+
+class TestManifest:
+    @staticmethod
+    def argv(command, synth_dir, base_dir, tmp_path):
+        data = [*data_args(synth_dir), "--protected", "group"]
+        if command == "extract":
+            nni = tmp_path / "nni.csv"
+            intervals = np.random.default_rng(0).uniform(700, 900, size=800)
+            nni.write_text("interval_ms\n" + "".join(f"{v:.3f}\n" for v in intervals))
+            return ["extract", "--nni", str(nni), "--segment-seconds", "20"]
+        return {
+            "synth": ["synth", "--n", "40", "--bias", "0.5"],
+            "audit": ["audit", *data],
+            "train-base": ["train-base", *data, *FAST_TRAIN],
+            "reweigh-train": ["reweigh-train", *data, *FAST_TRAIN],
+            "mitigate": ["mitigate", *data, *FAST_TRAIN],
+            "saliency": ["saliency", "--checkpoint", str(base_dir / "model.bin"),
+                         "--windows", str(synth_dir / "windows.csv")],
+            "compare": ["compare", *data, *FAST_TRAIN],
+        }[command]
+
+    @pytest.mark.parametrize("command,recorded", [
+        ("extract", "extract"), ("synth", "synth"), ("audit", "audit"), ("train-base", "base"),
+        ("reweigh-train", "reweighting"), ("mitigate", "mitigate"), ("saliency", "saliency"), ("compare", "compare"),
+    ])
+    def test_manifest_names_the_command_and_hashes_every_file(self, synth_dir, base_dir, tmp_path, command, recorded):
+        out = tmp_path / "out"
+        assert main([*self.argv(command, synth_dir, base_dir, tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == recorded
+        assert not {"out", "func", "command"} & set(manifest["config"])
+        files = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in out.rglob("*") if path.is_file() and path.name != "manifest.json"}
+        assert files and manifest["artifacts"] == files
+
+    @pytest.mark.parametrize("failure", ["unlabeled sample", "divergence"])
+    def test_failed_command_leaves_no_manifest(self, synth_dir, tmp_path, capsys, failure):
+        labels = synth_dir / "labels.csv"
+        extra = ["--lr", "1e300"]
+        if failure == "unlabeled sample":
+            labels = tmp_path / "labels.csv"
+            labels.write_text("".join((synth_dir / "labels.csv").read_text().splitlines(keepends=True)[:-1]))
+            extra = []
+        out = tmp_path / "out"
+        code = main(["mitigate", *data_args(synth_dir)[:2], "--labels", str(labels),
+                     "--demo", str(synth_dir / "demographics.csv"), "--protected", "group", *FAST_TRAIN, *extra,
+                     "--out", str(out)])
+        assert code == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        # training writes checkpoints, so a divergence comes after --out is made
+        assert out.is_dir() == (failure == "divergence")
+        assert not (out / "manifest.json").exists()
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    """Only a command that draws loads numpy.random; extract, audit and saliency draw nothing."""
+    out = subprocess.run([sys.executable, "-c", "import sys, fairhrv.cli; print('numpy.random' in sys.modules)"],
+                         env=source_env(), capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout == "False\n", out.stdout + out.stderr
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairhrv import dataset
+from fairhrv import dataset, pipeline
 from fairhrv.cli import PREDICTIONS_HEADER, _write_predictions_csv
 from fairhrv.dataset import (
     AttributeCoding,
@@ -147,6 +147,12 @@ class TestSplit:
         train_p = {w.participant_id for w in split.train.windows}
         test_p = {w.participant_id for w in split.test.windows}
         assert not train_p & test_p
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_by_participant_split_keeps_both_groups_and_labels_in_each_part(self, seed):
+        # prepare_split raises when a part lacks a group or a label; unstratified, 7 of these 10 seeds did
+        split = pipeline.prepare_split(generate_synthetic(60, 0.8, 3), seed, by_participant=True, protected="group")
+        assert {w.participant_id for w in split.train.windows}.isdisjoint(w.participant_id for w in split.test.windows)
 
 
 class TestStandardize:
