@@ -2,13 +2,13 @@
 
 Subcommands: extract, synth, audit, train-base, reweigh-train, mitigate,
 saliency, compare. Each writes its artifacts into --out, made only once
-its inputs pass their checks; on success ``main`` adds a manifest (config
-echo and artifact checksums, no volatile fields), so identical configs and
-seeds reproduce byte-identical outputs. All fairness reports come from
-fairness.evaluate_predictions; all windows CSVs are read by
-dataset.read_windows_csv, and they and the ECG and NN-interval CSVs under
-the one rule of fileio.read_numeric_csv, the row scan's. Exit codes: 0
-success, 1 data or I/O errors, 2 usage errors.
+its work has succeeded, so a failed command leaves no --out; on success
+``main`` adds a manifest (config echo and artifact checksums, no volatile
+fields), so identical configs and seeds reproduce byte-identical outputs.
+All fairness reports come from fairness.evaluate_predictions; all
+windows CSVs are read by dataset.read_windows_csv, and they and the ECG
+and NN-interval CSVs under the one rule of fileio.read_numeric_csv, the
+row scan's. Exit codes: 0 success, 1 data or I/O errors, 2 usage errors.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataset, fairness, hrv_features, pipeline, saliency
 from .checkpoint_io import load_checkpoint, save_checkpoint
-from .fileio import atomic_write_text, sha256_file, write_csv, write_json
+from .fileio import atomic_write_text, check_csv_name, sha256_file, write_csv, write_json
 from .mitigation import TrainConfig, TrainingDiverged
 from .nnet import ModelArch
 
@@ -33,7 +33,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
 
 
 def _out_dir(args) -> Path:
-    """Make the --out directory; a command calls this only once its inputs have passed their checks."""
+    """Make the --out directory; a command calls this only once its work has succeeded."""
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
 
@@ -68,12 +68,6 @@ def _write_cohort_windows(path, cohort: dataset.Cohort) -> None:
     windows = cohort.windows
     dataset.write_windows_csv(path, [w.sample_id for w in windows], [w.participant_id for w in windows],
                               cohort.feature_tensor())
-
-
-def _check_csv_name(flag, name) -> None:
-    """Reject a name that the CSV files it is written into could not read back."""
-    if any(c in name for c in ',"\r\n'):
-        raise ValueError(f"{flag} {name!r} holds a comma, quote, CR or LF, which the CSV files cannot hold")
 
 
 def _train_config(args) -> TrainConfig:
@@ -119,7 +113,7 @@ def cmd_extract(args) -> None:
         raise ValueError(f"--steps must be {dataset.WINDOW_STEPS}, the window length models take")
     if not (np.isfinite(args.segment_seconds) and args.segment_seconds > 0):
         raise ValueError(f"--segment-seconds must be finite and positive, got {args.segment_seconds}")
-    _check_csv_name("--participant", args.participant)
+    check_csv_name("--participant", args.participant)
     if args.ecg is not None:
         signal = hrv_features.read_ecg_csv(args.ecg)
         nni = hrv_features.detect_r_peaks(signal)
@@ -153,7 +147,7 @@ def cmd_extract(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    _check_csv_name("--attribute", args.attribute)
+    check_csv_name("--attribute", args.attribute)
     if args.attribute == "participant_id":
         raise ValueError("--attribute cannot be participant_id, the demographics id column")
     cohort = dataset.generate_synthetic(args.n, args.bias, args.seed, attribute=args.attribute)
@@ -197,10 +191,10 @@ def _run_single_model(args) -> None:
 def cmd_mitigate(args) -> None:
     config = _train_config(args)
     split = _standardized_split(args, config)
+    run = pipeline.run_mitigation(split, args.protected, config, eval_on=args.eval_on)
     out = _out_dir(args)
-    run = pipeline.run_mitigation(
-        split, args.protected, config, out_dir=out / "checkpoints", eval_on=args.eval_on
-    )
+    for ckpt in run.checkpoints:
+        save_checkpoint(ckpt, out / "checkpoints" / f"ckpt_epoch_{ckpt.epoch}.bin")
     write_json(
         out / "uncertainties.json",
         [
@@ -249,7 +243,8 @@ def _add_data_args(p, need_demo=False):
 
 def _add_train_args(p):
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every)
+    p.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every,
+                   help="checkpoint every this many epochs and at the last (mitigate, compare)")
     p.add_argument("--loss-weights", default=",".join(map(str, TrainConfig.task_weights)),
                    help="task loss weights 'anxiety,protected'")
     p.add_argument("--mc-passes", type=int, default=TrainConfig.mc_passes)
@@ -335,6 +330,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's seed error names neither the flag nor the value
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         args.func(args)
         _write_manifest(args.out, MANIFEST_COMMANDS.get(args.command, args.command), _config_echo(args))
         return 0

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, read_csv, read_numeric_csv, write_csv, write_json
+from .fileio import atomic_write_bytes, check_csv_name, read_csv, read_numeric_csv, write_csv, write_json
 from .hrv_features import FEATURE_NAMES
 from .rng import substream
 
@@ -455,14 +455,17 @@ def read_windows_csv(path):
     in [0, 24), and every feature value a finite number. Samples come in
     order of their first row, each with the participant id of that row; a
     sample's rows may come in any order and interleave with other samples'
-    rows, and each of its 24 steps comes once.
+    rows, and each of its 24 steps comes once. No id may hold a comma,
+    quote, CR or LF (``fileio.check_csv_name``), as the files that the
+    model commands write them into could not read them back.
 
     Raises ValueError: naming the file and the first bad line, on a bad
     header, column count, step or feature value; failing those, naming the
-    file and the line of the first row that repeats an earlier row's
-    (sample, step); naming the file, on a sample with missing steps; and
-    naming the file and the offset of the first bad byte, for a file that
-    is not UTF-8 text.
+    file and the id, on an id the rule above refuses; naming the file and
+    the line of the first row that repeats an earlier row's (sample,
+    step); naming the file, on a sample with missing steps; and naming the
+    file and the offset of the first bad byte, for a file that is not
+    UTF-8 text.
     """
     samples, participants = {}, {}  # id -> its number, in order of first row
     data = read_numeric_csv(path, WINDOWS_HEADER, exact_header=True, converters=(
@@ -470,6 +473,9 @@ def read_windows_csv(path):
         lambda text: participants.setdefault(text, len(participants)),
         _step,
     ))
+    for what, ids in (("sample", samples), ("participant", participants)):
+        for name in ids:  # each distinct id once, not each row
+            check_csv_name(f"{path}: {what}", name)
     n = len(samples)
     if n == 0:
         return [], [], np.zeros((0, WINDOW_STEPS, N_FEATURES))

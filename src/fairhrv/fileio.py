@@ -190,6 +190,12 @@ def not_utf8_error(path) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
+def check_csv_name(what, name) -> None:
+    """Reject a name, such as an id, that the CSV files it is written into unquoted could not read back."""
+    if any(c in name for c in ',"\r\n'):
+        raise ValueError(f"{what} {name!r} holds a comma, quote, CR or LF, which the CSV files cannot hold")
+
+
 def write_csv(path, header, lines) -> None:
     """Atomically write the header fields, then ``lines``, each a formatted CSV row."""
     atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")

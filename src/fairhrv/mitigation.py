@@ -6,7 +6,9 @@ epochs, score each checkpoint's per-head epistemic uncertainty with
 Monte-Carlo dropout, pick the checkpoint with the largest
 protected-minus-anxiety uncertainty gap, and predict anxiety with those
 weights verbatim. Single-task and reweighted baselines share the same
-training loop.
+training loop, and every loop minimizes the sample-weighted loss (unit
+weights for the plain mean). Training writes no files: checkpoints are
+returned, and the command that asked for them writes them.
 
 The benchmark traces this module's public functions by name
 (``LAYER_FUNCTIONS`` in ``perfbench/tracer.py``) and its tests count 50
@@ -16,11 +18,9 @@ wrappers waits for a benchmark change that renames them too.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint_io import save_checkpoint
 from .dataset import N_FEATURES, Cohort
 from .nnet import (
     AdamState,
@@ -51,7 +51,8 @@ class TrainConfig:
     """Hyper-parameters for all training entry points.
 
     ``task_weights`` orders (anxiety, protected); ``mc_passes`` is the
-    number of dropout forward passes per checkpoint.
+    number of dropout forward passes per checkpoint. Checkpoints are taken
+    every ``checkpoint_every`` epochs and at the last epoch.
     """
 
     epochs: int = 100
@@ -69,8 +70,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.checkpoint_every < 1 or self.epochs % self.checkpoint_every != 0:
-            raise ValueError("epochs must be a multiple of checkpoint_every")
+        if self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be at least 1, got {self.checkpoint_every}")
         if not all(math.isfinite(w) and w >= 0 for w in self.task_weights):
             raise ValueError(f"task weights must be finite and non-negative, got {self.task_weights}")
         for name in ("lstm_hidden", "dense_size"):
@@ -113,11 +114,11 @@ class UncertaintyRecord:
 
 # a diverging run ends with one TrainingDiverged, not with numpy overflow warnings first
 @np.errstate(over="ignore", invalid="ignore")
-def _train_loop(x, targets, task_weights, config: TrainConfig,
-                sample_weights=None, checkpoint_epochs=(), out_dir=None):
+def _train_loop(x, targets, task_weights, config: TrainConfig, sample_weights, checkpoint_epochs=()):
     """Shared minibatch Adam loop; returns (final params, checkpoints, losses).
 
-    The model has one head per ``task_weights`` key, in key order.
+    The model has one head per ``task_weights`` key, in key order, and
+    ``sample_weights`` holds one loss weight per row of ``x``.
 
     All shuffling and dropout randomness derives from named substreams of
     config.seed, so a trajectory depends only on (data, config).
@@ -133,7 +134,6 @@ def _train_loop(x, targets, task_weights, config: TrainConfig,
 
     checkpoints = []
     epoch_losses = []
-    out_dir = Path(out_dir) if out_dir is not None else None
     for epoch in range(1, config.epochs + 1):
         order = substream(config.seed, "shuffle", epoch).permutation(n)
         mask_rng = substream(config.seed, "dropout", epoch)
@@ -143,7 +143,7 @@ def _train_loop(x, targets, task_weights, config: TrainConfig,
             idx = order[start : start + config.batch_size]
             xb = x[idx]
             tb = {head: targets[head][idx] for head in task_weights}
-            sw = None if sample_weights is None else sample_weights[idx]
+            sw = sample_weights[idx]
             mask = sample_dropout_mask(arch, config.keep_rate, mask_rng, batch=len(idx))
             outputs, trace = forward(params, xb, mask=mask)
             loss = mtl_loss(outputs, tb, task_weights, sample_weights=sw)
@@ -163,8 +163,6 @@ def _train_loop(x, targets, task_weights, config: TrainConfig,
         if epoch in checkpoint_epochs:
             snapshot = params.copy()
             snapshot.epoch = epoch
-            if out_dir is not None:
-                save_checkpoint(snapshot, out_dir / f"ckpt_epoch_{epoch}.bin")
             checkpoints.append(snapshot)
     params.epoch = config.epochs
     return params, checkpoints, epoch_losses
@@ -181,7 +179,7 @@ def _cohort_inputs(cohort: Cohort, protected: str = None):
 def train_baseline(train: Cohort, config: TrainConfig):
     """Single-head anxiety model; returns (params, per-epoch mean losses)."""
     x, targets = _cohort_inputs(train)
-    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config)
+    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config, np.ones(len(x)))
     return params, losses
 
 
@@ -198,16 +196,15 @@ def train_reweighted(train: Cohort, config: TrainConfig, weights):
     x, targets = _cohort_inputs(train)
     if len(weights) != x.shape[0]:
         raise ValueError("need exactly one weight per training window")
-    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config, sample_weights=weights)
+    params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config, weights)
     return params, losses
 
 
-def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfig, out_dir=None):
-    """Two-head training with a checkpoint every ``checkpoint_every`` epochs.
+def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfig):
+    """Two-head training with a checkpoint every ``checkpoint_every`` epochs and at the last.
 
     Returns (checkpoints, final params, losses); checkpoints carry their
-    epoch tag and are additionally written to ``out_dir`` when given
-    (ckpt_epoch_{N}.bin).
+    epoch tag.
 
     Raises:
         MissingAttribute: cohort lacks the protected attribute.
@@ -215,12 +212,8 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
     """
     x, targets = _cohort_inputs(train, protected)
     task_w = {"anxiety": config.task_weights[0], "protected": config.task_weights[1]}
-    checkpoint_epochs = tuple(
-        range(config.checkpoint_every, config.epochs + 1, config.checkpoint_every)
-    )
-    params, checkpoints, losses = _train_loop(
-        x, targets, task_w, config, checkpoint_epochs=checkpoint_epochs, out_dir=out_dir
-    )
+    checkpoint_epochs = {*range(config.checkpoint_every, config.epochs, config.checkpoint_every), config.epochs}
+    params, checkpoints, losses = _train_loop(x, targets, task_w, config, np.ones(len(x)), checkpoint_epochs)
     return checkpoints, params, losses
 
 

@@ -7,8 +7,13 @@ gradients, so analytic gradients can be checked against finite
 differences and checkpoints can be serialized bit-exactly.
 
 Dropout acts only after the recurrence, so the LSTM states of an input
-are deterministic: Monte-Carlo dropout computes them once per call and
-repeats only mask -> dense -> heads in each pass.
+are deterministic. Inference therefore runs in two parts: the recurrence
+gives each window's last hidden state, and ``forward`` then runs the head
+network on those states. The head network is the model without its
+``lstm.*`` tensors, which ``ModelArch.from_params`` reads as a model
+without an LSTM whose input size is H; the full model's dropout mask
+applies its ``lstm_out`` part to that input. Monte-Carlo dropout runs
+the recurrence once per call and only the head network in each pass.
 
 Inference holds the recurrence's history one block of windows at a time.
 Training keeps the whole history for backpropagation through time, about
@@ -196,8 +201,7 @@ class ForwardTrace:
     x: np.ndarray
     outputs: dict
     param_shapes: dict
-    # lstm caches, shaped (T, B, H); states include t=0; None when forward
-    # was given the last hidden state, and backward then refuses the trace
+    # lstm caches, shaped (T, B, H); states include t=0; None without an LSTM
     gates: dict = None
     cell: np.ndarray = None
     hidden: np.ndarray = None
@@ -325,38 +329,29 @@ def _last_hidden(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return last
 
 
-def forward(params: ModelParams, x, mask: DropoutMask = None, lstm_states=None) -> tuple:
+def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
     """Run the network; returns ({head: probabilities}, trace).
 
     With ``mask`` absent, dropout is disabled and the pass is
     deterministic (inverted dropout needs no inference-time rescaling).
     Masked activations are scaled by 1/keep_rate so expectations match
-    the unmasked pass. ``lstm_states`` is the recurrence's last hidden
-    state for this ``x`` and these params, (batch, H), as
-    ``_last_hidden(params, x)`` returns it; the returned
-    trace then holds no recurrence history and cannot be backpropagated.
-    When None the full trace is computed here.
+    the unmasked pass. The ``lstm_out`` mask applies to the recurrence's
+    last hidden state or, in a model without an LSTM, to its input, so a
+    head network given the full model's mask and the last hidden states
+    gives the full model's outputs (see the module docstring).
 
     Raises:
-        ShapeMismatch: ``x``, ``mask`` or ``lstm_states`` do not fit the params.
+        ShapeMismatch: ``x`` or ``mask`` do not fit the params.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
     x = _prepare_input(arch, x)
     trace = ForwardTrace(x=x, outputs={}, param_shapes={k: v.shape for k, v in t.items()})
 
+    trunk = x
     if arch.lstm_hidden is not None:
-        if lstm_states is None:
-            trace.gates, trace.cell, trace.hidden, trace.tanh_cell = _lstm_states(params, x)
-            lstm_states = trace.hidden[-1]
-        elif lstm_states.shape != (x.shape[0], arch.lstm_hidden):
-            raise ShapeMismatch(f"lstm_states of shape {lstm_states.shape} do not fit "
-                                f"input {x.shape} and hidden size {arch.lstm_hidden}")
-        trunk = lstm_states
-    elif lstm_states is not None:
-        raise ShapeMismatch("lstm_states given to a model without an LSTM")
-    else:
-        trunk = x
+        trace.gates, trace.cell, trace.hidden, trace.tanh_cell = _lstm_states(params, x)
+        trunk = trace.hidden[-1]
 
     if mask is not None and "lstm_out" in mask.masks:
         trace.lstm_drop = np.asarray(mask.masks["lstm_out"], dtype=np.float64) / mask.keep_rate
@@ -391,12 +386,13 @@ def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=None) -> float:
+def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=1.0) -> float:
     """Weighted multi-task binary cross-entropy.
 
-    Per task: the (sample-weighted) mean BCE over the batch, scaled by the
-    task weight and summed over tasks. Probabilities are clamped to
-    [1e-12, 1 - 1e-12].
+    Per task: the sample-weighted mean BCE over the batch, sum(w_i *
+    bce_i) / sum(w_i), scaled by the task weight and summed over tasks.
+    ``sample_weights`` defaults to unit weights, which give the plain mean
+    bit for bit. Probabilities are clamped to [1e-12, 1 - 1e-12].
     """
     total = 0.0
     for head, weight in task_weights.items():
@@ -405,20 +401,14 @@ def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=No
         p = np.atleast_1d(np.asarray(outputs[head], dtype=np.float64))
         y = np.atleast_1d(np.asarray(targets[head], dtype=np.float64))
         losses = _bce(p, y)
-        if sample_weights is None:
-            total += weight * float(np.sum(losses) / losses.size)
-        else:
-            sw = np.asarray(sample_weights, dtype=np.float64)
-            total += weight * float(np.sum(sw * losses) / np.sum(sw))
+        sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), losses.shape)
+        total += weight * float(np.sum(sw * losses) / np.sum(sw))
     return total
 
 
 def _check_trace(params: ModelParams, trace: ForwardTrace):
-    shapes = {k: v.shape for k, v in params.tensors.items()}
-    if shapes != trace.param_shapes:
+    if {k: v.shape for k, v in params.tensors.items()} != trace.param_shapes:
         raise StaleTrace("trace was produced by parameters of different shapes")
-    if "lstm.U" in shapes and trace.hidden is None:
-        raise StaleTrace("trace holds only the last hidden state, not the recurrence history")
 
 
 def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
@@ -517,19 +507,15 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input
     return grads, (flat_dz @ w_in.T).reshape(batch, steps, -1)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict, sample_weights=None) -> dict:
+def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict, sample_weights=1.0) -> dict:
     """Exact analytic gradients of mtl_loss with respect to every parameter.
 
     Raises:
         StaleTrace: the trace came from parameters of different shapes.
     """
     _check_trace(params, trace)
-    batch = trace.head_in.shape[0]
-    if sample_weights is None:
-        norm = np.full(batch, 1.0 / batch)
-    else:
-        sw = np.asarray(sample_weights, dtype=np.float64)
-        norm = sw / np.sum(sw)
+    sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), trace.head_in.shape[:1])
+    norm = sw / np.sum(sw)
     seeds = {}
     for head, weight in task_weights.items():
         p = trace.outputs[head]
@@ -567,17 +553,31 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     return np.concatenate(parts).reshape(x_arr.shape)
 
 
+def _head_network(params: ModelParams, x) -> tuple:
+    """(head network, its input) of the model ``params`` on the input ``x``.
+
+    For a model with an LSTM these are the params without the ``lstm.*``
+    tensors and the recurrence's last hidden states, taken block by block
+    (``_last_hidden``); a model without one is its own head network, on
+    the batched ``x``.
+    """
+    arch = ModelArch.from_params(params)
+    x = _prepare_input(arch, x)
+    if arch.lstm_hidden is None:
+        return params, x
+    tensors = {name: tensor for name, tensor in params.tensors.items() if not name.startswith("lstm.")}
+    return ModelParams(tensors, params.epoch, params.rng_seed), _last_hidden(params, x)
+
+
 def predict(params: ModelParams, x) -> dict:
     """{head: probabilities} with dropout disabled.
 
-    The same outputs, bit for bit, as ``forward(params, x)``, but the
-    recurrence keeps the history of one block of windows at a time
-    (``_last_hidden``); no trace is returned.
+    The same outputs, bit for bit, as ``forward(params, x)``: one
+    ``forward`` of the head network on the last hidden states
+    (``_head_network``), so the recurrence keeps the history of one block
+    of windows at a time; no trace is returned.
     """
-    arch = ModelArch.from_params(params)
-    x_arr = _prepare_input(arch, x)
-    states = None if arch.lstm_hidden is None else _last_hidden(params, x_arr)
-    outputs, _ = forward(params, x_arr, lstm_states=states)
+    outputs, _ = forward(*_head_network(params, x))
     return outputs
 
 
@@ -589,22 +589,20 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     the first pass so a deterministic model (keep_rate 1) yields an
     exactly zero variance.
 
-    Dropout acts only after the recurrence, so the LSTM states are the
-    same in every pass: the recurrence runs once per call, block by block
-    (``_last_hidden``), and each pass runs only mask -> dense -> heads.
-    The results are bit-identical to ``passes`` full forward passes with
-    the same masks.
+    The recurrence runs once per call, block by block, and each pass is
+    one ``forward`` of the head network (``_head_network``) with a mask
+    drawn for the full model: the bits of ``passes`` full forward passes
+    with the same masks.
     """
     if passes < 1:
         raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
-    x_arr = _prepare_input(arch, x)
-    batch = x_arr.shape[0]
-    states = None if arch.lstm_hidden is None else _last_hidden(params, x_arr)
+    net, inputs = _head_network(params, x)
+    batch = inputs.shape[0]
     samples = {head: np.empty((passes, batch)) for head in arch.heads}
     for i in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)
-        outputs, _ = forward(params, x_arr, mask=mask, lstm_states=states)
+        outputs, _ = forward(net, inputs, mask=mask)
         for head in arch.heads:
             samples[head][i] = outputs[head]
     means, variances = {}, {}

@@ -34,7 +34,7 @@ from .nnet import ModelParams
 
 @dataclass(frozen=True)
 class ModelRun:
-    """One model's test-split run; the proposed model adds its records and the selected one."""
+    """One model's test-split run; the proposed model adds its checkpoints, their records and the selected one."""
 
     params: ModelParams
     predictions: np.ndarray
@@ -43,6 +43,7 @@ class ModelRun:
     train_losses: tuple
     records: tuple = ()
     selection: UncertaintyRecord | None = None
+    checkpoints: tuple = ()
 
 
 def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
@@ -69,14 +70,14 @@ def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
 
 
 def _test_run(params: ModelParams, losses, split: SplitCohort, protected: str | None, config: TrainConfig,
-              records=(), selection=None) -> ModelRun:
+              records=(), selection=None, checkpoints=()) -> ModelRun:
     """Predict ``split.test`` with ``params`` and report the predictions' fairness."""
     preds, probs = final_predict(params, split.test, threshold=config.threshold)
     groups = None if protected is None else split.test.protected_values(protected)
     metrics = evaluate_predictions(preds, split.test.labels(), groups, protected)
     if selection is not None:
         metrics["chosen_epoch"] = selection.epoch
-    return ModelRun(params, preds, probs, metrics, tuple(losses), tuple(records), selection)
+    return ModelRun(params, preds, probs, metrics, tuple(losses), tuple(records), selection, tuple(checkpoints))
 
 
 def run_base_model(split: SplitCohort, protected: str | None, config: TrainConfig) -> ModelRun:
@@ -94,9 +95,8 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
     return _test_run(params, losses, split, protected, config)
 
 
-def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
-                   out_dir=None, eval_on: str = "train") -> ModelRun:
-    """The full mitigation pipeline on a prepared split.
+def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig, eval_on: str = "train") -> ModelRun:
+    """The full mitigation pipeline on a prepared split; the run holds every checkpoint.
 
     Uncertainties are evaluated on the training split by default
     (``eval_on="test"`` switches to the held-out split). The selected
@@ -104,14 +104,12 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig,
     """
     if eval_on not in ("train", "test"):
         raise ValueError("eval_on must be 'train' or 'test'")
-    checkpoints, _, losses = train_mtl_with_checkpoints(
-        split.train, protected, config, out_dir=out_dir
-    )
+    checkpoints, _, losses = train_mtl_with_checkpoints(split.train, protected, config)
     eval_cohort = split.train if eval_on == "train" else split.test
     records = evaluate_uncertainties(checkpoints, eval_cohort, config)
     selection = select_checkpoint(records)
     selected = next(c for c in checkpoints if c.epoch == selection.epoch)
-    return _test_run(selected, losses, split, protected, config, records, selection)
+    return _test_run(selected, losses, split, protected, config, records, selection, checkpoints)
 
 
 COMPARISON_ROWS = (

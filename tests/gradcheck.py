@@ -5,7 +5,7 @@ import numpy as np
 from fairhrv import nnet
 
 
-def finite_diff_param_grads(params, x, targets, task_weights, mask=None, sample_weights=None, h=1e-5):
+def finite_diff_param_grads(params, x, targets, task_weights, mask=None, sample_weights=1.0, h=1e-5):
     """Numerical d(mtl_loss)/d(theta) for every parameter entry."""
 
     def loss_at():
@@ -89,7 +89,7 @@ def random_case(rng, seed):
     mask = None
     if arch.dropout_points() and rng.random() < 0.5:
         mask = nnet.sample_dropout_mask(arch, keep_rate=0.6, rng=rng, batch=batch)
-    sample_weights = None
+    sample_weights = 1.0
     if rng.random() < 0.3:
         sample_weights = rng.uniform(0.2, 3.0, size=batch)
     return params, x, targets, task_weights, mask, sample_weights

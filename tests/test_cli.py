@@ -1,17 +1,23 @@
 """CLI tests: artifacts, exit codes, manifests, and reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairhrv.cli import main
+from fairhrv.dataset import WINDOWS_HEADER, _format_windows
 from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
 from peak_memory import peak_mb
 
@@ -502,6 +508,23 @@ class TestWindowsReader:
         else:
             assert err[0].startswith(f"error: {bad}, line {line_no}:")
 
+    @pytest.mark.parametrize("column", ["sample", "participant"])
+    @pytest.mark.parametrize("name", ["s,000000", 's"000000', "s\r000000", "s\n000000"])
+    def test_id_the_written_files_cannot_hold_exits_1_before_training(self, synth_dir, tmp_path, capsys, column,
+                                                                       name):
+        # quoted, the reader takes such an id; predictions.csv and test_windows.csv would write it unquoted
+        old = "s000000" if column == "sample" else "p0000"
+        quoted = '"' + name.replace('"', '""') + '"'
+        windows, labels = tmp_path / "windows.csv", tmp_path / "labels.csv"
+        for path in (windows, labels):
+            path.write_text((synth_dir / path.name).read_text().replace(f"{old},", f"{quoted},"), newline="")
+        out = tmp_path / "out"
+        assert main(["train-base", "--windows", str(windows), "--labels", str(labels), *FAST_TRAIN,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {windows}: {column} {name!r} holds a comma, quote, CR or LF, which the CSV files cannot hold"]
+        assert not out.exists()
+
 
 class TestLabelsReader:
     @pytest.mark.parametrize("defect,line_no,row", [
@@ -542,6 +565,99 @@ class TestLabelsReader:
         assert code == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             f"error: {bad}: sample 's000000' has no anxiety label"]
+
+
+def _fuzz_cohort() -> dict:
+    """{file name: bytes} of a valid cohort: window sK of participant pK, for K < 6; p0-p3 in group a, p4-p5 in b.
+
+    Each participant has a window, and each group two or more members, so
+    a missing or third group in any row makes the demographics invalid;
+    and no one row ties the group counts, which would add a warning.
+    """
+    features = np.random.default_rng(0).normal(size=(6, 24, 25))
+    rows = _format_windows(([f"s{k}" for k in range(6)], [f"p{k}" for k in range(6)], features))
+    return {"windows.csv": ",".join(WINDOWS_HEADER).encode() + b"\n" + rows,
+            "labels.csv": "".join(["sample_id,anxiety\n", *(f"s{k},{k % 2}\n" for k in range(6))]).encode(),
+            "demographics.csv": "".join(["participant_id,group\n", *(f"p{k},{'ab'[k // 4]}\n" for k in range(6))]
+                                        ).encode()}
+
+
+FUZZ_COHORT = _fuzz_cohort()
+# Field texts that no reader may accept, by (file, column); None is every further column.
+FUZZ_BAD_FIELDS = {
+    ("windows.csv", 0): ['"s,0"', '"s""0"', '"s\r0"', '"s\n0"', "zz", ""],
+    # a sample's participant is that of its first row (read_windows_csv), so only an id no row may hold
+    ("windows.csv", 1): ['"p,0"', '"p""0"', '"p\n0"'],
+    ("windows.csv", 2): ["24", "-1", "1.0", "x", "", "1e3"],
+    ("windows.csv", None): ["", "nan", "NaN", "inf", "-inf", "abc", "1e999", "-1e999", "0x10", "1.0.0", "1,5",
+                            "\x1c1", "<huge>"],
+    ("labels.csv", 0): ["zz", "", '"s0,"'],
+    ("labels.csv", 1): ["2", "-1", "0.5", "", "yes", "1.0", "<huge>"],
+    ("demographics.csv", 0): ["zz", ""],
+    ("demographics.csv", 1): ["c", "", "A", '"a,b"'],
+}
+
+
+@st.composite
+def malformed_cohorts(draw) -> tuple:
+    """(files, defect): FUZZ_COHORT with one defect that leaves a file the readers must refuse."""
+    files = dict(FUZZ_COHORT)
+    name = draw(st.sampled_from(sorted(files)))
+    lines = files[name].decode().splitlines(keepends=True)
+    row = draw(st.integers(1, len(lines) - 1))
+    defect = draw(st.sampled_from(["drop row", "repeat row", "cut row", "bad field", "non-utf-8", "header"]))
+    if defect == "drop row":  # a window loses a step, a sample its label, a participant its group
+        del lines[row]
+    elif defect == "repeat row":
+        lines.insert(draw(st.integers(1, len(lines))), lines[row])
+    elif defect == "cut row":  # the file ends inside a row, before its last field
+        lines[row:] = [lines[row][: draw(st.integers(1, lines[row].rindex(",")))]]
+    elif defect == "bad field":
+        fields = lines[row].rstrip("\n").split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        texts = FUZZ_BAD_FIELDS.get((name, column)) or FUZZ_BAD_FIELDS[(name, None)]
+        fields[column] = draw(st.sampled_from(texts)).replace("<huge>", HUGE_FIELD)
+        lines[row] = ",".join(fields) + "\n"
+    elif defect == "header":
+        fields = lines[0].rstrip("\n").split(",")
+        change = draw(st.sampled_from(["rename", "drop", "add"]))
+        column = draw(st.integers(0, len(fields) - 1))
+        if change == "rename":
+            fields[column] = draw(st.sampled_from(["x", "", "sample_id", "participant_id", "step"]).filter(
+                lambda text: text != fields[column]))
+        elif change == "drop":
+            del fields[column]
+        else:
+            fields.insert(column, "extra")
+        lines[0] = ",".join(fields) + "\n"
+    data = "".join(lines).encode()
+    if defect == "non-utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"])) + data[at:]
+    files[name] = data
+    return files, f"{name}: {defect} at row {row}"
+
+
+class TestReaderFuzz:
+    def test_valid_cohort_audits(self, tmp_path):
+        for name, data in FUZZ_COHORT.items():
+            (tmp_path / name).write_bytes(data)
+        assert main(["audit", *data_args(tmp_path), "--protected", "group", "--out", str(tmp_path / "out")]) == 0
+
+    @given(malformed_cohorts())
+    @settings(max_examples=500, deadline=None)
+    def test_malformed_input_exits_1_with_one_error_line(self, case):
+        files, defect = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, data in files.items():
+                (tmp / name).write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["audit", *data_args(tmp), "--protected", "group", "--out", str(tmp / "out")])
+            lines = err.getvalue().splitlines()
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (defect, code, lines)
+            assert not (tmp / "out").exists()
 
 
 class TestSplitCheck:
@@ -625,6 +741,7 @@ class TestTrainingInputs:
         ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
         ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
         ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
+        ("--ckpt-every", "0", "checkpoint_every must be at least 1"),
     ])
     def test_bad_config_exits_1_before_training(
         self, synth_dir, tmp_path, capsys, command, flag, value, message
@@ -636,6 +753,34 @@ class TestTrainingInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train-base", "reweigh-train", "mitigate", "compare"])
+    def test_negative_seed_exits_1_naming_it_before_reading(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        data = ["--n", "60", "--bias", "0.8"] if command == "synth" else [
+            "--windows", str(missing), "--labels", str(missing), "--demo", str(missing), "--protected", "group"]
+        out = tmp_path / "out"
+        assert main([command, *data, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: --seed must be non-negative, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,epochs", [("train-base", "7"), ("reweigh-train", "3")])
+    def test_single_model_epochs_need_no_checkpoint_cadence(self, synth_dir, tmp_path, command, epochs):
+        out = tmp_path / "out"
+        assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, "--epochs", epochs,
+                     "--out", str(out)]) == 0
+        assert len(json.loads((out / "metrics.json").read_text())["train_losses"]) == int(epochs)
+
+    @pytest.mark.parametrize("command", ["mitigate", "compare"])
+    def test_epochs_off_the_cadence_add_a_last_checkpoint(self, synth_dir, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, "--epochs", "5",
+                     "--out", str(out)]) == 0
+        if command == "mitigate":
+            assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
+                "ckpt_epoch_2.bin", "ckpt_epoch_4.bin", "ckpt_epoch_5.bin"]
+            records = json.loads((out / "uncertainties.json").read_text())
+            assert [r["epoch"] for r in records] == [2, 4, 5]
 
     @pytest.mark.filterwarnings("error")  # numpy overflow warnings would precede the error line
     def test_divergence_exits_1_with_one_error_line(self, synth_dir, tmp_path, capsys):
@@ -815,9 +960,8 @@ class TestManifest:
                      "--out", str(out)])
         assert code == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        # training writes checkpoints, so a divergence comes after --out is made
-        assert out.is_dir() == (failure == "divergence")
-        assert not (out / "manifest.json").exists()
+        # mitigate makes --out only once its run has succeeded
+        assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_numpy_random():

@@ -54,9 +54,9 @@ def separable_cohort(n=60, seed=0):
 
 
 class TestTrainConfig:
-    def test_epochs_must_align_with_cadence(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=7, checkpoint_every=5)
+    def test_cadence_must_be_positive(self):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            TrainConfig(checkpoint_every=0)
 
     def test_mc_passes_minimum(self):
         with pytest.raises(ValueError):
@@ -173,13 +173,22 @@ class TestReweighted:
 
 
 class TestMtlCheckpoints:
-    def test_checkpoint_count_and_tags(self, tmp_path):
+    def test_checkpoint_count_and_tags(self):
         cohort = generate_synthetic(48, 0.5, 9)
         config = tiny_config(epochs=10, checkpoint_every=5, seed=10)
-        checkpoints, final, _ = train_mtl_with_checkpoints(cohort, "group", config, out_dir=tmp_path)
+        checkpoints, final, _ = train_mtl_with_checkpoints(cohort, "group", config)
         assert [c.epoch for c in checkpoints] == [5, 10]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_epoch_10.bin", "ckpt_epoch_5.bin"]
         assert final.epoch == 10
+
+    @pytest.mark.parametrize("epochs,every,want", [(7, 5, [5, 7]), (3, 5, [3]), (0, 5, [])])
+    def test_last_epoch_is_checkpointed(self, epochs, every, want):
+        cohort = generate_synthetic(48, 0.5, 9)
+        config = tiny_config(epochs=epochs, checkpoint_every=every, seed=10)
+        checkpoints, final, _ = train_mtl_with_checkpoints(cohort, "group", config)
+        assert [c.epoch for c in checkpoints] == want
+        if checkpoints:
+            assert checkpoints[-1].tensors.keys() == final.tensors.keys()
+            assert all(checkpoints[-1].tensors[k].tobytes() == v.tobytes() for k, v in final.tensors.items())
 
     def test_single_checkpoint(self):
         cohort = generate_synthetic(48, 0.5, 9)
@@ -300,7 +309,8 @@ class TestFinalPredict:
     def test_from_disk_matches_memory(self, tmp_path):
         cohort = generate_synthetic(48, 0.5, 22)
         config = tiny_config(epochs=5, checkpoint_every=5, seed=23)
-        checkpoints, _, _ = train_mtl_with_checkpoints(cohort, "group", config, out_dir=tmp_path)
+        checkpoints, _, _ = train_mtl_with_checkpoints(cohort, "group", config)
+        save_checkpoint(checkpoints[0], tmp_path / "ckpt_epoch_5.bin")
         from_memory = final_predict(checkpoints[0], cohort)
         from_disk = final_predict(load_checkpoint(tmp_path / "ckpt_epoch_5.bin"), cohort)
         assert np.array_equal(from_memory[0], from_disk[0])

@@ -409,20 +409,6 @@ class TestMcForwardOracle:
         mc_forward(params, x, passes=20, keep_rate=0.8, rng=np.random.default_rng(45))
         assert len(calls) == 1
 
-    def test_states_of_another_batch_rejected(self):
-        params = init_params(SMALL_ARCH, seed=46)
-        rng = np.random.default_rng(47)
-        states = nnet._last_hidden(params, rng.normal(size=(3, 6, 5)))
-        with pytest.raises(ShapeMismatch):
-            forward(params, rng.normal(size=(4, 6, 5)), lstm_states=states)
-        other = init_params(ModelArch(input_size=5, lstm_hidden=4, dense_size=4), seed=46)
-        with pytest.raises(ShapeMismatch):
-            forward(other, rng.normal(size=(3, 6, 5)), lstm_states=states)
-        linear = init_params(ModelArch(input_size=6 * 5, lstm_hidden=None, dense_size=None), seed=46)
-        with pytest.raises(ShapeMismatch):
-            forward(linear, rng.normal(size=(3, 6, 5)), lstm_states=states)
-
-
 class TestKernelOracle:
     """The buffered recurrence and BPTT give the bits of the allocating form."""
 
@@ -518,18 +504,6 @@ class TestTraceFreeInference:
         assert set(got) == set(arch.heads)
         for head in arch.heads:
             assert np.array_equal(got[head], want[head]), head
-
-    def test_trace_of_last_state_not_backpropagated(self):
-        params, x = self.case(3, lstm_hidden=4, dense_size=4)
-        _, trace = forward(params, x, lstm_states=nnet._last_hidden(params, x))
-        with pytest.raises(StaleTrace):
-            backward(params, trace, {"anxiety": np.ones(3)}, {"anxiety": 1.0})
-
-    def test_last_state_of_another_batch_rejected(self):
-        params, x = self.case(3, lstm_hidden=4, dense_size=4)
-        last = nnet._last_hidden(params, x)
-        with pytest.raises(ShapeMismatch):
-            forward(params, x[:2], lstm_states=last)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 500])
     def test_input_gradient_blocks_bit_identical(self, n):
