@@ -8,7 +8,11 @@ fields), so identical configs and seeds reproduce byte-identical outputs.
 All fairness reports come from fairness.evaluate_predictions; all
 windows CSVs are read by dataset.read_windows_csv, and they and the ECG
 and NN-interval CSVs under the one rule of fileio.read_numeric_csv, the
-row scan's. Exit codes: 0 success, 1 data or I/O errors, 2 usage errors.
+row scan's. Every model command takes --epochs, --keep-rate, --lr,
+--batch-size, --lstm-hidden, --dense-size, --threshold, --by-participant
+and --seed; only mitigate and compare, which train the proposed model, take
+its --ckpt-every, --loss-weights and --mc-passes, and mitigate --eval-on.
+Exit codes: 0 success, 1 data or I/O errors, 2 usage errors.
 """
 
 import argparse
@@ -71,29 +75,27 @@ def _write_cohort_windows(path, cohort: dataset.Cohort) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    weights = tuple(float(w) for w in args.loss_weights.split(","))
-    if len(weights) != 2:
-        raise ValueError("--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'")
-    return TrainConfig(
-        epochs=args.epochs,
-        checkpoint_every=args.ckpt_every,
-        task_weights=weights,
-        mc_passes=args.mc_passes,
-        keep_rate=args.keep_rate,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        lstm_hidden=args.lstm_hidden,
-        dense_size=args.dense_size,
-        threshold=args.threshold,
-    )
+    """The TrainConfig of the command's flags; a command without the proposed model's keeps their defaults."""
+    proposed = {}
+    if hasattr(args, "loss_weights"):
+        weights = tuple(float(w) for w in args.loss_weights.split(","))
+        if len(weights) != 2:
+            raise ValueError("--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'")
+        proposed = {"checkpoint_every": args.ckpt_every, "task_weights": weights, "mc_passes": args.mc_passes}
+    return TrainConfig(**proposed, **{key: getattr(args, key) for key in (
+        "epochs", "keep_rate", "lr", "batch_size", "seed", "lstm_hidden", "dense_size", "threshold")})
 
 
 def _load_cohort(args) -> dataset.Cohort:
     """The cohort of --windows, --labels and --demo, holding the --protected attribute when one is named."""
     if args.protected is not None and args.demo is None:
         raise ValueError("--protected needs --demo, the demographics CSV with that attribute column")
-    return dataset.load_cohort(args.windows, args.labels, args.demo, args.protected)
+    cohort = dataset.load_cohort(args.windows, args.labels, args.demo, args.protected)
+    coding = cohort.attribute_catalog.get(args.protected)
+    if coding is not None and len(set(coding.counts.values())) == 1:
+        print(f"note: {args.protected!r}: category counts tied ({max(coding.counts.values())} each); "
+              f"treating {coding.privileged_category()!r} as privileged", file=sys.stderr)
+    return cohort
 
 
 def _standardized_split(args, config: TrainConfig) -> dataset.SplitCohort:
@@ -243,11 +245,6 @@ def _add_data_args(p, need_demo=False):
 
 def _add_train_args(p):
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every,
-                   help="checkpoint every this many epochs and at the last (mitigate, compare)")
-    p.add_argument("--loss-weights", default=",".join(map(str, TrainConfig.task_weights)),
-                   help="task loss weights 'anxiety,protected'")
-    p.add_argument("--mc-passes", type=int, default=TrainConfig.mc_passes)
     p.add_argument("--keep-rate", type=float, default=TrainConfig.keep_rate)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -257,6 +254,15 @@ def _add_train_args(p):
     p.add_argument("--by-participant", action="store_true",
                    help="split by participant instead of by window")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
+
+
+def _add_proposed_model_args(p):
+    """The flags that only the proposed model reads: its checkpoints, task weights and MC passes."""
+    p.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every,
+                   help="checkpoint every this many epochs and at the last")
+    p.add_argument("--loss-weights", default=",".join(map(str, TrainConfig.task_weights)),
+                   help="task loss weights 'anxiety,protected'")
+    p.add_argument("--mc-passes", type=int, default=TrainConfig.mc_passes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
+    _add_proposed_model_args(p)
     p.add_argument("--eval-on", choices=("train", "test"), default="train")
 
     p = command("saliency", cmd_saliency, "average saliency map for a checkpoint")
@@ -319,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p, need_demo=True)
     p.add_argument("--protected", required=True)
     _add_train_args(p)
+    _add_proposed_model_args(p)
 
     return parser
 

@@ -20,7 +20,6 @@ Cohorts are immutable after construction and safe to share across threads.
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -154,8 +153,8 @@ def encode_protected(raw, attribute_name: str):
     """Map a two-category attribute to {privileged: 1, unprivileged: 0}.
 
     The majority category becomes the privileged class. An exact tie is
-    broken toward the lexicographically smaller category name, with a
-    warning.
+    broken toward the lexicographically smaller category name; the equal
+    counts in the coding show it.
 
     Returns:
         (codes, AttributeCoding): per-participant binary codes plus the
@@ -173,16 +172,7 @@ def encode_protected(raw, attribute_name: str):
     if len(counts) > 2:
         raise NotBinary(f"{attribute_name!r} has {len(counts)} categories; coarsen to two first")
     (cat_a, n_a), (cat_b, n_b) = sorted(counts.items())
-    if n_a == n_b:
-        warnings.warn(
-            f"{attribute_name!r}: category counts tied ({n_a}); "
-            f"treating {cat_a!r} as privileged",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        privileged = cat_a
-    else:
-        privileged = cat_a if n_a > n_b else cat_b
+    privileged = cat_a if n_a >= n_b else cat_b
     mapping = {cat: (1 if cat == privileged else 0) for cat in (cat_a, cat_b)}
     codes = {pid: mapping[value] for pid, value in raw.items()}
     return codes, AttributeCoding(mapping=mapping, counts=counts)
@@ -453,19 +443,20 @@ def read_windows_csv(path):
     The file is read under the one rule of ``fileio.read_numeric_csv``,
     with the header WINDOWS_HEADER: the ids are text, the step an integer
     in [0, 24), and every feature value a finite number. Samples come in
-    order of their first row, each with the participant id of that row; a
-    sample's rows may come in any order and interleave with other samples'
-    rows, and each of its 24 steps comes once. No id may hold a comma,
-    quote, CR or LF (``fileio.check_csv_name``), as the files that the
-    model commands write them into could not read them back.
+    order of their first row; a sample's rows may come in any order and
+    interleave with other samples' rows, each of its 24 steps comes once,
+    and all of them name one participant. No id may hold a comma, quote,
+    CR or LF (``fileio.check_csv_name``), as the files that the model
+    commands write them into could not read them back.
 
     Raises ValueError: naming the file and the first bad line, on a bad
     header, column count, step or feature value; failing those, naming the
     file and the id, on an id the rule above refuses; naming the file and
     the line of the first row that repeats an earlier row's (sample,
-    step); naming the file, on a sample with missing steps; and naming the
-    file and the offset of the first bad byte, for a file that is not
-    UTF-8 text.
+    step); naming the file, on a sample with missing steps; naming the
+    file, the line and both ids, on the first row whose participant is not
+    that of its sample's first row; and naming the file and the offset of
+    the first bad byte, for a file that is not UTF-8 text.
     """
     samples, participants = {}, {}  # id -> its number, in order of first row
     data = read_numeric_csv(path, WINDOWS_HEADER, exact_header=True, converters=(
@@ -487,19 +478,30 @@ def read_windows_csv(path):
         repeats = np.setdiff1d(np.arange(len(slot)), np.unique(slot, return_index=True)[1])
         if len(repeats):
             row = repeats[0]
-            line = next(itertools.islice(read_csv(path), row + 1, None))[0]
-            raise ValueError(f"{path}, line {line}: repeats step {int(data[row, 2])} "
+            raise ValueError(f"{path}, line {_line_of_row(path, row)}: repeats step {int(data[row, 2])} "
                              f"of sample {sample_ids[int(data[row, 0])]!r}")
         incomplete = np.flatnonzero(counts.reshape(n, WINDOW_STEPS).min(axis=1) == 0)[0]
         raise ValueError(f"{path}: sample {sample_ids[incomplete]!r} is missing time steps")
+    first_rows = np.unique(data[:, 0], return_index=True)[1]
+    participant_ids = list(participants)
+    mixed = np.flatnonzero(data[:, 1] != data[first_rows[data[:, 0].astype(np.intp)], 1])
+    if len(mixed):
+        row = mixed[0]
+        sample = int(data[row, 0])
+        raise ValueError(f"{path}, line {_line_of_row(path, row)}: sample {list(samples)[sample]!r} names "
+                         f"participant {participant_ids[int(data[row, 1])]!r}, but its first row names "
+                         f"{participant_ids[int(data[first_rows[sample], 1])]!r}")
     values = data[:, 3:]
     # rows in (sample, step) order, as the writer writes them, are returned as a view, not copied
     if (slot != np.arange(len(slot))).any():
         values = values[np.argsort(slot)]
-    first_rows = np.unique(data[:, 0], return_index=True)[1]
-    participant_ids = list(participants)
     return (list(samples), [participant_ids[int(k)] for k in data[first_rows, 1]],
             values.reshape(n, WINDOW_STEPS, N_FEATURES))
+
+
+def _line_of_row(path, row) -> int:
+    """The line of the CSV ``path`` on which its data row ``row`` (0 for the first after the header) ends."""
+    return next(itertools.islice(read_csv(path), row + 1, None))[0]
 
 
 def _step(text) -> int:

@@ -1,5 +1,6 @@
 """CLI tests: artifacts, exit codes, manifests, and reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhrv.cli import main
+from fairhrv.cli import build_parser, main
 from fairhrv.dataset import WINDOWS_HEADER, _format_windows
 from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
 from peak_memory import peak_mb
 
-FAST_TRAIN = [
-    "--epochs", "4", "--ckpt-every", "2", "--mc-passes", "4",
-    "--lstm-hidden", "6", "--dense-size", "4", "--batch-size", "16",
-]
+# every model command's training flags, then the three that only the proposed model (mitigate, compare) takes
+FAST_TRAIN = ["--epochs", "4", "--lstm-hidden", "6", "--dense-size", "4", "--batch-size", "16"]
+FAST_PROPOSED = ["--ckpt-every", "2", "--loss-weights", "4.5,0.5", "--mc-passes", "4"]
+
+
+def fast_train(command) -> list:
+    """The fast training flags that ``command`` takes."""
+    return [*FAST_TRAIN, *FAST_PROPOSED] if command in ("mitigate", "compare") else FAST_TRAIN
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +471,11 @@ def _corrupt(lines, defect):
     if defect == "duplicate":
         lines.insert(2, lines[1])
         return lines, 3
+    if defect == "participant":  # the second row of a sample names another participant than its first
+        fields = lines[2].split(",")
+        fields[1] = "p9999"
+        lines[2] = ",".join(fields)
+        return lines, 3
     fields = lines[1].split(",")
     if defect == "columns":
         fields.pop()
@@ -485,8 +495,8 @@ def _corrupt(lines, defect):
 
 class TestWindowsReader:
     @pytest.mark.parametrize("command", ["saliency", "train-base"])
-    @pytest.mark.parametrize("defect", ["header", "24", "-1", "x", "duplicate", "columns", "feature", "inf", "nan",
-                                        "huge field", "non-utf-8"])
+    @pytest.mark.parametrize("defect", ["header", "24", "-1", "x", "duplicate", "participant", "columns", "feature",
+                                        "inf", "nan", "huge field", "non-utf-8"])
     def test_malformed_windows_exit_1_naming_file_and_line(
         self, synth_dir, base_dir, tmp_path, capsys, command, defect
     ):
@@ -572,7 +582,7 @@ def _fuzz_cohort() -> dict:
 
     Each participant has a window, and each group two or more members, so
     a missing or third group in any row makes the demographics invalid;
-    and no one row ties the group counts, which would add a warning.
+    and no one row ties the group counts, which would add a note.
     """
     features = np.random.default_rng(0).normal(size=(6, 24, 25))
     rows = _format_windows(([f"s{k}" for k in range(6)], [f"p{k}" for k in range(6)], features))
@@ -586,8 +596,8 @@ FUZZ_COHORT = _fuzz_cohort()
 # Field texts that no reader may accept, by (file, column); None is every further column.
 FUZZ_BAD_FIELDS = {
     ("windows.csv", 0): ['"s,0"', '"s""0"', '"s\r0"', '"s\n0"', "zz", ""],
-    # a sample's participant is that of its first row (read_windows_csv), so only an id no row may hold
-    ("windows.csv", 1): ['"p,0"', '"p""0"', '"p\n0"'],
+    # read_windows_csv refuses a participant other than that of the sample's first row, and one no row may hold
+    ("windows.csv", 1): ['"p,0"', '"p""0"', '"p\n0"', "zz", ""],
     ("windows.csv", 2): ["24", "-1", "1.0", "x", "", "1e3"],
     ("windows.csv", None): ["", "nan", "NaN", "inf", "-inf", "abc", "1e999", "-1e999", "0x10", "1.0.0", "1,5",
                             "\x1c1", "<huge>"],
@@ -669,8 +679,8 @@ class TestSplitCheck:
             line.replace(",min", ",maj") if not line.startswith("p0004,") else line
             for line in (synth_dir / "demographics.csv").read_text().splitlines(keepends=True)))
         out = tmp_path / "out"
-        code = main([command, *data_args(synth_dir)[:4], "--demo", str(demo), "--protected", "group", *FAST_TRAIN,
-                     "--by-participant", "--seed", "0", "--out", str(out)])
+        code = main([command, *data_args(synth_dir)[:4], "--demo", str(demo), "--protected", "group",
+                     *fast_train(command), "--by-participant", "--seed", "0", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: by-participant split, seed 0: test windows have anxiety 1/0 = 6/6, "
@@ -699,7 +709,7 @@ class TestSplitCheck:
 class TestProtectedAttribute:
     @pytest.mark.parametrize("command,extra", [
         ("audit", []), ("audit", ["--predictions", "absent.csv"]), ("train-base", FAST_TRAIN),
-        ("reweigh-train", FAST_TRAIN), ("mitigate", FAST_TRAIN), ("compare", FAST_TRAIN),
+        ("reweigh-train", FAST_TRAIN), ("mitigate", fast_train("mitigate")), ("compare", fast_train("compare")),
     ])
     def test_unknown_attribute_names_demographics_file_and_columns(
         self, synth_dir, tmp_path, capsys, command, extra
@@ -717,6 +727,15 @@ class TestProtectedAttribute:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --protected needs --demo"), err
 
+    def test_tied_attribute_prints_one_note_naming_the_privileged_category(self, synth_dir, tmp_path, capsys):
+        # p0000 moves from maj to min, which leaves 5 participants in each group
+        demo = tmp_path / "tied.csv"
+        demo.write_text((synth_dir / "demographics.csv").read_text().replace("p0000,maj", "p0000,min"))
+        assert main(["audit", *data_args(synth_dir)[:4], "--demo", str(demo), "--protected", "group",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 'group': category counts tied (5 each); treating 'maj' as privileged"]
+
     def test_only_the_requested_column_must_be_binary(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "demographics.csv").read_text().splitlines()
         demo = tmp_path / "demo_with_age.csv"
@@ -730,28 +749,43 @@ class TestProtectedAttribute:
 
 
 class TestTrainingInputs:
-    @pytest.mark.parametrize("command", ["train-base", "mitigate"])
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--batch-size", "0", "batch_size must be at least 1"),
-        ("--lr", "0", "lr must be finite and positive"),
-        ("--threshold", "1.5", "threshold must be in [0, 1]"),
-        ("--lstm-hidden", "0", "lstm_hidden must be at least 1"),
-        ("--lstm-hidden", "-3", "lstm_hidden must be at least 1"),
-        ("--dense-size", "0", "dense_size must be at least 1"),
-        ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
-        ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
-        ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
-        ("--ckpt-every", "0", "checkpoint_every must be at least 1"),
+    @pytest.mark.parametrize("flag,value,message,command", [
+        *((*case, command) for case in [
+            ("--batch-size", "0", "batch_size must be at least 1"),
+            ("--lr", "0", "lr must be finite and positive"),
+            ("--threshold", "1.5", "threshold must be in [0, 1]"),
+            ("--lstm-hidden", "0", "lstm_hidden must be at least 1"),
+            ("--lstm-hidden", "-3", "lstm_hidden must be at least 1"),
+            ("--dense-size", "0", "dense_size must be at least 1"),
+        ] for command in ("train-base", "mitigate")),
+        # flags of the proposed model, which train-base does not take
+        *((*case, "mitigate") for case in [
+            ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
+            ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
+            ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
+            ("--ckpt-every", "0", "checkpoint_every must be at least 1"),
+        ]),
     ])
     def test_bad_config_exits_1_before_training(
         self, synth_dir, tmp_path, capsys, command, flag, value, message
     ):
         out = tmp_path / "out"
         code = main([command, *data_args(synth_dir), "--protected", "group",
-                     *FAST_TRAIN, flag, value, "--out", str(out)])
+                     *fast_train(command), flag, value, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-base", "reweigh-train"])
+    @pytest.mark.parametrize("flag,value", [("--ckpt-every", "2"), ("--loss-weights", "1,1"), ("--mc-passes", "4")])
+    def test_proposed_model_flag_is_a_usage_error_of_a_single_model_command(self, synth_dir, tmp_path, capsys,
+                                                                            command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"fairhrv: error: unrecognized arguments: {flag} {value}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "train-base", "reweigh-train", "mitigate", "compare"])
@@ -774,7 +808,7 @@ class TestTrainingInputs:
     @pytest.mark.parametrize("command", ["mitigate", "compare"])
     def test_epochs_off_the_cadence_add_a_last_checkpoint(self, synth_dir, tmp_path, command):
         out = tmp_path / "out"
-        assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, "--epochs", "5",
+        assert main([command, *data_args(synth_dir), "--protected", "group", *fast_train(command), "--epochs", "5",
                      "--out", str(out)]) == 0
         if command == "mitigate":
             assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
@@ -790,6 +824,46 @@ class TestTrainingInputs:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss at epoch"), err
+
+
+# A second valid value of each training flag: the runs below start from fast_train(command) at 2 epochs.
+SECOND_VALUES = {
+    "--epochs": "1", "--keep-rate": "0.5", "--lr": "0.01", "--batch-size": "8", "--lstm-hidden": "5",
+    "--dense-size": "3", "--threshold": "0", "--by-participant": None, "--seed": "1",
+    "--ckpt-every": "1", "--loss-weights": "1,1", "--mc-passes": "3", "--eval-on": "test",
+}
+
+
+def training_flags(command) -> list:
+    """The flags that ``command`` takes besides --help, its data files, --protected and --out."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [a.option_strings[-1] for a in commands[command]._actions if a.option_strings[-1:] and
+            a.option_strings[-1] not in ("--help", "--windows", "--labels", "--demo", "--protected", "--out")]
+
+
+class TestEveryTrainingFlagCounts:
+    """Each training flag that a command takes changes at least one of its artifact bytes at a second value."""
+
+    COMMANDS = ("train-base", "reweigh-train", "mitigate")
+
+    @staticmethod
+    def artifacts(synth_dir, out, command, extra=()) -> dict:
+        assert main([command, *data_args(synth_dir), "--protected", "group", *fast_train(command), "--epochs", "2",
+                     *extra, "--out", str(out)]) == 0
+        return {str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"}
+
+    @pytest.fixture(scope="class")
+    def first_values(self, synth_dir, tmp_path_factory):
+        return {command: self.artifacts(synth_dir, tmp_path_factory.mktemp("first"), command)
+                for command in self.COMMANDS}
+
+    @pytest.mark.parametrize("command,flag", [(command, flag) for command in COMMANDS
+                                              for flag in training_flags(command)])
+    def test_second_value_changes_an_artifact(self, synth_dir, tmp_path, first_values, command, flag):
+        value = SECOND_VALUES[flag]
+        second = self.artifacts(synth_dir, tmp_path, command, [flag] if value is None else [flag, value])
+        assert second != first_values[command]
 
 
 class TestTrainAndMitigate:
@@ -835,7 +909,7 @@ class TestTrainAndMitigate:
             out = tmp_path / name
             code = main([
                 "mitigate", *data_args(synth_dir), "--protected", "group",
-                *FAST_TRAIN, "--seed", "7", "--out", str(out),
+                *FAST_TRAIN, *FAST_PROPOSED, "--seed", "7", "--out", str(out),
             ])
             assert code == 0
             outs.append(out)
@@ -874,7 +948,7 @@ class TestTrainAndMitigate:
         mit = tmp_path / "mit"
         assert main([
             "mitigate", *data_args(synth_dir), "--protected", "group",
-            *FAST_TRAIN, "--seed", "9", "--out", str(mit),
+            *FAST_TRAIN, *FAST_PROPOSED, "--seed", "9", "--out", str(mit),
         ]) == 0
         out = tmp_path / "sal"
         code = main([
@@ -900,7 +974,7 @@ class TestTrainAndMitigate:
         out = tmp_path / "cmp"
         code = main([
             "compare", *data_args(synth_dir), "--protected", "group",
-            *FAST_TRAIN, "--seed", "11", "--out", str(out),
+            *FAST_TRAIN, *FAST_PROPOSED, "--seed", "11", "--out", str(out),
         ])
         assert code == 0
         table = json.loads((out / "comparison.json").read_text())
@@ -926,10 +1000,10 @@ class TestManifest:
             "audit": ["audit", *data],
             "train-base": ["train-base", *data, *FAST_TRAIN],
             "reweigh-train": ["reweigh-train", *data, *FAST_TRAIN],
-            "mitigate": ["mitigate", *data, *FAST_TRAIN],
+            "mitigate": ["mitigate", *data, *FAST_TRAIN, *FAST_PROPOSED],
             "saliency": ["saliency", "--checkpoint", str(base_dir / "model.bin"),
                          "--windows", str(synth_dir / "windows.csv")],
-            "compare": ["compare", *data, *FAST_TRAIN],
+            "compare": ["compare", *data, *FAST_TRAIN, *FAST_PROPOSED],
         }[command]
 
     @pytest.mark.parametrize("command,recorded", [
@@ -956,8 +1030,8 @@ class TestManifest:
             extra = []
         out = tmp_path / "out"
         code = main(["mitigate", *data_args(synth_dir)[:2], "--labels", str(labels),
-                     "--demo", str(synth_dir / "demographics.csv"), "--protected", "group", *FAST_TRAIN, *extra,
-                     "--out", str(out)])
+                     "--demo", str(synth_dir / "demographics.csv"), "--protected", "group", *FAST_TRAIN,
+                     *FAST_PROPOSED, *extra, "--out", str(out)])
         assert code == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         # mitigate makes --out only once its run has succeeded

@@ -96,11 +96,12 @@ class TestEncodeProtected:
         assert coding.counts == {"A": 120, "B": 80}
         assert codes["p0"] == 1 and codes["p199"] == 0
 
-    def test_tie_breaks_lexicographically_with_warning(self):
+    @pytest.mark.filterwarnings("error")
+    def test_tie_breaks_lexicographically_without_a_warning(self):
         raw = {f"p{i}": ("B" if i % 2 else "A") for i in range(10)}
-        with pytest.warns(RuntimeWarning):
-            _, coding = encode_protected(raw, "site")
-        assert coding.mapping["A"] == 1
+        _, coding = encode_protected(raw, "site")
+        assert coding.mapping == {"A": 1, "B": 0}
+        assert coding.counts == {"A": 5, "B": 5}
 
     def test_degenerate(self):
         with pytest.raises(DegenerateGroup):
@@ -295,7 +296,6 @@ class TestInterchangeProperties:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore:.*category counts tied:RuntimeWarning")
     def test_labels_and_demographics_round_trip_through_load_cohort(self, tmp_path_factory, data):
         attribute = data.draw(NAMES.filter(lambda name: name != "participant_id"))
         participants = data.draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
@@ -402,12 +402,12 @@ class TestWindowsReader:
         (tmp_path / "w.csv").write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
         self._assert_equal_to_scan(tmp_path / "w.csv")
 
-    def test_participant_is_taken_from_the_first_row(self, tmp_path):
+    def test_sample_whose_rows_name_two_participants_is_refused(self, tmp_path):
         header, *rows = self._rows(2)
         rows[1] = rows[1].replace(",p0000,", ",other,")
         (tmp_path / "w.csv").write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
-        got = self._assert_equal_to_scan(tmp_path / "w.csv")
-        assert got[1] == ["other", "p0000"]
+        assert self._assert_equal_to_scan(tmp_path / "w.csv") == (
+            f"{tmp_path / 'w.csv'}, line 3: sample 's000000' names participant 'p0000', but its first row names 'other'")
 
     def test_crlf_blank_lines_and_quotes(self, tmp_path):
         header, *rows = self._rows(2)

@@ -17,6 +17,7 @@ from fairhrv.fairness import (
     reweigh_weights,
     sample_weights,
 )
+from fairhrv.pipeline import COMPARISON_COLUMNS, COMPARISON_ROWS, render_comparison_text
 from fairness_oracle import (
     brute_force_diffs,
     brute_force_dir,
@@ -208,6 +209,24 @@ class TestReportRule:
     def test_constant_predictor_has_zero_entropy(self):
         assert evaluate_predictions([1, 1, 1])["prediction_entropy"] == 0.0
         assert evaluate_predictions([1, 0])["prediction_entropy"] == pytest.approx(np.log(2))
+
+    def test_comparison_table_prints_an_undefined_metric_as_undefined(self):
+        metrics = {key: 0.5 for _, key in COMPARISON_ROWS}
+        models = {"base": dict(metrics, dir=0.61234), "reweighting": dict(metrics, diff_fp=-0.25),
+                  "proposed": dict(metrics, dir=None)}
+        lines = render_comparison_text({"attribute": "group", "seed": 0, "models": models}).splitlines()
+        # every column starts at its header's offset on every line, after a space
+        starts = [0] + [lines[0].index(label) for _, label in COMPARISON_COLUMNS]
+        for line in lines:
+            assert all(line[start] != " " and line[start - 1:start] in ("", " ") for start in starts), line
+        cells = [[line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])] for line in lines[2:]]
+        assert cells == [
+            ["Accuracy", "0.500", "0.500", "0.500"],
+            ["F1", "0.500", "0.500", "0.500"],
+            ["DI Ratio", "0.612", "0.500", "undefined"],
+            ["Diff in FN", "0.500", "0.500", "0.500"],
+            ["Diff in FP", "0.500", "-0.250", "0.500"],
+        ]
 
 
 class TestAgainstBruteForce:
