@@ -49,7 +49,7 @@ MANIFEST_COMMANDS = {"train-base": "base", "reweigh-train": "reweighting"}
 def _config_echo(args) -> dict:
     config = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("out", "func", "command"):
+        if key in ("out", "func", "command", "parser"):
             continue
         config[key] = str(value) if isinstance(value, Path) else value
     return config
@@ -78,7 +78,13 @@ def _train_config(args) -> TrainConfig:
     """The TrainConfig of the command's flags; a command without the proposed model's keeps their defaults."""
     proposed = {}
     if hasattr(args, "loss_weights"):
-        weights = tuple(float(w) for w in args.loss_weights.split(","))
+        if args.epochs < 1:
+            raise ValueError(f"--epochs must be at least 1, as the proposed model is checkpointed at its last epoch; "
+                             f"got {args.epochs}")
+        try:
+            weights = tuple(float(w) for w in args.loss_weights.split(","))
+        except ValueError:
+            weights = ()
         if len(weights) != 2:
             raise ValueError("--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'")
         proposed = {"checkpoint_every": args.ckpt_every, "task_weights": weights, "mc_passes": args.mc_passes}
@@ -215,7 +221,9 @@ def cmd_saliency(args) -> None:
     heads = ModelArch.from_params(params).heads
     if args.head not in heads:
         raise ValueError(f"{args.checkpoint} has no head {args.head!r}; its heads are {', '.join(heads)}")
-    _, _, windows = dataset.read_windows_csv(args.windows)
+    sample_ids, _, windows = dataset.read_windows_csv(args.windows)
+    if not sample_ids:
+        raise ValueError(f"{args.windows}: no windows after the header")
     smap = saliency.average_saliency_over_windows(params, windows, args.head)
     out = _out_dir(args)
     saliency.write_saliency_csv(smap, out / "saliency.csv")
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary):
         p = sub.add_parser(name, parents=[out], help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("extract", cmd_extract, "ECG or NN intervals -> feature windows")
@@ -334,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # the subcommand's usage, not the root's, lists the flags it does take
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -609,12 +609,15 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
     without one, so the other columns may hold any number of categories.
 
     Raises:
-        ValueError: naming the file, for a sample without a label, a
-            participant missing from the demographics, no ``protected``
-            column, or a ``protected`` column without exactly two
-            categories (``DegenerateGroup``, ``NotBinary``).
+        ValueError: naming the file, for a windows file without rows, a
+            sample without a label, a participant missing from the
+            demographics, no ``protected`` column, or a ``protected``
+            column without exactly two categories (``DegenerateGroup``,
+            ``NotBinary``).
     """
     sample_ids, participant_ids, features = read_windows_csv(windows_path)
+    if not sample_ids:
+        raise ValueError(f"{windows_path}: no windows after the header")
     labels = read_outcomes_csv(labels_path, LABELS_HEADER, "label")
 
     catalog = {}

@@ -125,19 +125,17 @@ def _window_means(sums: np.ndarray, width: int, lo: int = 0, hi: int = None) -> 
 
 
 def _accept_beats(candidates: np.ndarray, heights: np.ndarray, running_avg: float, refractory: int):
-    """One pass of the adaptive threshold over energy maxima: (accepted indices, lowest threshold).
+    """The adaptive threshold over energy maxima: the accepted indices.
 
     A maximum within ``refractory`` samples of the last accepted beat
     replaces it when taller; any other is accepted above 0.5x the running
-    average of accepted heights. Every threshold the pass applies, the
-    accepted height included, is at least the returned lowest value of
-    0.5x the running average.
+    average of accepted heights.
     """
     # Python ints and floats from tolist(): numpy scalars make this loop twice as slow
     accepted = []
     last = -refractory  # accepted[-1], placed so that the first maximum is past its refractory period
     accepted_energy = 0.0  # energy at accepted[-1]
-    threshold = lowest = 0.5 * running_avg
+    threshold = 0.5 * running_avg
     for idx, height in zip(candidates.tolist(), heights.tolist()):
         if idx - last < refractory:
             # Within refractory period: keep whichever bump is taller.
@@ -150,8 +148,7 @@ def _accept_beats(candidates: np.ndarray, heights: np.ndarray, running_avg: floa
             accepted_energy = height
             running_avg = 0.875 * running_avg + 0.125 * height
             threshold = 0.5 * running_avg
-            lowest = min(lowest, threshold)
-    return accepted, lowest
+    return accepted
 
 
 def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
@@ -173,15 +170,6 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     envelope moves in its last bits (a difference of running sums rounds
     otherwise than a dot product), and by more only within half a window
     of either end or under a DC offset.
-
-    The threshold pass first skips the energy maxima at or below a floor of
-    0.25x the initial running average, most of the ~16 maxima per beat.
-    Every threshold a pass applies is at least its lowest 0.5x running
-    average, and a skipped maximum fails any threshold above the floor, so
-    while the lowest stays above the floor the skipped maxima change
-    nothing and the beats are exactly those of a pass over every maximum.
-    When it reaches the floor, as on a trace whose amplitude decays, that
-    pass is run.
 
     Raises:
         NoPeaks: fewer than two usable peaks found.
@@ -215,16 +203,11 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
 
     refractory = max(1, round(0.250 * fs))
     candidates = np.flatnonzero((energy[1:-1] > energy[:-2]) & (energy[1:-1] >= energy[2:])) + 1
-    heights = energy[candidates]
 
     running_avg = float(np.max(energy[: max(1, int(2 * fs))]))
     if running_avg <= 0.0:
         raise NoPeaks("signal has no energy peaks above threshold")
-    floor = 0.25 * running_avg
-    tall = heights > floor
-    accepted, lowest = _accept_beats(candidates[tall], heights[tall], running_avg, refractory)
-    if lowest <= floor:
-        accepted, _ = _accept_beats(candidates, heights, running_avg, refractory)
+    accepted = _accept_beats(candidates, energy[candidates], running_avg, refractory)
 
     # refine to the raw maximum within +/-100 ms: one argmax over a window per beat
     half_window = max(1, round(0.100 * fs))

@@ -535,6 +535,28 @@ class TestWindowsReader:
             f"error: {windows}: {column} {name!r} holds a comma, quote, CR or LF, which the CSV files cannot hold"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["audit", "train-base", "saliency"])
+    def test_windows_file_with_only_a_header_exits_1_naming_it(self, synth_dir, base_dir, tmp_path, capsys,
+                                                               command):
+        # extract writes such a file for a trace of fewer than 24 segments: here 10 of 60 s
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n" + "800.0\n" * 750)
+        assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", "60",
+                     "--out", str(tmp_path / "ext")]) == 0
+        windows = tmp_path / "ext" / "windows.csv"
+        assert windows.read_text() == ",".join(WINDOWS_HEADER) + "\n"
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        if command == "saliency":
+            argv = ["saliency", "--checkpoint", str(base_dir / "model.bin"), "--windows", str(windows)]
+        else:
+            argv = [command, "--windows", str(windows), "--labels", str(synth_dir / "labels.csv"),
+                    "--demo", str(synth_dir / "demographics.csv"), "--protected", "group"]
+            argv += FAST_TRAIN if command == "train-base" else []
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {windows}: no windows after the header"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestLabelsReader:
     @pytest.mark.parametrize("defect,line_no,row", [
@@ -763,6 +785,7 @@ class TestTrainingInputs:
             ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
             ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
             ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
+            ("--loss-weights", "abc,1", "--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'"),
             ("--ckpt-every", "0", "checkpoint_every must be at least 1"),
         ]),
     ])
@@ -784,8 +807,10 @@ class TestTrainingInputs:
         out = tmp_path / "out"
         assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, flag, value,
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip().splitlines()[-1] == (
-            f"fairhrv: error: unrecognized arguments: {flag} {value}")
+        err = capsys.readouterr().err.strip().splitlines()
+        # the subcommand's usage, which lists the flags it does take
+        assert err[0].startswith(f"usage: fairhrv {command} "), err
+        assert err[-1] == f"fairhrv {command}: error: unrecognized arguments: {flag} {value}"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "train-base", "reweigh-train", "mitigate", "compare"])
@@ -798,7 +823,21 @@ class TestTrainingInputs:
         assert capsys.readouterr().err.strip().splitlines() == ["error: --seed must be non-negative, got -1"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,epochs", [("train-base", "7"), ("reweigh-train", "3")])
+    @pytest.mark.parametrize("command", ["mitigate", "compare"])
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_proposed_model_epochs_below_1_exit_1_naming_them_before_reading(self, tmp_path, capsys, command,
+                                                                             epochs):
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "out"
+        assert main([command, "--windows", missing, "--labels", missing, "--demo", missing, "--protected", "group",
+                     "--epochs", epochs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: --epochs must be at least 1, as the proposed model is checkpointed at its last epoch; "
+            f"got {epochs}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,epochs", [("train-base", "7"), ("reweigh-train", "3"), ("train-base", "0"),
+                                                ("reweigh-train", "0")])
     def test_single_model_epochs_need_no_checkpoint_cadence(self, synth_dir, tmp_path, command, epochs):
         out = tmp_path / "out"
         assert main([command, *data_args(synth_dir), "--protected", "group", *FAST_TRAIN, "--epochs", epochs,
