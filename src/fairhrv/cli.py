@@ -12,7 +12,8 @@ row scan's. Every model command takes --epochs, --keep-rate, --lr,
 --batch-size, --lstm-hidden, --dense-size, --threshold, --by-participant
 and --seed; only mitigate and compare, which train the proposed model, take
 its --ckpt-every, --loss-weights and --mc-passes, and mitigate --eval-on.
-Exit codes: 0 success, 1 data or I/O errors, 2 usage errors.
+Exit codes: 0 success; 1 data or I/O errors, a flag out of range or an
+allocation that fails; 2 usage errors.
 """
 
 import argparse
@@ -41,6 +42,9 @@ def _out_dir(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
 
+
+# the flag's argparse dest of each TrainConfig field or generate_synthetic parameter whose dest is not its name
+PARAMETER_DESTS = {"checkpoint_every": "ckpt_every", "task_weights": "loss_weights", "bias_strength": "bias"}
 
 # the manifest's "command" where it is not the subcommand's name
 MANIFEST_COMMANDS = {"train-base": "base", "reweigh-train": "reweighting"}
@@ -87,6 +91,9 @@ def _train_config(args) -> TrainConfig:
             weights = ()
         if len(weights) != 2:
             raise ValueError("--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'")
+        if weights[0] == 0:  # a protected weight of 0 stays legal: it trains the anxiety head alone
+            raise ValueError(f"--loss-weights must give anxiety a positive weight, as the proposed model predicts "
+                             f"anxiety; got {args.loss_weights}")
         proposed = {"checkpoint_every": args.ckpt_every, "task_weights": weights, "mc_passes": args.mc_passes}
     return TrainConfig(**proposed, **{key: getattr(args, key) for key in (
         "epochs", "keep_rate", "lr", "batch_size", "seed", "lstm_hidden", "dense_size", "threshold")})
@@ -353,7 +360,11 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(args.out, MANIFEST_COMMANDS.get(args.command, args.command), _config_echo(args))
         return 0
-    except (OSError, ValueError, KeyError, TrainingDiverged) as exc:
+    except dataset.OutOfRange as exc:  # name the flag the value came from, not the parameter
+        dest = PARAMETER_DESTS.get(exc.name, exc.name)
+        print(f"error: --{dest.replace('_', '-')} {exc.rule}, got {getattr(args, dest)}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError, KeyError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,15 @@ class TooSmall(ValueError):
     """Cohort too small to split."""
 
 
-class BadStrength(ValueError):
+class OutOfRange(ValueError):
+    """A parameter outside its range: ``name`` names it and ``rule`` says what it must be."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} {rule}, got {value}")
+        self.name, self.rule = name, rule
+
+
+class BadStrength(OutOfRange):
     """bias_strength outside [0, 1]."""
 
 
@@ -283,12 +291,12 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
 
     Raises:
         BadStrength: bias_strength outside [0, 1].
-        ValueError: n < 40.
+        OutOfRange: n < 40.
     """
     if not 0.0 <= bias_strength <= 1.0:
-        raise BadStrength(f"bias_strength must be in [0, 1], got {bias_strength}")
+        raise BadStrength("bias_strength", "must be in [0, 1]", bias_strength)
     if n < 40:
-        raise ValueError(f"need n >= 40, got {n}")
+        raise OutOfRange("n", "must be at least 40", n)
     rng = substream(seed, "synth")
 
     n_participants = max(10, n // 20)

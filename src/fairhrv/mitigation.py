@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, Cohort
+from .dataset import N_FEATURES, Cohort, OutOfRange
 from .nnet import (
     AdamState,
     ModelArch,
@@ -68,25 +68,22 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be at least 1, got {self.checkpoint_every}")
-        if not all(math.isfinite(w) and w >= 0 for w in self.task_weights):
-            raise ValueError(f"task weights must be finite and non-negative, got {self.task_weights}")
-        for name in ("lstm_hidden", "dense_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.mc_passes < 2:
-            raise ValueError("need at least 2 Monte-Carlo passes")
-        if not 0.0 < self.keep_rate <= 1.0:
-            raise ValueError("keep_rate must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        """Raises OutOfRange, naming the first field outside its range."""
+        for field, ok, rule in (
+            ("epochs", self.epochs >= 0, "must be non-negative"),
+            ("checkpoint_every", self.checkpoint_every >= 1, "must be at least 1"),
+            ("task_weights", all(math.isfinite(w) and w >= 0 for w in self.task_weights),
+             "must be finite and non-negative"),
+            ("lstm_hidden", self.lstm_hidden >= 1, "must be at least 1"),
+            ("dense_size", self.dense_size >= 1, "must be at least 1"),
+            ("mc_passes", self.mc_passes >= 2, "must be at least 2"),
+            ("keep_rate", 0.0 < self.keep_rate <= 1.0, "must be in (0, 1]"),
+            ("batch_size", self.batch_size >= 1, "must be at least 1"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0, "must be finite and positive"),
+            ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
+        ):
+            if not ok:
+                raise OutOfRange(field, rule, getattr(self, field))
 
     def arch(self, heads) -> ModelArch:
         return ModelArch(
@@ -158,7 +155,7 @@ def _train_loop(x, targets, task_weights, config: TrainConfig, sample_weights, c
                 )
             total += loss
             batches += 1
-            params, state = adam_step(params, grads, state, config.lr)
+            adam_step(params, grads, state, config.lr)
         epoch_losses.append(total / max(1, batches))
         if epoch in checkpoint_epochs:
             snapshot = params.copy()

@@ -633,20 +633,13 @@ class AdamState:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> tuple:
-    """One Adam update; returns (new params, new state)."""
-    t = state.t + 1
-    new_tensors, new_m, new_v = {}, {}, {}
+def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> None:
+    """One Adam update of ``params.tensors``, ``state.m``, ``state.v`` and ``state.t``, in place."""
+    state.t += 1
     for name, value in params.tensors.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_tensors[name] = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    return (
-        ModelParams(new_tensors, epoch=params.epoch, rng_seed=params.rng_seed),
-        AdamState(m=new_m, v=new_v, t=t),
-    )
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        value -= lr * (m / (1.0 - ADAM_BETA1**state.t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**state.t)) + ADAM_EPS)

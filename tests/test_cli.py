@@ -771,33 +771,61 @@ class TestProtectedAttribute:
 
 
 class TestTrainingInputs:
+    ANXIETY_WEIGHT = "--loss-weights must give anxiety a positive weight, as the proposed model predicts anxiety; got"
+
     @pytest.mark.parametrize("flag,value,message,command", [
         *((*case, command) for case in [
-            ("--batch-size", "0", "batch_size must be at least 1"),
-            ("--lr", "0", "lr must be finite and positive"),
-            ("--threshold", "1.5", "threshold must be in [0, 1]"),
-            ("--lstm-hidden", "0", "lstm_hidden must be at least 1"),
-            ("--lstm-hidden", "-3", "lstm_hidden must be at least 1"),
-            ("--dense-size", "0", "dense_size must be at least 1"),
+            ("--batch-size", "0", "--batch-size must be at least 1, got 0"),
+            ("--lr", "0", "--lr must be finite and positive, got 0.0"),
+            ("--lr", "inf", "--lr must be finite and positive, got inf"),
+            ("--threshold", "1.5", "--threshold must be in [0, 1], got 1.5"),
+            ("--threshold", "2", "--threshold must be in [0, 1], got 2.0"),
+            ("--lstm-hidden", "0", "--lstm-hidden must be at least 1, got 0"),
+            ("--lstm-hidden", "-3", "--lstm-hidden must be at least 1, got -3"),
+            ("--dense-size", "0", "--dense-size must be at least 1, got 0"),
+            ("--keep-rate", "0", "--keep-rate must be in (0, 1], got 0.0"),
+            ("--keep-rate", "nan", "--keep-rate must be in (0, 1], got nan"),
         ] for command in ("train-base", "mitigate")),
+        # the proposed model refuses --epochs below 1 with its own message
+        ("--epochs", "-1", "--epochs must be non-negative, got -1", "train-base"),
         # flags of the proposed model, which train-base does not take
         *((*case, "mitigate") for case in [
-            ("--loss-weights", "inf,1", "task weights must be finite and non-negative"),
-            ("--loss-weights", "nan,1", "task weights must be finite and non-negative"),
-            ("--loss-weights", "1,-0.5", "task weights must be finite and non-negative"),
+            ("--loss-weights", "inf,1", "--loss-weights must be finite and non-negative, got inf,1"),
+            ("--loss-weights", "nan,1", "--loss-weights must be finite and non-negative, got nan,1"),
+            ("--loss-weights", "1,-0.5", "--loss-weights must be finite and non-negative, got 1,-0.5"),
             ("--loss-weights", "abc,1", "--loss-weights must be 'anxiety,protected', e.g. '4.5,0.5'"),
-            ("--ckpt-every", "0", "checkpoint_every must be at least 1"),
+            ("--loss-weights", "0,1", f"{ANXIETY_WEIGHT} 0,1"),
+            ("--loss-weights", "0,0", f"{ANXIETY_WEIGHT} 0,0"),
+            ("--ckpt-every", "0", "--ckpt-every must be at least 1, got 0"),
+            ("--mc-passes", "1", "--mc-passes must be at least 2, got 1"),
         ]),
+        ("--loss-weights", "0,1", f"{ANXIETY_WEIGHT} 0,1", "compare"),
+        ("--bias", "1.5", "--bias must be in [0, 1], got 1.5", "synth"),
+        ("--n", "39", "--n must be at least 40, got 39", "synth"),
     ])
-    def test_bad_config_exits_1_before_training(
-        self, synth_dir, tmp_path, capsys, command, flag, value, message
-    ):
+    def test_bad_config_exits_1_before_training(self, tmp_path, capsys, command, flag, value, message):
+        # input files that do not exist: the error must come before any file is read
+        missing = str(tmp_path / "missing.csv")
+        data = ["--n", "80", "--bias", "0.8"] if command == "synth" else [
+            "--windows", missing, "--labels", missing, "--demo", missing, "--protected", "group", *fast_train(command)]
         out = tmp_path / "out"
-        code = main([command, *data_args(synth_dir), "--protected", "group",
-                     *fast_train(command), flag, value, "--out", str(out)])
-        assert code == 1
+        assert main([command, *data, flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,shape", [
+        ("train-base", "--dense-size", "(64, 1125899906842624)"),
+        ("mitigate", "--mc-passes", "(1125899906842624, 60)"),
+    ])
+    def test_an_allocation_the_host_cannot_make_exits_1(self, tmp_path, capsys, command, flag, shape):
+        # 2**50 asks for 512 and 480 PiB, more than a 64-bit address space maps, so it fails at once
+        cohort = tmp_path / "cohort"
+        assert main(["synth", "--n", "80", "--bias", "0.8", "--seed", "1", "--out", str(cohort)]) == 0
+        out = tmp_path / "out"
+        assert main([command, *data_args(cohort), "--protected", "group", "--epochs", "1", flag, str(2**50),
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate ") and shape in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-base", "reweigh-train"])

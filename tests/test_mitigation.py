@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fairhrv import mitigation
+from fairhrv import mitigation, nnet
 from fairhrv.checkpoint_io import load_checkpoint, save_checkpoint
 from fairhrv.dataset import (
     AttributeCoding,
@@ -189,6 +189,21 @@ class TestMtlCheckpoints:
         if checkpoints:
             assert checkpoints[-1].tensors.keys() == final.tensors.keys()
             assert all(checkpoints[-1].tensors[k].tobytes() == v.tobytes() for k, v in final.tensors.items())
+
+    def test_training_builds_one_params_and_one_state_plus_a_copy_per_checkpoint(self, monkeypatch):
+        built = {"ModelParams": 0, "AdamState": 0}
+        for cls in (nnet.ModelParams, nnet.AdamState):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        cohort = generate_synthetic(48, 0.5, 9)
+        checkpoints, _, _ = train_mtl_with_checkpoints(cohort, "group", tiny_config(epochs=6, checkpoint_every=2,
+                                                                                    seed=10))
+        # six epochs of three batches of 16: 18 Adam steps, which build no params and no state
+        assert len(checkpoints) == 3
+        assert built == {"ModelParams": 1 + len(checkpoints), "AdamState": 1}
 
     def test_single_checkpoint(self):
         cohort = generate_synthetic(48, 0.5, 9)

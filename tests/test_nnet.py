@@ -34,6 +34,7 @@ from gradcheck import (
     random_case,
 )
 from peak_memory import peak_mb
+from reference_adam import reference_adam_step
 from reference_lstm import reference_backprop, reference_lstm_states
 from scalar_lstm import scalar_lstm_final_hidden
 
@@ -258,13 +259,19 @@ class TestInputGradient:
 
 
 class TestAdam:
+    """``adam_step`` updates the parameters and the moments in place and returns None."""
+
     def test_zero_gradients_leave_params(self):
         params = init_params(SMALL_ARCH, seed=23)
+        before = params.copy()
+        tensors = dict(params.tensors)
         state = AdamState.for_params(params)
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        updated, _ = adam_step(params, grads, state, lr=0.1)
+        assert adam_step(params, grads, state, lr=0.1) is None
+        assert state.t == 1
         for name in params.tensors:
-            assert np.array_equal(updated.tensors[name], params.tensors[name])
+            assert params.tensors[name] is tensors[name]
+            assert np.array_equal(params.tensors[name], before.tensors[name])
 
     def test_quadratic_descent(self):
         # f(w) = w^2, w0 = 1: the same scalar recursion, run two ways
@@ -273,12 +280,13 @@ class TestAdam:
         w_ref, m_ref, v_ref, t_ref = 1.0, 0.0, 0.0, 0
         for _ in range(100):
             grads = {"w": 2.0 * params.tensors["w"]}
-            params, state = adam_step(params, grads, state, lr=0.1)
+            adam_step(params, grads, state, lr=0.1)
             g = 2.0 * w_ref
             t_ref += 1
             m_ref = 0.9 * m_ref + 0.1 * g
             v_ref = 0.999 * v_ref + 0.001 * g * g
             w_ref -= 0.1 * (m_ref / (1 - 0.9**t_ref)) / (math.sqrt(v_ref / (1 - 0.999**t_ref)) + 1e-8)
+        assert state.t == t_ref
         assert abs(params.tensors["w"][0]) < 0.1
         assert params.tensors["w"][0] == pytest.approx(w_ref, abs=1e-12)
 
@@ -289,12 +297,28 @@ class TestAdam:
             rng = np.random.default_rng(25)
             for _ in range(5):
                 grads = {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
-                params, state = adam_step(params, grads, state, lr=1e-3)
+                adam_step(params, grads, state, lr=1e-3)
             return params
 
         a, b = run(), run()
         for name in a.tensors:
             assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
+
+    def test_matches_the_functional_oracle_bit_for_bit(self):
+        params = init_params(SMALL_ARCH, seed=26)
+        state = AdamState.for_params(params)
+        want_params, want_state = params.copy(), AdamState.for_params(params)
+        rng = np.random.default_rng(27)
+        for _ in range(250):
+            # gradients over eight decades, so the moments see large and tiny terms alike
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.uniform(-6, 2) for k, v in params.tensors.items()}
+            want_params, want_state = reference_adam_step(want_params, grads, want_state, lr=1e-3)
+            adam_step(params, grads, state, lr=1e-3)
+            assert state.t == want_state.t
+            for name in params.tensors:
+                assert params.tensors[name].tobytes() == want_params.tensors[name].tobytes(), name
+                assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
 
 
 class TestMcForward:
