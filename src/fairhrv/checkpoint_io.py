@@ -25,18 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_write_bytes
-from .nnet import ModelArch, ModelParams, ShapeMismatch
+from .nnet import ModelArch, ModelParams
 
 MAGIC = b"FRLT"
 VERSION = 1
-
-
-class CorruptCheckpoint(ValueError):
-    """Bad magic, truncated payload, or trailing garbage."""
-
-
-class UnsupportedVersion(ValueError):
-    """The file declares a format version this code does not read."""
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -61,7 +53,7 @@ class _Reader:
 
     def take(self, count: int) -> bytes:
         if self.offset + count > len(self.data):
-            raise CorruptCheckpoint(f"{self.path}: truncated at byte {self.offset}")
+            raise ValueError(f"{self.path}: truncated at byte {self.offset}")
         out = self.data[self.offset : self.offset + count]
         self.offset += count
         return out
@@ -78,37 +70,37 @@ def load_checkpoint(path) -> ModelParams:
     here and names the file.
 
     Raises:
-        CorruptCheckpoint: bad magic, truncation, trailing bytes, a tensor
-            name that is not UTF-8 or appears twice, or tensors whose names
-            and shapes are not those of a ``ModelArch``.
-        UnsupportedVersion: version field differs from the writer's.
+        ValueError: naming the file, for bad magic, a version other than
+            the writer's, truncation, trailing bytes, a tensor name that is
+            not UTF-8 or appears twice, or tensors whose names and shapes
+            are not those of a ``ModelArch``.
     """
     path = Path(path)
     reader = _Reader(path.read_bytes(), path)
     if reader.take(4) != MAGIC:
-        raise CorruptCheckpoint(f"{path}: bad magic")
+        raise ValueError(f"{path}: bad magic")
     version, epoch, rng_seed, count = reader.unpack("<IIQI")
     if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+        raise ValueError(f"{path}: version {version}, expected {VERSION}")
     tensors = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         try:
             name = reader.take(name_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise CorruptCheckpoint(f"{path}: tensor name at byte {reader.offset - name_len} is not UTF-8") from None
+            raise ValueError(f"{path}: tensor name at byte {reader.offset - name_len} is not UTF-8") from None
         if name in tensors:
-            raise CorruptCheckpoint(f"{path}: tensor {name!r} appears twice")
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
         (rank,) = reader.unpack("<B")
         dims = reader.unpack(f"<{rank}I")
         # an exact integer product: a garbled rank or dim asks for more bytes than the file has
         payload = reader.take(8 * math.prod(dims))
         tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     if reader.offset != len(reader.data):
-        raise CorruptCheckpoint(f"{path}: {len(reader.data) - reader.offset} trailing bytes")
+        raise ValueError(f"{path}: {len(reader.data) - reader.offset} trailing bytes")
     params = ModelParams(tensors, epoch=epoch, rng_seed=rng_seed)
     try:
         ModelArch.from_params(params)
-    except ShapeMismatch as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params

@@ -38,32 +38,12 @@ PROTECTED_SIGNAL_COLUMNS = ("sdsd", "nni_20", "pnni_20")
 ANXIETY_SIGNAL_COLUMNS = ("mean_nni", "rmssd", "mean_hr", "lf", "hf", "csi")
 
 
-class DegenerateGroup(ValueError):
-    """Only one raw category is present for a protected attribute."""
-
-
-class NotBinary(ValueError):
-    """More than two raw categories for a protected attribute."""
-
-
-class TooSmall(ValueError):
-    """Cohort too small to split."""
-
-
 class OutOfRange(ValueError):
     """A parameter outside its range: ``name`` names it and ``rule`` says what it must be."""
 
     def __init__(self, name: str, rule: str, value):
         super().__init__(f"{name} {rule}, got {value}")
         self.name, self.rule = name, rule
-
-
-class BadStrength(OutOfRange):
-    """bias_strength outside [0, 1]."""
-
-
-class MissingAttribute(KeyError):
-    """Requested protected attribute not present on the cohort."""
 
 
 @dataclass(frozen=True)
@@ -131,8 +111,9 @@ class Cohort:
         return np.array([w.anxiety for w in self.windows], dtype=np.int64)
 
     def protected_values(self, attribute: str) -> np.ndarray:
+        """Raises ValueError, naming the attribute and the cohort's, when the windows lack it."""
         if self.windows and attribute not in self.windows[0].protected:
-            raise MissingAttribute(attribute)
+            raise ValueError(f"cohort has no protected attribute {attribute!r}, only {list(self.attribute_names())}")
         return np.array([w.protected[attribute] for w in self.windows], dtype=np.int64)
 
     def attribute_names(self):
@@ -169,16 +150,16 @@ def encode_protected(raw, attribute_name: str):
         category mapping and counts.
 
     Raises:
-        DegenerateGroup: only one category present.
-        NotBinary: more than two categories present.
+        ValueError: naming the attribute, when it has one category or more
+            than two.
     """
     counts = {}
     for value in raw.values():
         counts[value] = counts.get(value, 0) + 1
     if len(counts) < 2:
-        raise DegenerateGroup(f"{attribute_name!r} has a single category: {sorted(counts)}")
+        raise ValueError(f"{attribute_name!r} has a single category: {sorted(counts)}")
     if len(counts) > 2:
-        raise NotBinary(f"{attribute_name!r} has {len(counts)} categories; coarsen to two first")
+        raise ValueError(f"{attribute_name!r} has {len(counts)} categories; coarsen to two first")
     (cat_a, n_a), (cat_b, n_b) = sorted(counts.items())
     privileged = cat_a if n_a >= n_b else cat_b
     mapping = {cat: (1 if cat == privileged else 0) for cat in (cat_a, cat_b)}
@@ -201,11 +182,11 @@ def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> Spl
     proportions are then only approximate.
 
     Raises:
-        TooSmall: fewer than 4 windows.
+        ValueError: fewer than 4 windows.
     """
     n = len(cohort)
     if n < 4:
-        raise TooSmall(f"need at least 4 windows to split, got {n}")
+        raise ValueError(f"need at least 4 windows to split, got {n}")
     rng = substream(seed, "split")
     if by_participant:
         windows_of = {}
@@ -290,11 +271,10 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     over the 24 steps for all windows at once, with the same arithmetic.
 
     Raises:
-        BadStrength: bias_strength outside [0, 1].
-        OutOfRange: n < 40.
+        OutOfRange: bias_strength outside [0, 1], or n < 40.
     """
     if not 0.0 <= bias_strength <= 1.0:
-        raise BadStrength("bias_strength", "must be in [0, 1]", bias_strength)
+        raise OutOfRange("bias_strength", "must be in [0, 1]", bias_strength)
     if n < 40:
         raise OutOfRange("n", "must be at least 40", n)
     rng = substream(seed, "synth")
@@ -620,8 +600,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
         ValueError: naming the file, for a windows file without rows, a
             sample without a label, a participant missing from the
             demographics, no ``protected`` column, or a ``protected``
-            column without exactly two categories (``DegenerateGroup``,
-            ``NotBinary``).
+            column without exactly two categories.
     """
     sample_ids, participant_ids, features = read_windows_csv(windows_path)
     if not sample_ids:
@@ -641,7 +620,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
             try:
                 codes, catalog[protected] = encode_protected(raw_by_attr[protected], protected)
             except ValueError as exc:
-                raise type(exc)(f"{demographics_path}: {exc}") from None
+                raise ValueError(f"{demographics_path}: {exc}") from None
     elif protected is not None:
         raise ValueError(f"protected attribute {protected!r} needs a demographics file")
 

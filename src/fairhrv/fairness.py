@@ -4,6 +4,11 @@ All metrics operate on aligned binary sequences where the group encoding
 is 1 for the privileged (majority) class and 0 for the unprivileged
 class. Signed differences follow the convention unprivileged minus
 privileged. Pure counting functions; thread-safe.
+
+One rule for degenerate groups: a metric the inputs do not define is
+None (the ratio when the privileged positive rate is zero, the rate gaps
+when a group lacks positive or negative labels), and an empty group is
+an error.
 """
 
 import math
@@ -11,26 +16,6 @@ import math
 import numpy as np
 
 DEFAULT_BOUNDS = (0.8, 1.2)
-
-
-class EmptyGroup(ValueError):
-    """A group has no members."""
-
-
-class UndefinedRatio(ZeroDivisionError):
-    """The privileged positive rate is zero, making the ratio undefined.
-
-    Deliberately an error rather than infinity so degenerate predictors
-    (for example constant-negative models) surface loudly.
-    """
-
-
-class MissingOutcomeClass(ValueError):
-    """A group lacks positive or negative true labels."""
-
-
-class EmptyCell(ValueError):
-    """A (group, label) cell is empty; reweighting weights are undefined."""
 
 
 def _as_binary(values, name):
@@ -42,41 +27,45 @@ def _as_binary(values, name):
     return arr
 
 
-def disparate_impact(outcomes, groups) -> float:
-    """Pr(outcome=1 | unprivileged) / Pr(outcome=1 | privileged).
+def _group_sizes(groups) -> tuple:
+    """(privileged, unprivileged) member counts; an empty group is an error."""
+    n_priv, n_unpriv = int(np.sum(groups == 1)), int(np.sum(groups == 0))
+    if n_priv == 0 or n_unpriv == 0:
+        raise ValueError(f"group sizes privileged={n_priv}, unprivileged={n_unpriv}")
+    return n_priv, n_unpriv
+
+
+def disparate_impact(outcomes, groups) -> float | None:
+    """Pr(outcome=1 | unprivileged) / Pr(outcome=1 | privileged); None when the privileged rate is zero.
 
     Raises:
-        EmptyGroup: a group has no members.
-        UndefinedRatio: the privileged positive rate is zero.
+        ValueError: a group has no members, giving both group sizes.
     """
     outcomes = _as_binary(outcomes, "outcomes")
     groups = _as_binary(groups, "groups")
     if outcomes.shape != groups.shape:
         raise ValueError("outcomes and groups must be aligned")
-    n_priv = int(np.sum(groups == 1))
-    n_unpriv = int(np.sum(groups == 0))
-    if n_priv == 0 or n_unpriv == 0:
-        raise EmptyGroup(f"group sizes privileged={n_priv}, unprivileged={n_unpriv}")
+    n_priv, n_unpriv = _group_sizes(groups)
     rate_priv = float(np.sum(outcomes[groups == 1])) / n_priv
     rate_unpriv = float(np.sum(outcomes[groups == 0])) / n_unpriv
-    if rate_priv == 0.0:
-        raise UndefinedRatio("privileged group has no positive outcomes")
-    return rate_unpriv / rate_priv
+    return None if rate_priv == 0.0 else rate_unpriv / rate_priv
 
 
 def equalized_odds_diffs(preds, labels, groups):
     """Signed false-negative and false-positive rate gaps between groups.
 
-    Returns (diff_fn, diff_fp), each unprivileged minus privileged.
+    Returns (diff_fn, diff_fp), each unprivileged minus privileged, or
+    (None, None) when a group lacks positive or negative true labels.
 
     Raises:
-        MissingOutcomeClass: a group lacks positive or negative true labels.
+        ValueError: a group has no members, giving both group sizes.
     """
     preds = _as_binary(preds, "preds")
     labels = _as_binary(labels, "labels")
     groups = _as_binary(groups, "groups")
     if not preds.shape == labels.shape == groups.shape:
         raise ValueError("preds, labels, groups must be aligned")
+    _group_sizes(groups)
 
     rates = {}
     for g in (0, 1):
@@ -84,7 +73,7 @@ def equalized_odds_diffs(preds, labels, groups):
         pos = mask & (labels == 1)
         neg = mask & (labels == 0)
         if not pos.any() or not neg.any():
-            raise MissingOutcomeClass(f"group {g} lacks positive or negative labels")
+            return None, None
         fnr = float(np.sum(pos & (preds == 0))) / int(np.sum(pos))
         fpr = float(np.sum(neg & (preds == 1))) / int(np.sum(neg))
         rates[g] = (fnr, fpr)
@@ -100,7 +89,7 @@ def reweigh_weights(labels, groups) -> dict:
     independent of group (weighted disparate impact exactly 1).
 
     Raises:
-        EmptyCell: one of the four cells has no samples.
+        ValueError: one of the four cells has no samples, naming it.
     """
     labels = _as_binary(labels, "labels")
     groups = _as_binary(groups, "groups")
@@ -112,7 +101,7 @@ def reweigh_weights(labels, groups) -> dict:
         for y in (0, 1):
             n_cell = int(np.sum((groups == g) & (labels == y)))
             if n_cell == 0:
-                raise EmptyCell(f"no samples with group={g}, label={y}")
+                raise ValueError(f"no samples with group={g}, label={y}")
             n_g = int(np.sum(groups == g))
             n_y = int(np.sum(labels == y))
             weights[(g, y)] = (n_g / n) * (n_y / n) / (n_cell / n)
@@ -161,11 +150,12 @@ def evaluate_predictions(outcomes, labels=None, groups=None, attribute=None) -> 
 
     Model audit: predictions as ``outcomes`` plus the true ``labels``.
     Dataset audit: the true labels as ``outcomes`` and no ``labels``.
-    One rule for degenerate inputs: a metric the inputs do not define is
-    None (label metrics without ``labels``, group metrics without
-    ``groups``, ``dir`` when the privileged positive rate is zero, which
-    sets ``dir_undefined``, and the rate gaps when a group lacks positive
-    or negative labels). An empty group raises ``EmptyGroup``.
+    The module's rule holds for the report too: label metrics are None
+    without ``labels`` and group metrics without ``groups``; an undefined
+    ``dir`` sets ``dir_undefined`` and is out of bounds.
+
+    Raises:
+        ValueError: a group has no members, giving both group sizes.
     """
     outcomes = _as_binary(outcomes, "outcomes")
     report = {"attribute": attribute, "bounds": list(DEFAULT_BOUNDS),
@@ -178,15 +168,9 @@ def evaluate_predictions(outcomes, labels=None, groups=None, attribute=None) -> 
         return report
     groups = _as_binary(groups, "groups")
     report.update(n_privileged=int(np.sum(groups == 1)), n_unprivileged=int(np.sum(groups == 0)))
-    try:
-        ratio = disparate_impact(outcomes, groups)
-        in_bounds = bool(DEFAULT_BOUNDS[0] <= ratio <= DEFAULT_BOUNDS[1])
-        report.update(dir=ratio, in_bounds=in_bounds, dir_undefined=False)
-    except UndefinedRatio:
-        report.update(in_bounds=False, dir_undefined=True)
+    ratio = disparate_impact(outcomes, groups)
+    report.update(dir=ratio, dir_undefined=ratio is None,
+                  in_bounds=ratio is not None and DEFAULT_BOUNDS[0] <= ratio <= DEFAULT_BOUNDS[1])
     if labels is not None:
-        try:
-            report["diff_fn"], report["diff_fp"] = equalized_odds_diffs(outcomes, labels, groups)
-        except MissingOutcomeClass:
-            pass
+        report["diff_fn"], report["diff_fp"] = equalized_odds_diffs(outcomes, labels, groups)
     return report

@@ -49,14 +49,6 @@ MAX_NN_MS = 3000.0
 BAND_BLOCK_SAMPLES = 65536
 
 
-class NoPeaks(ValueError):
-    """Fewer than two usable R peaks were found in the signal."""
-
-
-class TooFewIntervals(ValueError):
-    """The NN series is too short for successive-difference features."""
-
-
 @dataclass(frozen=True)
 class EcgSignal:
     """Single-lead ECG voltage trace.
@@ -172,13 +164,14 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     of either end or under a DC offset.
 
     Raises:
-        NoPeaks: fewer than two usable peaks found.
+        ValueError: fewer than two usable peaks, or no interval in the
+            plausible range, saying which.
     """
     x = signal.samples
     fs = float(signal.sample_rate)
     n = len(x)
     if n < 3:
-        raise NoPeaks(f"found 0 peak(s) in {n} sample(s); need at least 2")
+        raise ValueError(f"found 0 peak(s) in {n} sample(s); need at least 2")
 
     # one running sum of the mean-removed trace serves both averages of the band-pass
     sums = np.empty(n + 1)
@@ -206,7 +199,7 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
 
     running_avg = float(np.max(energy[: max(1, int(2 * fs))]))
     if running_avg <= 0.0:
-        raise NoPeaks("signal has no energy peaks above threshold")
+        raise ValueError("signal has no energy peaks above threshold")
     accepted = _accept_beats(candidates, energy[candidates], running_avg, refractory)
 
     # refine to the raw maximum within +/-100 ms: one argmax over a window per beat
@@ -228,12 +221,12 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
         peaks.append(idx)
 
     if len(peaks) < 2:
-        raise NoPeaks(f"found {len(peaks)} peak(s); need at least 2")
+        raise ValueError(f"found {len(peaks)} peak(s); need at least 2")
 
     intervals = np.diff(np.asarray(peaks, dtype=np.float64)) / fs * 1000.0
     intervals = intervals[(intervals >= MIN_NN_MS) & (intervals <= MAX_NN_MS)]
     if len(intervals) < 1:
-        raise NoPeaks("all detected intervals rejected as artifacts")
+        raise ValueError("all detected intervals rejected as artifacts")
     return NNIntervalSeries(intervals)
 
 
@@ -345,12 +338,12 @@ def extract_features(nni: NNIntervalSeries) -> np.ndarray:
     and csi and/or cvi are 0 where the Poincare ellipse collapses.
 
     Raises:
-        TooFewIntervals: fewer than 2 intervals.
+        ValueError: fewer than 2 intervals.
     """
     x = nni.intervals_ms
     n = len(x)
     if n < 2:
-        raise TooFewIntervals(f"need at least 2 intervals, got {n}")
+        raise ValueError(f"need at least 2 intervals, got {n}")
 
     diffs = np.diff(x)
     mean_nni = float(np.mean(x))

@@ -42,10 +42,6 @@ class TrainingDiverged(RuntimeError):
     """A non-finite loss or gradient appeared during training."""
 
 
-class NoCheckpoints(ValueError):
-    """Checkpoint selection needs at least one uncertainty record."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters for all training entry points.
@@ -204,7 +200,7 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
     epoch tag.
 
     Raises:
-        MissingAttribute: cohort lacks the protected attribute.
+        ValueError: the cohort lacks the protected attribute.
         TrainingDiverged: non-finite loss or gradient.
     """
     x, targets = _cohort_inputs(train, protected)
@@ -244,12 +240,11 @@ def select_checkpoint(records) -> UncertaintyRecord:
     """The record of largest (c_protected - c_anxiety); ties go to the earliest epoch.
 
     Raises:
-        NoCheckpoints: empty record list.
-        ValueError: a gap is NaN or infinite.
+        ValueError: the record list is empty, or a gap is NaN or infinite.
     """
     records = tuple(records)
     if not records:
-        raise NoCheckpoints("no uncertainty records to select from")
+        raise ValueError("no uncertainty records to select from")
     best = records[0]
     for record in records:
         if not math.isfinite(record.gap):

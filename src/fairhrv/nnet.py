@@ -88,14 +88,6 @@ def head_sigmoid(z) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-class ShapeMismatch(ValueError):
-    """Input or parameter shapes disagree with the architecture."""
-
-
-class StaleTrace(ValueError):
-    """A forward trace does not match the parameters it is replayed against."""
-
-
 @dataclass(frozen=True)
 class ModelArch:
     """Network topology.
@@ -143,7 +135,7 @@ class ModelArch:
         """The topology of a set of tensors.
 
         Raises:
-            ShapeMismatch: the tensor names or shapes are not those of any
+            ValueError: the tensor names or shapes are not those of any
                 topology, such as a missing bias or a recurrent matrix whose
                 width is not four times its height.
         """
@@ -159,10 +151,10 @@ class ModelArch:
             else:
                 input_size = shapes[f"head.{heads[0]}.W"][0]
         except (KeyError, IndexError):
-            raise ShapeMismatch(f"tensors {sorted(shapes)} name no model topology") from None
+            raise ValueError(f"tensors {sorted(shapes)} name no model topology") from None
         arch = ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=heads)
         if shapes != arch.param_shapes():
-            raise ShapeMismatch(f"tensor shapes {shapes} do not fit {arch}")
+            raise ValueError(f"tensor shapes {shapes} do not fit {arch}")
         return arch
 
 
@@ -254,7 +246,7 @@ def _prepare_input(arch: ModelArch, x) -> np.ndarray:
         if x.ndim == 2:
             x = x[None]
         if x.ndim != 3 or x.shape[2] != arch.input_size:
-            raise ShapeMismatch(f"expected (batch, steps, {arch.input_size}), got {x.shape}")
+            raise ValueError(f"expected (batch, steps, {arch.input_size}), got {x.shape}")
     else:
         if x.ndim == 2 and x.shape[0] * x.shape[1] == arch.input_size:
             x = x.reshape(1, -1)
@@ -263,7 +255,7 @@ def _prepare_input(arch: ModelArch, x) -> np.ndarray:
         elif x.ndim == 1:
             x = x[None]
         if x.shape[1] != arch.input_size:
-            raise ShapeMismatch(f"expected flattened size {arch.input_size}, got {x.shape}")
+            raise ValueError(f"expected flattened size {arch.input_size}, got {x.shape}")
     return x
 
 
@@ -341,7 +333,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
     gives the full model's outputs (see the module docstring).
 
     Raises:
-        ShapeMismatch: ``x`` or ``mask`` do not fit the params.
+        ValueError: ``x`` or ``mask`` do not fit the params.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
@@ -356,7 +348,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
     if mask is not None and "lstm_out" in mask.masks:
         trace.lstm_drop = np.asarray(mask.masks["lstm_out"], dtype=np.float64) / mask.keep_rate
         if trace.lstm_drop.shape[-1] != trunk.shape[-1]:
-            raise ShapeMismatch("lstm_out mask width disagrees with the hidden size")
+            raise ValueError("lstm_out mask width disagrees with the hidden size")
         trunk = trunk * trace.lstm_drop
     trace.trunk_out = trunk
 
@@ -367,7 +359,7 @@ def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
         if mask is not None and "dense_out" in mask.masks:
             trace.dense_drop = np.asarray(mask.masks["dense_out"], dtype=np.float64) / mask.keep_rate
             if trace.dense_drop.shape[-1] != act.shape[-1]:
-                raise ShapeMismatch("dense_out mask width disagrees with the dense size")
+                raise ValueError("dense_out mask width disagrees with the dense size")
             act = act * trace.dense_drop
         head_in = act
     else:
@@ -408,7 +400,7 @@ def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=1.
 
 def _check_trace(params: ModelParams, trace: ForwardTrace):
     if {k: v.shape for k, v in params.tensors.items()} != trace.param_shapes:
-        raise StaleTrace("trace was produced by parameters of different shapes")
+        raise ValueError("trace was produced by parameters of different shapes")
 
 
 def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
@@ -511,7 +503,7 @@ def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weigh
     """Exact analytic gradients of mtl_loss with respect to every parameter.
 
     Raises:
-        StaleTrace: the trace came from parameters of different shapes.
+        ValueError: the trace came from parameters of different shapes.
     """
     _check_trace(params, trace)
     sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), trace.head_in.shape[:1])

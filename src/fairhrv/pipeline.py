@@ -95,6 +95,19 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
     return _test_run(params, losses, split, protected, config)
 
 
+def _mc_eval_cohort(split: SplitCohort, config: TrainConfig, eval_on: str = "train") -> Cohort:
+    """The cohort whose MC dropout uncertainties select the checkpoint.
+
+    Allocates a sample buffer of ``nnet.mc_forward``'s shape first, so an
+    ``mc_passes`` the host cannot hold fails before any model trains.
+    """
+    if eval_on not in ("train", "test"):
+        raise ValueError("eval_on must be 'train' or 'test'")
+    eval_cohort = split.train if eval_on == "train" else split.test
+    np.empty((config.mc_passes, len(eval_cohort)))
+    return eval_cohort
+
+
 def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig, eval_on: str = "train") -> ModelRun:
     """The full mitigation pipeline on a prepared split; the run holds every checkpoint.
 
@@ -102,10 +115,8 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig, eval
     (``eval_on="test"`` switches to the held-out split). The selected
     checkpoint's weights are used verbatim for the final prediction.
     """
-    if eval_on not in ("train", "test"):
-        raise ValueError("eval_on must be 'train' or 'test'")
+    eval_cohort = _mc_eval_cohort(split, config, eval_on)
     checkpoints, _, losses = train_mtl_with_checkpoints(split.train, protected, config)
-    eval_cohort = split.train if eval_on == "train" else split.test
     records = evaluate_uncertainties(checkpoints, eval_cohort, config)
     selection = select_checkpoint(records)
     selected = next(c for c in checkpoints if c.epoch == selection.epoch)
@@ -129,6 +140,7 @@ COMPARISON_COLUMNS = (
 
 def run_comparison(split: SplitCohort, protected: str, config: TrainConfig) -> dict:
     """Train all three models on one prepared split and collect the comparison table."""
+    _mc_eval_cohort(split, config)  # the proposed model's MC buffer, before the base model trains
     runs = {
         "base": run_base_model(split, protected, config),
         "reweighting": run_reweighted_model(split, protected, config),

@@ -17,10 +17,6 @@ from .hrv_features import FEATURE_NAMES
 from .nnet import ModelParams, input_gradient
 
 
-class EmptyCohort(ValueError):
-    """Saliency averaging needs at least one window."""
-
-
 @dataclass(frozen=True)
 class SaliencyMap:
     """Signed per-step, per-feature input attribution for one head."""
@@ -58,11 +54,11 @@ def average_saliency_over_windows(params: ModelParams, windows, head: str) -> Sa
     """Mean map over an (n, 24, 25) stack of windows, such as ``cohort.feature_tensor()``.
 
     Raises:
-        EmptyCohort: no windows.
+        ValueError: ``windows`` is not a non-empty (n, steps, features) stack.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[0] == 0:
-        raise EmptyCohort("need a non-empty (n, steps, features) window stack")
+        raise ValueError("need a non-empty (n, steps, features) window stack")
     grads = input_gradient(params, windows, head)
     return SaliencyMap(values=_kahan_mean(grads), feature_names=FEATURE_NAMES, head=head)
 

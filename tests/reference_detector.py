@@ -12,7 +12,7 @@ intervals, not the envelope. Do not edit it to follow a change in
 
 import numpy as np
 
-from fairhrv.hrv_features import MAX_NN_MS, MIN_NN_MS, NNIntervalSeries, NoPeaks
+from fairhrv.hrv_features import MAX_NN_MS, MIN_NN_MS, NNIntervalSeries
 
 
 def _moving_average(x, width):
@@ -38,7 +38,7 @@ def reference_detect_r_peaks(signal) -> NNIntervalSeries:
     init_region = energy[: max(1, int(2 * fs))]
     running_avg = float(np.max(init_region))
     if running_avg <= 0.0:
-        raise NoPeaks("signal has no energy peaks above threshold")
+        raise ValueError("signal has no energy peaks above threshold")
 
     accepted = []
     accepted_energy = 0.0
@@ -69,10 +69,10 @@ def reference_detect_r_peaks(signal) -> NNIntervalSeries:
         peaks.append(idx)
 
     if len(peaks) < 2:
-        raise NoPeaks(f"found {len(peaks)} peak(s); need at least 2")
+        raise ValueError(f"found {len(peaks)} peak(s); need at least 2")
 
     intervals = np.diff(np.asarray(peaks, dtype=np.float64)) / fs * 1000.0
     intervals = intervals[(intervals >= MIN_NN_MS) & (intervals <= MAX_NN_MS)]
     if len(intervals) < 1:
-        raise NoPeaks("all detected intervals rejected as artifacts")
+        raise ValueError("all detected intervals rejected as artifacts")
     return NNIntervalSeries(intervals)

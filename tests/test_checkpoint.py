@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from fairhrv.checkpoint_io import (
     MAGIC,
-    CorruptCheckpoint,
-    UnsupportedVersion,
     load_checkpoint,
     save_checkpoint,
 )
@@ -52,7 +50,7 @@ class TestCorruption:
         save_checkpoint(make_params(), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 17])
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(ValueError, match=r"ckpt.bin: truncated at byte \d+$"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -61,14 +59,14 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(ValueError, match="ckpt.bin: bad magic$"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(make_params(), path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(ValueError, match="ckpt.bin: 2 trailing bytes$"):
             load_checkpoint(path)
 
     def test_version_bump(self, tmp_path):
@@ -77,7 +75,7 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[4:8] = struct.pack("<I", 2)
         path.write_bytes(bytes(data))
-        with pytest.raises(UnsupportedVersion):
+        with pytest.raises(ValueError, match="ckpt.bin: version 2, expected 1$"):
             load_checkpoint(path)
 
     def test_header_layout(self, tmp_path):
@@ -96,14 +94,14 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[26] = 0xFF  # first byte of the first tensor name, after the header and its length
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptCheckpoint, match="ckpt.bin: tensor name at byte 26 is not UTF-8"):
+        with pytest.raises(ValueError, match="ckpt.bin: tensor name at byte 26 is not UTF-8"):
             load_checkpoint(path)
 
     def test_repeated_name(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(make_params(), path)
         path.write_bytes(path.read_bytes().replace(b"lstm.U", b"lstm.W"))
-        with pytest.raises(CorruptCheckpoint, match="'lstm.W' appears twice"):
+        with pytest.raises(ValueError, match="ckpt.bin: tensor 'lstm.W' appears twice"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old,new", [(b"dense.b", b"dense.c"), (b"lstm.W", b"lstm.X"),
@@ -112,7 +110,7 @@ class TestCorruption:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(make_params(), path)
         path.write_bytes(path.read_bytes().replace(old, new))
-        with pytest.raises(CorruptCheckpoint, match="ckpt.bin: "):
+        with pytest.raises(ValueError, match=r"ckpt.bin: tensor.* (name no model topology|do not fit)"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name,shape", [("lstm.b", (15,)), ("lstm.U", (4, 15)), ("dense.W", (4, 2)),
@@ -122,7 +120,7 @@ class TestCorruption:
         params = make_params()
         params.tensors[name] = np.zeros(shape)
         save_checkpoint(params, path)
-        with pytest.raises(CorruptCheckpoint, match="ckpt.bin: "):
+        with pytest.raises(ValueError, match=r"ckpt.bin: tensor.* (name no model topology|do not fit)"):
             load_checkpoint(path)
 
 
@@ -141,8 +139,8 @@ H8_STRUCTURE = structure_offsets(H8_PARAMS)
 
 
 class TestDamageProperties:
-    """The payload has no checksum: damage either raises one of the reader's
-    errors, naming the file, or loads a model that runs."""
+    """The payload has no checksum: damage either raises a ValueError that
+    names the file, or loads a model that runs."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -160,7 +158,7 @@ class TestDamageProperties:
         path.write_bytes(bytes(damaged))
         try:
             params = load_checkpoint(path)
-        except (CorruptCheckpoint, UnsupportedVersion) as exc:
+        except ValueError as exc:  # a numpy error that leaks out names no file, and fails here
             assert str(exc).startswith(f"{path}: ")
             return
         arch = ModelArch.from_params(params)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairhrv import mitigation
 from fairhrv.cli import build_parser, main
 from fairhrv.dataset import WINDOWS_HEADER, _format_windows
 from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
@@ -816,9 +817,13 @@ class TestTrainingInputs:
     @pytest.mark.parametrize("command,flag,shape", [
         ("train-base", "--dense-size", "(64, 1125899906842624)"),
         ("mitigate", "--mc-passes", "(1125899906842624, 60)"),
+        ("compare", "--mc-passes", "(1125899906842624, 60)"),
     ])
-    def test_an_allocation_the_host_cannot_make_exits_1(self, tmp_path, capsys, command, flag, shape):
+    def test_an_allocation_the_host_cannot_make_exits_1(self, tmp_path, capsys, monkeypatch, command, flag, shape):
         # 2**50 asks for 512 and 480 PiB, more than a 64-bit address space maps, so it fails at once
+        calls = []
+        train_loop = mitigation._train_loop
+        monkeypatch.setattr(mitigation, "_train_loop", lambda *a, **kw: calls.append(a) or train_loop(*a, **kw))
         cohort = tmp_path / "cohort"
         assert main(["synth", "--n", "80", "--bias", "0.8", "--seed", "1", "--out", str(cohort)]) == 0
         out = tmp_path / "out"
@@ -827,6 +832,8 @@ class TestTrainingInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate ") and shape in err[0], err
         assert not out.exists()
+        # the dense layer's weights are allocated as the model trains; the MC sample buffer before any model trains
+        assert len(calls) == (0 if flag == "--mc-passes" else 1)
 
     @pytest.mark.parametrize("command", ["train-base", "reweigh-train"])
     @pytest.mark.parametrize("flag,value", [("--ckpt-every", "2"), ("--loss-weights", "1,1"), ("--mc-passes", "4")])

@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairhrv.fairness import (
-    EmptyCell,
-    EmptyGroup,
-    MissingOutcomeClass,
-    UndefinedRatio,
     disparate_impact,
     equalized_odds_diffs,
     evaluate_predictions,
@@ -43,11 +39,10 @@ class TestDisparateImpact:
         assert disparate_impact(outcomes, groups) == 1.0
 
     def test_undefined_when_privileged_rate_zero(self):
-        with pytest.raises(UndefinedRatio):
-            disparate_impact([1, 0, 0, 0], [0, 0, 1, 1])
+        assert disparate_impact([1, 0, 0, 0], [0, 0, 1, 1]) is None
 
     def test_empty_group(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(ValueError, match="^group sizes privileged=2, unprivileged=0$"):
             disparate_impact([1, 0], [1, 1])
 
     def test_permutation_and_duplication_invariance(self):
@@ -86,8 +81,17 @@ class TestEqualizedOdds:
         assert diff_fp == pytest.approx(0.0)
 
     def test_missing_outcome_class(self):
-        with pytest.raises(MissingOutcomeClass):
-            equalized_odds_diffs([1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1])
+        assert equalized_odds_diffs([1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]) == (None, None)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]],
+                             ids=["unprivileged-without-positives", "privileged-without-negatives",
+                                  "privileged-without-positives"])
+    def test_any_group_without_a_label_class_gives_none_gaps(self, labels):
+        assert equalized_odds_diffs([1, 0, 1, 0], labels, [0, 0, 1, 1]) == (None, None)
+
+    def test_empty_group(self):
+        with pytest.raises(ValueError, match="^group sizes privileged=0, unprivileged=4$"):
+            equalized_odds_diffs([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0])
 
 
 class TestReweigh:
@@ -109,17 +113,14 @@ class TestReweigh:
         assert weights[(1, 1)] == pytest.approx(0.625)
 
     def test_empty_cell(self):
-        with pytest.raises(EmptyCell):
+        with pytest.raises(ValueError, match="^no samples with group=0, label=1$"):
             reweigh_weights([1, 1, 0, 0], [1, 1, 0, 0])
 
     def test_weighted_dir_is_one(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            _, labels, groups = random_instance(rng)
-            try:
-                table = reweigh_weights(labels, groups)
-            except EmptyCell:
-                continue
+            _, labels, groups = random_instance(rng)  # every (group, label) cell filled
+            table = reweigh_weights(labels, groups)
             assert brute_force_weighted_dir(labels, groups, table) == pytest.approx(1.0, abs=1e-9)
             assert all(w > 0 for w in table.values())
 
@@ -202,8 +203,17 @@ class TestReportRule:
         assert report["diff_fn"] is None and report["diff_fp"] is None
         assert report["dir"] == 1.0
 
+    @pytest.mark.parametrize("labels,f1", [([1, 1, 1, 0], 0.5), ([0, 0, 1, 0], 0.0)])
+    def test_whole_report_when_no_metric_of_the_groups_is_defined(self, labels, f1):
+        # the privileged group has no positive outcome, and the unprivileged lacks a label class
+        assert evaluate_predictions([1, 0, 0, 0], labels, [0, 0, 1, 1], "group") == {
+            "attribute": "group", "bounds": [0.8, 1.2], "prediction_entropy": 0.5623351446188083,
+            "accuracy": 0.5, "f1": f1, "n_privileged": 2, "n_unprivileged": 2, "dir": None,
+            "in_bounds": False, "dir_undefined": True, "diff_fn": None, "diff_fp": None,
+        }
+
     def test_empty_group_raises(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(ValueError, match="^group sizes privileged=2, unprivileged=0$"):
             evaluate_predictions([1, 0], [1, 0], [1, 1])
 
     def test_constant_predictor_has_zero_entropy(self):

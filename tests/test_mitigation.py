@@ -11,11 +11,9 @@ from fairhrv.dataset import (
     AttributeCoding,
     Cohort,
     LabeledWindow,
-    MissingAttribute,
     generate_synthetic,
 )
 from fairhrv.mitigation import (
-    NoCheckpoints,
     TrainConfig,
     TrainingDiverged,
     UncertaintyRecord,
@@ -213,7 +211,7 @@ class TestMtlCheckpoints:
 
     def test_missing_attribute(self):
         cohort = generate_synthetic(48, 0.5, 9)
-        with pytest.raises(MissingAttribute):
+        with pytest.raises(ValueError, match=r"^cohort has no protected attribute 'income', only \['group'\]$"):
             train_mtl_with_checkpoints(cohort, "income", tiny_config(epochs=5))
 
     def test_combined_loss_is_weighted_sum_of_parts(self):
@@ -285,7 +283,7 @@ class TestSelection:
         assert select_checkpoint(records).epoch == 5
 
     def test_empty_raises(self):
-        with pytest.raises(NoCheckpoints):
+        with pytest.raises(ValueError, match="^no uncertainty records to select from$"):
             select_checkpoint([])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

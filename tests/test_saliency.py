@@ -7,7 +7,6 @@ from fairhrv.dataset import generate_synthetic
 from fairhrv.hrv_features import FEATURE_NAMES
 from fairhrv.nnet import ModelArch, init_params
 from fairhrv.saliency import (
-    EmptyCohort,
     SaliencyMap,
     average_saliency_over_windows,
     write_saliency_csv,
@@ -83,7 +82,7 @@ class TestAverage:
         params = init_params(LSTM_ARCH, seed=9)
         from fairhrv.dataset import Cohort
 
-        with pytest.raises(EmptyCohort):
+        with pytest.raises(ValueError, match=r"^need a non-empty \(n, steps, features\) window stack$"):
             average_saliency_over_windows(params, Cohort((), {}).feature_tensor(), "anxiety")
 
     def test_permutation_stability(self):
