@@ -2,7 +2,8 @@
 
 Subcommands: extract, synth, audit, train-base, reweigh-train, mitigate,
 saliency, compare. Each writes its artifacts into --out, made only once
-its work has succeeded, so a failed command leaves no --out; on success
+its work has succeeded, so a failed command leaves no --out (an --out
+that is, or lies under, a file is refused before the work); on success
 ``main`` adds a manifest (config echo and artifact checksums, no volatile
 fields), so identical configs and seeds reproduce byte-identical outputs.
 All fairness reports come from fairness.evaluate_predictions; all
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import dataset, fairness, hrv_features, pipeline, saliency
 from .checkpoint_io import load_checkpoint, save_checkpoint
-from .fileio import atomic_write_text, check_csv_name, sha256_file, write_csv, write_json
+from .fileio import atomic_write_text, check_csv_name, sha256_file, write_json
 from .mitigation import TrainConfig, TrainingDiverged
 from .nnet import ModelArch
 
@@ -59,17 +60,8 @@ def _config_echo(args) -> dict:
     return config
 
 
-PREDICTIONS_HEADER = ["sample_id", "prediction", "probability"]
-
-
-def _write_predictions_csv(path, sample_ids, preds, probs) -> None:
-    write_csv(path, PREDICTIONS_HEADER, (
-        f"{sid},{int(pred)},{repr(float(prob))}" for sid, pred, prob in zip(sample_ids, preds, probs)
-    ))
-
-
 def _write_test_predictions(path, split: dataset.SplitCohort, run: pipeline.ModelRun) -> None:
-    _write_predictions_csv(path, [w.sample_id for w in split.test.windows], run.predictions, run.probabilities)
+    dataset.write_predictions_csv(path, [w.sample_id for w in split.test.windows], run.predictions, run.probabilities)
 
 
 def _write_cohort_windows(path, cohort: dataset.Cohort) -> None:
@@ -132,6 +124,9 @@ def cmd_extract(args) -> None:
     if args.ecg is not None:
         signal = hrv_features.read_ecg_csv(args.ecg)
         nni = hrv_features.detect_r_peaks(signal)
+        span, covered = len(signal.samples) / signal.sample_rate, nni.intervals_ms.sum() / 1000.0
+        if covered < 0.9 * span and span - covered > hrv_features.MAX_NN_MS / 1000.0:
+            print(f"note: {args.ecg}: accepted beats span {covered:.1f} s of the {span:.1f} s trace", file=sys.stderr)
     else:
         nni = hrv_features.read_nni_csv(args.nni)
 
@@ -181,7 +176,7 @@ def cmd_audit(args) -> None:
         report = fairness.evaluate_predictions(labels, groups=groups, attribute=args.protected)
     else:
         # audit exactly the listed samples: model commands write test-split predictions only
-        by_id = dataset.read_outcomes_csv(args.predictions, PREDICTIONS_HEADER, "prediction")
+        by_id = dataset.read_outcomes_csv(args.predictions, dataset.PREDICTIONS_HEADER, "prediction")
         index = {w.sample_id: i for i, w in enumerate(cohort.windows)}
         unknown = [sid for sid in by_id if sid not in index]
         if unknown:
@@ -357,6 +352,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's seed error names neither the flag nor the value
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        existing = next(path for path in (args.out, *args.out.parents) if path.exists())  # "." or "/" at last
+        if not existing.is_dir():  # --out is made after the work; a file in its way is found before it
+            raise ValueError(f"--out {args.out}: {existing} exists and is not a directory")
         args.func(args)
         _write_manifest(args.out, MANIFEST_COMMANDS.get(args.command, args.command), _config_echo(args))
         return 0

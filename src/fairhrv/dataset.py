@@ -501,6 +501,7 @@ def _step(text) -> int:
 
 
 LABELS_HEADER = ["sample_id", "anxiety"]
+PREDICTIONS_HEADER = ["sample_id", "prediction", "probability"]
 
 
 def read_outcomes_csv(path, header, what) -> dict:
@@ -539,6 +540,12 @@ def read_outcomes_csv(path, header, what) -> dict:
 
 def write_labels_csv(path, cohort: Cohort) -> None:
     write_csv(path, LABELS_HEADER, (f"{w.sample_id},{w.anxiety}" for w in cohort.windows))
+
+
+def write_predictions_csv(path, sample_ids, preds, probs) -> None:
+    write_csv(path, PREDICTIONS_HEADER, (
+        f"{sid},{int(pred)},{repr(float(prob))}" for sid, pred, prob in zip(sample_ids, preds, probs)
+    ))
 
 
 def _read_demographics_csv(path) -> dict:

@@ -86,9 +86,6 @@ class NNIntervalSeries:
         if not np.all(intervals > 0):
             raise ValueError("all NN intervals must be positive")
 
-    def __len__(self):
-        return len(self.intervals_ms)
-
 
 def _window_means(sums: np.ndarray, width: int, lo: int = 0, hi: int = None) -> np.ndarray:
     """Moving average, entries [lo, hi), of the series of n values whose running sums are the n + 1 ``sums``.

@@ -33,11 +33,6 @@ class SaliencyMap:
         if not np.all(np.isfinite(values)):
             raise ValueError("saliency values must be finite")
 
-    def column_l1_mass(self, column_names) -> float:
-        """Summed absolute attribution over the named feature columns."""
-        idx = [self.feature_names.index(name) for name in column_names]
-        return float(np.sum(np.abs(self.values[:, idx])))
-
 
 def _kahan_mean(stack: np.ndarray) -> np.ndarray:
     total = np.zeros(stack.shape[1:])

@@ -11,11 +11,18 @@ row scan reads) at small sizes, writing under OUT_DIR. Prints one JSON object: e
 command's exit code, the sha256 of each command's manifest ``artifacts``
 map (to diff against another checkout's run) and the scipy modules loaded
 at the end. Exits 0 only when every command exited 0, no scipy module was
-loaded and the two extract --nni runs wrote the same artifacts. With scipy
-uninstalled the block changes nothing, so the same script checks an install
-that has only numpy.
+loaded, the two extract --nni runs wrote the same artifacts and no
+exception was ignored (reported to ``sys.unraisablehook``, as a
+ResourceWarning raised in ``__del__`` is under ``-W error::ResourceWarning``).
+With scipy uninstalled the block changes nothing, so the same script checks
+an install that has only numpy. Run it as
+
+    python -X dev -W error::ResourceWarning tests/no_scipy_chain.py OUT_DIR
+
+so that a file left open fails it.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -23,6 +30,16 @@ import sys
 from pathlib import Path
 
 sys.modules["scipy"] = None  # from here on, importing scipy or any submodule raises ImportError
+
+UNRAISABLE = []  # each exception reported to sys.unraisablehook, which otherwise only prints it
+
+
+def record_unraisable(report):
+    UNRAISABLE.append(report.exc_type)
+    sys.__unraisablehook__(report)
+
+
+sys.unraisablehook = record_unraisable
 
 from fairhrv.cli import main  # noqa: E402
 
@@ -108,4 +125,6 @@ if __name__ == "__main__":
     print(json.dumps(result, sort_keys=True))
     digests = result["artifacts_sha256"]
     same_nni = digests["extract --nni 8_80"] == digests["extract --nni"]
-    sys.exit(0 if set(result["exit_codes"].values()) == {0} and not result["scipy_modules"] and same_nni else 1)
+    gc.collect()  # an object in a reference cycle is finalized, and reports, only when collected
+    passed = set(result["exit_codes"].values()) == {0} and not result["scipy_modules"] and same_nni and not UNRAISABLE
+    sys.exit(0 if passed else 1)

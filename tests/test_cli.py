@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhrv import mitigation
+from fairhrv import hrv_features, mitigation
 from fairhrv.cli import build_parser, main
 from fairhrv.dataset import WINDOWS_HEADER, _format_windows
-from fairhrv.hrv_features import NNIntervalSeries, extract_features, write_features_csv
+from fairhrv.hrv_features import EcgSignal, NNIntervalSeries, extract_features, write_features_csv
 from peak_memory import peak_mb
+from test_hrv_features import synthetic_ecg
 
 # every model command's training flags, then the three that only the proposed model (mitigate, compare) takes
 FAST_TRAIN = ["--epochs", "4", "--lstm-hidden", "6", "--dense-size", "4", "--batch-size", "16"]
@@ -336,6 +338,28 @@ class TestExtractInputs:
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: timestamps must increase from row to row"], err
+
+    @pytest.mark.parametrize("trace,note", [
+        ("half amplitude after 150 s", "accepted beats span 148.7 s of the 300.0 s trace"),
+        ("clean", None),
+        ("benchmark seed 1", None),
+    ])
+    def test_ecg_whose_beats_cover_too_little_of_it_prints_one_note(self, tmp_path, capsys, monkeypatch, trace,
+                                                                     note):
+        if trace == "benchmark seed 1":
+            spec = importlib.util.spec_from_file_location("ecg", TESTS.parent / "perfbench" / "ecg.py")
+            ecg = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(ecg)
+            signal = EcgSignal(ecg.ecg_trace(1, ecg.rr_series_ms(1, 7200.0), 7200.0), ecg.SAMPLE_RATE)
+        else:
+            signal = synthetic_ecg(3, 300.0, 250.0)
+            if trace != "clean":  # the detector's threshold then stays above the smaller beats
+                signal = EcgSignal(np.concatenate([signal.samples[:37500], 0.5 * signal.samples[37500:]]), 250.0)
+        monkeypatch.setattr(hrv_features, "read_ecg_csv", lambda path: signal)
+        path = tmp_path / "ecg.csv"
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "accepted beats" in line]
+        assert notes == ([] if note is None else [f"note: {path}: {note}"])
 
     @pytest.mark.parametrize("offset", [5.0, -500.0])
     def test_ecg_with_a_dc_offset_gives_the_features_without(self, tmp_path, offset):
@@ -1094,6 +1118,22 @@ class TestManifest:
                  for path in out.rglob("*") if path.is_file() and path.name != "manifest.json"}
         assert files and manifest["artifacts"] == files
 
+    @pytest.mark.parametrize("command", ["extract", "synth", "audit", "train-base", "reweigh-train", "mitigate",
+                                         "saliency", "compare"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_in_the_way_of_a_file_exits_1_before_the_work(self, synth_dir, base_dir, tmp_path, capsys,
+                                                               monkeypatch, command, under):
+        calls = []
+        monkeypatch.setattr(mitigation, "_train_loop", lambda *a, **kw: calls.append(a))
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile / "sub" if under else afile
+        assert main([*self.argv(command, synth_dir, base_dir, tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --out {out}: {afile} exists and is not a directory"], err
+        assert afile.read_text() == "keep\n"
+        assert calls == []
+
     @pytest.mark.parametrize("failure", ["unlabeled sample", "divergence"])
     def test_failed_command_leaves_no_manifest(self, synth_dir, tmp_path, capsys, failure):
         labels = synth_dir / "labels.csv"
@@ -1121,7 +1161,8 @@ def test_importing_the_cli_loads_no_numpy_random():
 
 def test_commands_run_without_scipy(tmp_path):
     """scipy is a test dependency only: every command runs, and loads no scipy module, without it."""
-    out = subprocess.run([sys.executable, str(TESTS / "no_scipy_chain.py"), str(tmp_path)],
+    out = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(TESTS / "no_scipy_chain.py"),
+                          str(tmp_path)],
                          env=source_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout)

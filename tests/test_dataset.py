@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairhrv import dataset, pipeline
-from fairhrv.cli import PREDICTIONS_HEADER, _write_predictions_csv
 from fairhrv.dataset import (
+    PREDICTIONS_HEADER,
     AttributeCoding,
     Cohort,
     LabeledWindow,
@@ -26,6 +26,7 @@ from fairhrv.dataset import (
     write_catalog_json,
     write_demographics_csv,
     write_labels_csv,
+    write_predictions_csv,
     write_windows_csv,
 )
 from fairhrv.fairness import disparate_impact
@@ -322,7 +323,7 @@ class TestInterchangeProperties:
         # the reader takes a probability only in [0, 1]
         probs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(sample_ids), max_size=len(sample_ids)))
         path = tmp_path_factory.mktemp("predictions") / "p.csv"
-        _write_predictions_csv(path, sample_ids, preds, probs)
+        write_predictions_csv(path, sample_ids, preds, probs)
         assert read_outcomes_csv(path, PREDICTIONS_HEADER, "prediction") == dict(zip(sample_ids, preds))
 
 

@@ -141,10 +141,3 @@ class TestExports:
         write_saliency_svg(smap, tmp_path / "a.svg")
         write_saliency_svg(smap, tmp_path / "b.svg")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
-
-    def test_column_mass(self):
-        values = np.zeros((24, 25))
-        values[:, 2] = 1.0  # sdsd column
-        smap = SaliencyMap(values, FEATURE_NAMES, "anxiety")
-        assert smap.column_l1_mass(("sdsd",)) == 24.0
-        assert smap.column_l1_mass(("nni_20", "pnni_20")) == 0.0
