@@ -123,16 +123,22 @@ def cmd_extract(args) -> None:
     check_csv_name("--participant", args.participant)
     if args.ecg is not None:
         signal = hrv_features.read_ecg_csv(args.ecg)
-        nni = hrv_features.detect_r_peaks(signal)
-        span, covered = len(signal.samples) / signal.sample_rate, nni.intervals_ms.sum() / 1000.0
+        intervals = hrv_features.detect_r_peaks(signal).intervals_ms
+        span, covered = len(signal.samples) / signal.sample_rate, intervals.sum() / 1000.0
         if covered < 0.9 * span and span - covered > hrv_features.MAX_NN_MS / 1000.0:
             print(f"note: {args.ecg}: accepted beats span {covered:.1f} s of the {span:.1f} s trace", file=sys.stderr)
     else:
-        nni = hrv_features.read_nni_csv(args.nni)
+        read = hrv_features.read_nni_csv(args.nni).intervals_ms
+        intervals = hrv_features.in_nn_range(read)  # the detector's range, so both sources give the same features
+        bounds = f"[{hrv_features.MIN_NN_MS:g}, {hrv_features.MAX_NN_MS:g}] ms"
+        if len(intervals) == 0:
+            raise ValueError(f"{args.nni}: every interval lies outside {bounds}")
+        if len(intervals) < len(read):
+            print(f"note: {args.nni}: dropped {len(read) - len(intervals)} of {len(read)} intervals outside {bounds}",
+                  file=sys.stderr)
 
     # each interval goes to the segment holding its end; cut where the id
     # changes (ids past the float range are inf, whose nan differences cut too)
-    intervals = nni.intervals_ms
     segment_ids = (np.cumsum(intervals) / 1000.0) // args.segment_seconds
     chunks = np.split(intervals, np.flatnonzero(np.diff(segment_ids)) + 1)
     rows = [hrv_features.extract_features(hrv_features.NNIntervalSeries(c)) for c in chunks if len(c) >= 2]

@@ -1,7 +1,8 @@
 """Cohort construction: labels, protected attributes, splits, synthesis.
 
 A cohort is a set of labeled feature windows (24 time steps x 25 HRV
-features) with binary anxiety labels and binary protected attributes.
+features) with binary anxiety labels, plus binary protected attributes
+coded once per participant.
 This module covers majority-rule protected-attribute encoding, seeded
 75/25 splitting, train-statistics standardization, a synthetic
 biased-cohort generator, and the CSV/JSON interchange formats.
@@ -48,13 +49,12 @@ class OutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class LabeledWindow:
-    """One sample: a 24x25 feature matrix with its labels."""
+    """One sample: a 24x25 feature matrix with its anxiety label."""
 
     sample_id: str
     participant_id: str
     features: np.ndarray
     anxiety: int
-    protected: dict
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -63,17 +63,15 @@ class LabeledWindow:
             raise ValueError(f"window must be {WINDOW_STEPS}x{N_FEATURES}, got {feats.shape}")
         if self.anxiety not in (0, 1):
             raise ValueError(f"anxiety label must be 0 or 1, got {self.anxiety}")
-        for key, value in self.protected.items():
-            if value not in (0, 1):
-                raise ValueError(f"protected attribute {key!r} must be 0 or 1, got {value}")
 
 
 @dataclass(frozen=True)
 class AttributeCoding:
-    """Raw-category -> binary code mapping with raw-category counts."""
+    """Raw-category -> binary code mapping, raw-category counts, and participant id -> binary code."""
 
     mapping: dict
     counts: dict
+    codes: dict
 
     def privileged_category(self) -> str:
         return next(cat for cat, code in self.mapping.items() if code == 1)
@@ -89,11 +87,6 @@ class Cohort:
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(self.windows))
-        if self.windows:
-            keys = set(self.windows[0].protected)
-            for w in self.windows:
-                if set(w.protected) != keys:
-                    raise ValueError("all windows must share the same protected attribute keys")
         for name, coding in self.attribute_catalog.items():
             priv = coding.counts.get(coding.privileged_category(), 0)
             unpriv = coding.counts.get(coding.unprivileged_category(), 0)
@@ -111,13 +104,14 @@ class Cohort:
         return np.array([w.anxiety for w in self.windows], dtype=np.int64)
 
     def protected_values(self, attribute: str) -> np.ndarray:
-        """Raises ValueError, naming the attribute and the cohort's, when the windows lack it."""
-        if self.windows and attribute not in self.windows[0].protected:
+        """The code of each window's participant; ValueError, naming the attribute and the cohort's, if it has none."""
+        if attribute not in self.attribute_catalog:
             raise ValueError(f"cohort has no protected attribute {attribute!r}, only {list(self.attribute_names())}")
-        return np.array([w.protected[attribute] for w in self.windows], dtype=np.int64)
+        codes = self.attribute_catalog[attribute].codes
+        return np.array([codes[w.participant_id] for w in self.windows], dtype=np.int64)
 
     def attribute_names(self):
-        return tuple(self.windows[0].protected) if self.windows else ()
+        return tuple(self.attribute_catalog)
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,8 @@ def encode_protected(raw, attribute_name: str):
     counts in the coding show it.
 
     Returns:
-        (codes, AttributeCoding): per-participant binary codes plus the
-        category mapping and counts.
+        AttributeCoding: the category mapping and counts, and each
+        participant's binary code.
 
     Raises:
         ValueError: naming the attribute, when it has one category or more
@@ -163,8 +157,7 @@ def encode_protected(raw, attribute_name: str):
     (cat_a, n_a), (cat_b, n_b) = sorted(counts.items())
     privileged = cat_a if n_a >= n_b else cat_b
     mapping = {cat: (1 if cat == privileged else 0) for cat in (cat_a, cat_b)}
-    codes = {pid: mapping[value] for pid, value in raw.items()}
-    return codes, AttributeCoding(mapping=mapping, counts=counts)
+    return AttributeCoding(mapping=mapping, counts=counts, codes={pid: mapping[value] for pid, value in raw.items()})
 
 
 def _round_half_up(x: float) -> int:
@@ -176,10 +169,9 @@ def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> Spl
 
     With ``by_participant`` all of a participant's windows travel together,
     and participants are split 75/25 within each stratum of equal protected
-    codes (those of the participant's first window) and majority anxiety
-    label (a tie counts as 0). A stratum of two or more participants puts
-    at least one in each part; a lone participant goes to train. Window
-    proportions are then only approximate.
+    codes and majority anxiety label (a tie counts as 0). A stratum of two
+    or more participants puts at least one in each part; a lone participant
+    goes to train. Window proportions are then only approximate.
 
     Raises:
         ValueError: fewer than 4 windows.
@@ -194,8 +186,8 @@ def split_cohort(cohort: Cohort, seed: int, by_participant: bool = False) -> Spl
             windows_of.setdefault(w.participant_id, []).append(w)
         strata = {}
         for pid, ws in sorted(windows_of.items()):
-            majority = 2 * sum(w.anxiety for w in ws) > len(ws)
-            strata.setdefault((tuple(sorted(ws[0].protected.items())), majority), []).append(pid)
+            codes = tuple(sorted((name, coding.codes[pid]) for name, coding in cohort.attribute_catalog.items()))
+            strata.setdefault((codes, 2 * sum(w.anxiety for w in ws) > len(ws)), []).append(pid)
         train_ids = set()
         for _, members in sorted(strata.items()):
             n_train_p = min(_round_half_up(0.75 * len(members)), max(1, len(members) - 1))
@@ -312,21 +304,14 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     feats += intercepts[participant_of_window, None, :]
     feats[:, :, anx_cols] += (SYNTH_ANXIETY_SHIFT * (2 * labels - 1))[:, None, None]
     feats[:, :, prot_cols] += (SYNTH_PROTECTED_SHIFT * bias_strength * (2 * window_groups - 1))[:, None, None]
-    windows = tuple(
-        LabeledWindow(
-            sample_id=f"s{i:06d}",
-            participant_id=f"p{participant_of_window[i]:04d}",
-            features=feats[i],
-            anxiety=int(labels[i]),
-            protected={attribute: int(window_groups[i])},
-        )
-        for i in range(n)
-    )
+    windows = tuple(LabeledWindow(f"s{i:06d}", f"p{participant_of_window[i]:04d}", feats[i], int(labels[i]))
+                    for i in range(n))
 
     priv_cat, unpriv_cat = SYNTH_RAW_CATEGORIES
     coding = AttributeCoding(
         mapping={priv_cat: 1, unpriv_cat: 0},
         counts={priv_cat: n_priv, unpriv_cat: n_participants - n_priv},
+        codes={f"p{k:04d}": int(group) for k, group in enumerate(group_of_participant)},
     )
     return Cohort(windows, {attribute: coding})
 
@@ -574,17 +559,12 @@ def _read_demographics_csv(path) -> dict:
 
 
 def write_demographics_csv(path, cohort: Cohort) -> None:
-    """Demographics CSV: participant_id plus one raw-category column per attribute."""
-    attrs = cohort.attribute_names()
-    reverse = {
-        name: {code: cat for cat, code in cohort.attribute_catalog[name].mapping.items()}
-        for name in attrs
-    }
-    seen = {}
-    for w in cohort.windows:
-        if w.participant_id not in seen:
-            seen[w.participant_id] = [reverse[name][w.protected[name]] for name in attrs]
-    write_csv(path, ("participant_id",) + attrs, (",".join([pid, *seen[pid]]) for pid in sorted(seen)))
+    """Demographics CSV: participant_id, then each attribute's raw category of every participant with a window."""
+    columns = [({code: cat for cat, code in c.mapping.items()}, c.codes) for c in cohort.attribute_catalog.values()]
+    write_csv(path, ("participant_id", *cohort.attribute_names()), (
+        ",".join([pid, *(categories[codes[pid]] for categories, codes in columns)])
+        for pid in sorted({w.participant_id for w in cohort.windows})
+    ))
 
 
 def write_catalog_json(path, cohort: Cohort) -> None:
@@ -615,7 +595,6 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
     labels = read_outcomes_csv(labels_path, LABELS_HEADER, "label")
 
     catalog = {}
-    codes = {}
     participants = None
     if demographics_path is not None:
         raw_by_attr = _read_demographics_csv(demographics_path)
@@ -625,7 +604,7 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
                 raise ValueError(f"{demographics_path} has no attribute column {protected!r}; "
                                  f"its attribute columns are {', '.join(raw_by_attr)}")
             try:
-                codes, catalog[protected] = encode_protected(raw_by_attr[protected], protected)
+                catalog[protected] = encode_protected(raw_by_attr[protected], protected)
             except ValueError as exc:
                 raise ValueError(f"{demographics_path}: {exc}") from None
     elif protected is not None:
@@ -637,13 +616,5 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
             raise ValueError(f"{labels_path}: sample {sample_id!r} has no anxiety label")
         if participants is not None and participant_id not in participants:
             raise ValueError(f"{demographics_path}: participant {participant_id!r} is missing")
-        windows.append(
-            LabeledWindow(
-                sample_id=sample_id,
-                participant_id=participant_id,
-                features=feats,
-                anxiety=labels[sample_id],
-                protected={protected: codes[participant_id]} if codes else {},
-            )
-        )
+        windows.append(LabeledWindow(sample_id, participant_id, feats, labels[sample_id]))
     return Cohort(tuple(windows), catalog)

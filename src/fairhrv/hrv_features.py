@@ -220,11 +220,15 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     if len(peaks) < 2:
         raise ValueError(f"found {len(peaks)} peak(s); need at least 2")
 
-    intervals = np.diff(np.asarray(peaks, dtype=np.float64)) / fs * 1000.0
-    intervals = intervals[(intervals >= MIN_NN_MS) & (intervals <= MAX_NN_MS)]
+    intervals = in_nn_range(np.diff(np.asarray(peaks, dtype=np.float64)) / fs * 1000.0)
     if len(intervals) < 1:
         raise ValueError("all detected intervals rejected as artifacts")
     return NNIntervalSeries(intervals)
+
+
+def in_nn_range(intervals: np.ndarray) -> np.ndarray:
+    """The intervals in [MIN_NN_MS, MAX_NN_MS], in order; the others are artifacts."""
+    return intervals[(intervals >= MIN_NN_MS) & (intervals <= MAX_NN_MS)]
 
 
 def _notaknot_spline(t: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:

@@ -64,9 +64,14 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        """Raises OutOfRange, naming the first field outside its range."""
+        """Raises OutOfRange, naming the first field outside its range.
+
+        The epochs and seed bounds are those of a checkpoint header's u32 epoch and u64 seed.
+        """
         for field, ok, rule in (
             ("epochs", self.epochs >= 0, "must be non-negative"),
+            ("epochs", self.epochs < 2**32, "must be below 2**32"),
+            ("seed", 0 <= self.seed < 2**64, "must be in [0, 2**64)"),
             ("checkpoint_every", self.checkpoint_every >= 1, "must be at least 1"),
             ("task_weights", all(math.isfinite(w) and w >= 0 for w in self.task_weights),
              "must be finite and non-negative"),

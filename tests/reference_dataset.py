@@ -93,7 +93,6 @@ def reference_generate_synthetic(n: int, bias_strength: float, seed: int, attrib
                 participant_id=window_participants[i],
                 features=feats,
                 anxiety=int(labels[i]),
-                protected={attribute: int(window_groups[i])},
             )
         )
 
@@ -101,5 +100,6 @@ def reference_generate_synthetic(n: int, bias_strength: float, seed: int, attrib
     coding = AttributeCoding(
         mapping={priv_cat: 1, unpriv_cat: 0},
         counts={priv_cat: n_priv, unpriv_cat: n_participants - n_priv},
+        codes={pid: int(group_of_participant[i]) for i, pid in enumerate(participant_ids)},
     )
     return Cohort(tuple(windows), {attribute: coding})

@@ -37,6 +37,18 @@ class TestRoundTrip:
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
 
+    @pytest.mark.parametrize("field,largest,bits", [("epoch", 2**32 - 1, 32), ("rng_seed", 2**64 - 1, 64)])
+    def test_header_fields_up_to_their_width_and_no_further(self, tmp_path, field, largest, bits):
+        params = make_params()
+        setattr(params, field, largest)
+        save_checkpoint(params, tmp_path / "a.bin")
+        assert getattr(load_checkpoint(tmp_path / "a.bin"), field) == largest
+        setattr(params, field, largest + 1)
+        with pytest.raises(ValueError, match=rf"^{tmp_path / 'b.bin'}: {field} {largest + 1} does not fit the "
+                                             rf"header's u{bits}$"):
+            save_checkpoint(params, tmp_path / "b.bin")
+        assert not (tmp_path / "b.bin").exists()
+
     def test_save_is_deterministic(self, tmp_path):
         params = make_params()
         save_checkpoint(params, tmp_path / "a.bin")

@@ -259,6 +259,38 @@ class TestExtract:
         write_features_csv(want, np.stack(rows))
         assert (out / "features.csv").read_bytes() == want.read_bytes()
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning means an out-of-range interval got through
+    def test_nni_outside_the_detector_range_is_dropped_with_a_note(self, tmp_path, capsys, monkeypatch):
+        intervals = np.random.default_rng(4).uniform(700, 900, size=800).tolist()
+        kept = tmp_path / "kept.csv"
+        kept.write_text("interval_ms\n" + "".join(f"{v!r}\n" for v in intervals))
+        for at, value in ((10, 100.0), (300, hrv_features.MAX_NN_MS + 1e-9), (400, 1e300)):
+            intervals.insert(at, value)
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n" + "".join(f"{v!r}\n" for v in intervals))
+        longest = []
+        extract = hrv_features.extract_features
+        monkeypatch.setattr(hrv_features, "extract_features",
+                            lambda nni: longest.append(nni.intervals_ms.max()) or extract(nni))
+        assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", "20", "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: {nni_csv}: dropped 3 of 803 intervals outside [250, 3000] ms"]
+        assert longest and max(longest) <= hrv_features.MAX_NN_MS
+        # the same features as a file without the three
+        assert main(["extract", "--nni", str(kept), "--segment-seconds", "20", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("features.csv", "windows.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_nni_wholly_outside_the_detector_range_exits_1(self, tmp_path, capsys):
+        nni_csv = tmp_path / "nni.csv"
+        nni_csv.write_text("interval_ms\n5000\n100\n1e300\n")
+        out = tmp_path / "out"
+        assert main(["extract", "--nni", str(nni_csv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {nni_csv}: every interval lies outside [250, 3000] ms"]
+        assert not out.exists()
+
     def test_tiny_segment_length_finishes(self, tmp_path):
         # 2,000 intervals span about 1.6e12 segments of 1e-9 s; one pass over the intervals splits them
         nni_csv = tmp_path / "nni.csv"
@@ -870,6 +902,21 @@ class TestTrainingInputs:
         # the subcommand's usage, which lists the flags it does take
         assert err[0].startswith(f"usage: fairhrv {command} "), err
         assert err[-1] == f"fairhrv {command}: error: unrecognized arguments: {flag} {value}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-base", "reweigh-train", "mitigate", "compare"])
+    @pytest.mark.parametrize("flag,value,rule", [("--seed", 2**64, "must be in [0, 2**64)"),
+                                                 ("--epochs", 2**32, "must be below 2**32")])
+    def test_value_the_checkpoint_cannot_record_exits_1_before_the_work(self, synth_dir, tmp_path, capsys,
+                                                                        monkeypatch, command, flag, value, rule):
+        # the checkpoint header holds the seed as u64 and the epoch as u32
+        calls = []
+        monkeypatch.setattr(mitigation, "_train_loop", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "out"
+        assert main([command, *data_args(synth_dir), "--protected", "group", *fast_train(command), flag, str(value),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {flag} {rule}, got {value}"]
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "train-base", "reweigh-train", "mitigate", "compare"])

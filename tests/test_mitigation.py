@@ -37,17 +37,18 @@ def tiny_config(**overrides):
 
 
 def separable_cohort(n=60, seed=0):
-    """Anxiety shifts five columns by +/-2: trivially separable."""
+    """Anxiety shifts five columns by +/-2: trivially separable.
+
+    The first half of the windows is group a (p5-p9), the second group b (p0-p4).
+    """
     rng = np.random.default_rng(seed)
     windows = []
     for i in range(n):
         y = i % 2
         feats = rng.normal(0, 1, size=(24, 25))
         feats[:, :5] += 2.0 * (2 * y - 1)
-        windows.append(
-            LabeledWindow(f"s{i:04d}", f"p{i % 5}", feats, y, {"group": int(i < n // 2)})
-        )
-    coding = AttributeCoding({"a": 1, "b": 0}, {"a": n - n // 2, "b": n // 2})
+        windows.append(LabeledWindow(f"s{i:04d}", f"p{i % 5 + 5 * (i < n // 2)}", feats, y))
+    coding = AttributeCoding({"a": 1, "b": 0}, {"a": 5, "b": 5}, {f"p{k}": int(k >= 5) for k in range(10)})
     return Cohort(tuple(windows), {"group": coding})
 
 
@@ -67,6 +68,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
         ("threshold", -0.1), ("threshold", 1.1), ("threshold", math.nan),
+        ("seed", -1), ("seed", 2**64), ("epochs", 2**32),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -75,6 +77,7 @@ class TestTrainConfig:
     def test_range_ends_accepted(self):
         TrainConfig(batch_size=1, threshold=0.0)
         TrainConfig(threshold=1.0)
+        TrainConfig(seed=2**64 - 1, epochs=2**32 - 1)  # the widest a checkpoint header holds
 
 
 class TestBaseline:
