@@ -11,9 +11,11 @@ are deterministic. Inference therefore runs in two parts: the recurrence
 gives each window's last hidden state, and ``forward`` then runs the head
 network on those states. The head network is the model without its
 ``lstm.*`` tensors, which ``ModelArch.from_params`` reads as a model
-without an LSTM whose input size is H; the full model's dropout mask
-applies its ``lstm_out`` part to that input. Monte-Carlo dropout runs
-the recurrence once per call and only the head network in each pass.
+without an LSTM whose input size is H; the full model's ``lstm_out``
+dropout multipliers apply to that input. Monte-Carlo dropout runs the
+recurrence once per call and only the head network in each pass. A
+dropout draw is its inverted-dropout multipliers (``sample_dropout_mask``),
+which ``forward`` applies as given and keeps in its trace for ``backward``.
 
 Inference holds the recurrence's history one block of windows at a time.
 Training keeps the whole history for backpropagation through time, about
@@ -170,35 +172,18 @@ class ModelParams:
         return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.epoch, self.rng_seed)
 
 
-@dataclass(frozen=True)
-class DropoutMask:
-    """Binary keep masks for each dropout point, with the shared keep rate."""
-
-    keep_rate: float
-    masks: dict
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_rate <= 1.0:
-            raise ValueError(f"keep_rate must be in (0, 1], got {self.keep_rate}")
-        for name, m in self.masks.items():
-            m = np.asarray(m)
-            if not ((m == 0.0) | (m == 1.0)).all():
-                raise ValueError(f"mask {name!r} must contain only 0/1")
-
-
 @dataclass
 class ForwardTrace:
     """Per-layer activations cached for the matching backward pass."""
 
     x: np.ndarray
     outputs: dict
-    param_shapes: dict
     # lstm caches, shaped (T, B, H); states include t=0; None without an LSTM
     gates: dict = None
     cell: np.ndarray = None
     hidden: np.ndarray = None
     tanh_cell: np.ndarray = None
-    # dropout multipliers (mask / keep_rate), None when inactive
+    # dropout multipliers, None when inactive
     lstm_drop: np.ndarray = None
     dense_drop: np.ndarray = None
     trunk_out: np.ndarray = None
@@ -231,12 +216,15 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
     return ModelParams(tensors, epoch=0, rng_seed=seed)
 
 
-def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int) -> DropoutMask:
-    """Draw independent Bernoulli keep masks for every dropout point."""
-    masks = {}
-    for name, width in arch.dropout_points():
-        masks[name] = (rng.random((batch, width)) < keep_rate).astype(np.float64)
-    return DropoutMask(keep_rate=keep_rate, masks=masks)
+def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int) -> dict:
+    """{dropout point: (batch, width) inverted-dropout multipliers}, in ``arch.dropout_points()`` order.
+
+    Each multiplier is an independent Bernoulli keep draw divided by
+    ``keep_rate``: 0 for a dropped unit, 1 / keep_rate for a kept one, so
+    a masked activation keeps the expectation of the unmasked one.
+    """
+    return {name: (rng.random((batch, width)) < keep_rate).astype(np.float64) / keep_rate
+            for name, width in arch.dropout_points()}
 
 
 def _prepare_input(arch: ModelArch, x) -> np.ndarray:
@@ -321,34 +309,35 @@ def _last_hidden(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return last
 
 
-def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
+def forward(params: ModelParams, x, mask: dict = None) -> tuple:
     """Run the network; returns ({head: probabilities}, trace).
 
+    ``mask`` maps dropout points to the multipliers of
+    ``sample_dropout_mask``, which scale the activations there as given.
     With ``mask`` absent, dropout is disabled and the pass is
     deterministic (inverted dropout needs no inference-time rescaling).
-    Masked activations are scaled by 1/keep_rate so expectations match
-    the unmasked pass. The ``lstm_out`` mask applies to the recurrence's
-    last hidden state or, in a model without an LSTM, to its input, so a
-    head network given the full model's mask and the last hidden states
-    gives the full model's outputs (see the module docstring).
+    The ``lstm_out`` multipliers apply to the recurrence's last hidden
+    state or, in a model without an LSTM, to its input, so a head network
+    given the full model's multipliers and the last hidden states gives
+    the full model's outputs (see the module docstring).
 
     Raises:
-        ValueError: ``x`` or ``mask`` do not fit the params.
+        ValueError: ``x`` does not fit the params, or a multiplier's width
+            does not broadcast against its activation.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
     x = _prepare_input(arch, x)
-    trace = ForwardTrace(x=x, outputs={}, param_shapes={k: v.shape for k, v in t.items()})
+    trace = ForwardTrace(x=x, outputs={})
+    mask = mask or {}
 
     trunk = x
     if arch.lstm_hidden is not None:
         trace.gates, trace.cell, trace.hidden, trace.tanh_cell = _lstm_states(params, x)
         trunk = trace.hidden[-1]
 
-    if mask is not None and "lstm_out" in mask.masks:
-        trace.lstm_drop = np.asarray(mask.masks["lstm_out"], dtype=np.float64) / mask.keep_rate
-        if trace.lstm_drop.shape[-1] != trunk.shape[-1]:
-            raise ValueError("lstm_out mask width disagrees with the hidden size")
+    trace.lstm_drop = mask.get("lstm_out")
+    if trace.lstm_drop is not None:
         trunk = trunk * trace.lstm_drop
     trace.trunk_out = trunk
 
@@ -356,10 +345,8 @@ def forward(params: ModelParams, x, mask: DropoutMask = None) -> tuple:
         pre = trunk @ t["dense.W"] + t["dense.b"]
         act = np.maximum(pre, 0.0)
         trace.dense_pre = pre
-        if mask is not None and "dense_out" in mask.masks:
-            trace.dense_drop = np.asarray(mask.masks["dense_out"], dtype=np.float64) / mask.keep_rate
-            if trace.dense_drop.shape[-1] != act.shape[-1]:
-                raise ValueError("dense_out mask width disagrees with the dense size")
+        trace.dense_drop = mask.get("dense_out")
+        if trace.dense_drop is not None:
             act = act * trace.dense_drop
         head_in = act
     else:
@@ -396,11 +383,6 @@ def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=1.
         sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), losses.shape)
         total += weight * float(np.sum(sw * losses) / np.sum(sw))
     return total
-
-
-def _check_trace(params: ModelParams, trace: ForwardTrace):
-    if {k: v.shape for k, v in params.tensors.items()} != trace.param_shapes:
-        raise ValueError("trace was produced by parameters of different shapes")
 
 
 def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
@@ -502,10 +484,8 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input
 def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict, sample_weights=1.0) -> dict:
     """Exact analytic gradients of mtl_loss with respect to every parameter.
 
-    Raises:
-        ValueError: the trace came from parameters of different shapes.
+    ``trace`` is the one ``forward(params, ...)`` returned.
     """
-    _check_trace(params, trace)
     sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), trace.head_in.shape[:1])
     norm = sw / np.sum(sw)
     seeds = {}
@@ -574,7 +554,7 @@ def predict(params: ModelParams, x) -> dict:
 
 
 def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tuple:
-    """Monte-Carlo dropout: ``passes`` forward passes with fresh masks.
+    """Monte-Carlo dropout: ``passes`` forward passes with fresh dropout multipliers.
 
     Returns ({head: posterior mean}, {head: predictive variance}), the
     variance taken with divisor T. The mean is accumulated relative to
@@ -582,24 +562,24 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     exactly zero variance.
 
     The recurrence runs once per call, block by block, and each pass is
-    one ``forward`` of the head network (``_head_network``) with a mask
-    drawn for the full model: the bits of ``passes`` full forward passes
-    with the same masks.
+    one ``forward`` of the head network (``_head_network``) with
+    multipliers drawn for the full model: the bits of ``passes`` full
+    forward passes with the same draws. The passes' outputs are held in
+    one (heads, passes, batch) buffer.
     """
     if passes < 1:
         raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
     net, inputs = _head_network(params, x)
     batch = inputs.shape[0]
-    samples = {head: np.empty((passes, batch)) for head in arch.heads}
+    samples = np.empty((len(arch.heads), passes, batch))
     for i in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)
         outputs, _ = forward(net, inputs, mask=mask)
-        for head in arch.heads:
-            samples[head][i] = outputs[head]
+        for k, head in enumerate(arch.heads):
+            samples[k, i] = outputs[head]
     means, variances = {}, {}
-    for head in arch.heads:
-        s = samples[head]
+    for head, s in zip(arch.heads, samples):
         mean = s[0] + np.sum(s - s[0], axis=0) / passes
         means[head] = mean
         variances[head] = np.sum((s - mean) ** 2, axis=0) / passes

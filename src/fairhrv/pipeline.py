@@ -98,13 +98,14 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
 def _mc_eval_cohort(split: SplitCohort, config: TrainConfig, eval_on: str = "train") -> Cohort:
     """The cohort whose MC dropout uncertainties select the checkpoint.
 
-    Allocates a sample buffer of ``nnet.mc_forward``'s shape first, so an
-    ``mc_passes`` the host cannot hold fails before any model trains.
+    Allocates a sample buffer of ``nnet.mc_forward``'s (heads, passes,
+    windows) shape first, one head per task weight, so an ``mc_passes``
+    the host cannot hold fails before any model trains.
     """
     if eval_on not in ("train", "test"):
         raise ValueError("eval_on must be 'train' or 'test'")
     eval_cohort = split.train if eval_on == "train" else split.test
-    np.empty((config.mc_passes, len(eval_cohort)))
+    np.empty((len(config.task_weights), config.mc_passes, len(eval_cohort)))
     return eval_cohort
 
 

@@ -872,11 +872,11 @@ class TestTrainingInputs:
 
     @pytest.mark.parametrize("command,flag,shape", [
         ("train-base", "--dense-size", "(64, 1125899906842624)"),
-        ("mitigate", "--mc-passes", "(1125899906842624, 60)"),
-        ("compare", "--mc-passes", "(1125899906842624, 60)"),
+        ("mitigate", "--mc-passes", "(2, 1125899906842624, 60)"),
+        ("compare", "--mc-passes", "(2, 1125899906842624, 60)"),
     ])
     def test_an_allocation_the_host_cannot_make_exits_1(self, tmp_path, capsys, monkeypatch, command, flag, shape):
-        # 2**50 asks for 512 and 480 PiB, more than a 64-bit address space maps, so it fails at once
+        # 2**50 asks for 512 and 960 PiB, more than a 64-bit address space maps, so it fails at once
         calls = []
         train_loop = mitigation._train_loop
         monkeypatch.setattr(mitigation, "_train_loop", lambda *a, **kw: calls.append(a) or train_loop(*a, **kw))

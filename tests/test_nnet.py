@@ -10,7 +10,6 @@ from scipy.special import expit
 from fairhrv import nnet
 from fairhrv.nnet import (
     AdamState,
-    DropoutMask,
     ModelArch,
     ModelParams,
     adam_step,
@@ -93,25 +92,6 @@ class TestForward:
         batched, _ = forward(params, x)
         single, _ = forward(params, x[1])
         assert batched["anxiety"][1] == pytest.approx(single["anxiety"][0], abs=1e-15)
-
-    @pytest.mark.parametrize("value", [0.5, -1.0, 2.0, np.nan, np.inf])
-    def test_mask_values_other_than_0_and_1_rejected(self, value):
-        values = np.ones((3, 4))
-        values[1, 2] = value
-        with pytest.raises(ValueError, match="only 0/1"):
-            DropoutMask(keep_rate=0.8, masks={"lstm_out": values})
-        DropoutMask(keep_rate=0.8, masks={"lstm_out": np.where(np.eye(3, 4) > 0, 0.0, 1.0)})
-
-    @pytest.mark.parametrize("keep_rate", [0.0, -0.5, 1.5, np.nan])
-    def test_sampling_with_a_keep_rate_outside_0_1_rejected(self, keep_rate):
-        with pytest.raises(ValueError, match=r"keep_rate must be in \(0, 1\]"):
-            sample_dropout_mask(SMALL_ARCH, keep_rate, np.random.default_rng(0), batch=2)
-
-    def test_mask_requires_matching_width(self):
-        params = init_params(SMALL_ARCH, seed=0)
-        bad = DropoutMask(keep_rate=0.5, masks={"lstm_out": np.ones((1, 7))})
-        with pytest.raises(ValueError, match="^lstm_out mask width disagrees with the hidden size$"):
-            forward(params, np.zeros((6, 5)), mask=bad)
 
 
 class TestSigmoid:
@@ -208,24 +188,16 @@ class TestBackward:
     def test_masked_unit_gets_no_gradient(self):
         arch = ModelArch(input_size=5, lstm_hidden=3, dense_size=4, heads=("anxiety",))
         params = init_params(arch, seed=14)
-        masks = {
-            "lstm_out": np.ones((1, 3)),
-            "dense_out": np.array([[1.0, 0.0, 1.0, 1.0]]),
+        mask = {
+            "lstm_out": np.full((1, 3), 1 / 0.8),
+            "dense_out": np.array([[1.0, 0.0, 1.0, 1.0]]) / 0.8,
         }
-        mask = DropoutMask(keep_rate=0.8, masks=masks)
         x = np.random.default_rng(15).normal(size=(6, 5))
         _, trace = forward(params, x, mask=mask)
         grads = backward(params, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0})
         assert grads["head.anxiety.W"][1, 0] == 0.0
         assert np.all(grads["dense.W"][:, 1] == 0.0)
         assert grads["dense.b"][1] == 0.0
-
-    def test_stale_trace(self):
-        params = init_params(SMALL_ARCH, seed=16)
-        _, trace = forward(params, np.zeros((6, 5)))
-        other = init_params(ModelArch(input_size=5, lstm_hidden=4, dense_size=4), seed=16)
-        with pytest.raises(ValueError, match="^trace was produced by parameters of different shapes$"):
-            backward(other, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0})
 
 
 class TestInputGradient:
@@ -332,8 +304,9 @@ class TestMcForward:
 
     def test_two_pass_bernoulli_moments(self):
         # a net engineered so a single dropout unit flips the output
-        # between ~0 and ~1; with one mask of each kind, Eq. 2-3 give
-        # exactly p = 0.5 and c = 0.25
+        # between ~0 and ~1: multiplier 0 gives sigmoid(-80), multiplier
+        # 1 / 0.5 gives sigmoid(2 * 80 - 80); with one draw of each,
+        # Eq. 2-3 give exactly p = 0.5 and c = 0.25
         arch = ModelArch(input_size=1, lstm_hidden=None, dense_size=1, heads=("anxiety",))
         params = init_params(arch, seed=0)
         big = 80.0
@@ -343,12 +316,15 @@ class TestMcForward:
         params.tensors["head.anxiety.b"][...] = -big
         x = np.array([big])
         for seed in range(50):
-            means, variances = mc_forward(params, x, passes=2, keep_rate=0.5, rng=np.random.default_rng(seed))
-            if means["anxiety"][0] == pytest.approx(0.5, abs=1e-12):
-                assert variances["anxiety"][0] == pytest.approx(0.25, abs=1e-12)
+            rng = np.random.default_rng(seed)
+            draws = [sample_dropout_mask(arch, 0.5, rng, batch=1)["dense_out"][0, 0] for _ in range(2)]
+            if sorted(draws) == [0.0, 2.0]:
                 break
         else:
-            pytest.fail("no seed produced one mask of each kind in 50 tries")
+            pytest.fail("no seed drew one multiplier of each kind in 50 tries")
+        means, variances = mc_forward(params, x, passes=2, keep_rate=0.5, rng=np.random.default_rng(seed))
+        assert means["anxiety"][0] == pytest.approx(0.5, abs=1e-12)
+        assert variances["anxiety"][0] == pytest.approx(0.25, abs=1e-12)
 
     def test_inverted_dropout_unbiased(self):
         # E[masked activation] equals the unmasked activation: average the
@@ -366,10 +342,26 @@ class TestMcForward:
         keep = 0.8
         batch = np.repeat(x[None], n, axis=0)
         mask = sample_dropout_mask(arch, keep, np.random.default_rng(31), batch=n)
+        assert set(np.unique(mask["lstm_out"])) == {0.0, 1 / keep}
         _, masked = forward(params, batch, mask=mask)
         sample_mean = masked.trunk_out.mean(axis=0)
         sigma = np.abs(h) * math.sqrt((1 - keep) / keep) / math.sqrt(n)
         assert np.all(np.abs(sample_mean - h) <= 3.0 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("lstm_hidden,dense_size", [(3, 4), (3, None), (None, 4), (None, None)])
+    @pytest.mark.parametrize("keep", [0.8, 0.3, 1.0])
+    def test_multipliers_are_the_scaled_bernoulli_stream(self, lstm_hidden, dense_size, keep):
+        # the stream training and MC evaluation draw from, pinned bit for bit
+        arch = ModelArch(input_size=5, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        rng, rng2 = np.random.default_rng(34), np.random.default_rng(34)
+        for batch in (1, 7, 32):
+            got = sample_dropout_mask(arch, keep, rng, batch)
+            assert list(got) == [name for name, _ in arch.dropout_points()]
+            for name, width in arch.dropout_points():
+                want = (rng2.random((batch, width)) < keep).astype(np.float64) / keep
+                assert got[name].dtype == want.dtype and got[name].shape == (batch, width)
+                assert got[name].tobytes() == want.tobytes(), name
+        assert rng.random() == rng2.random()
 
     def test_mask_stream_independent_of_other_draws(self):
         params = init_params(SMALL_ARCH, seed=32)
