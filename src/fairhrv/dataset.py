@@ -15,6 +15,12 @@ with array operations. The generator draws all of a cohort's noise in
 one call. Each of the three gives the bytes or bits of its one-at-a-time
 form.
 
+Windows and attribute codings come only from the readers (``load_cohort``
+over ``read_windows_csv``, ``read_outcomes_csv`` and ``encode_protected``)
+and from ``generate_synthetic``, which check them: float64 24x25 features,
+0/1 labels, and a privileged category that is the majority. The types
+trust them and check nothing again.
+
 Cohorts are immutable after construction and safe to share across threads.
 """
 
@@ -56,14 +62,6 @@ class LabeledWindow:
     features: np.ndarray
     anxiety: int
 
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        object.__setattr__(self, "features", feats)
-        if feats.shape != (WINDOW_STEPS, N_FEATURES):
-            raise ValueError(f"window must be {WINDOW_STEPS}x{N_FEATURES}, got {feats.shape}")
-        if self.anxiety not in (0, 1):
-            raise ValueError(f"anxiety label must be 0 or 1, got {self.anxiety}")
-
 
 @dataclass(frozen=True)
 class AttributeCoding:
@@ -76,22 +74,11 @@ class AttributeCoding:
     def privileged_category(self) -> str:
         return next(cat for cat, code in self.mapping.items() if code == 1)
 
-    def unprivileged_category(self) -> str:
-        return next(cat for cat, code in self.mapping.items() if code == 0)
-
 
 @dataclass(frozen=True)
 class Cohort:
     windows: tuple
     attribute_catalog: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(self.windows))
-        for name, coding in self.attribute_catalog.items():
-            priv = coding.counts.get(coding.privileged_category(), 0)
-            unpriv = coding.counts.get(coding.unprivileged_category(), 0)
-            if priv < unpriv:
-                raise ValueError(f"privileged class of {name!r} must be the majority")
 
     def __len__(self):
         return len(self.windows)
@@ -214,8 +201,6 @@ def standardize(split: SplitCohort) -> SplitCohort:
     1e-8 so constant features map to zero. Test windows are transformed
     with the train statistics.
     """
-    if len(split.train) == 0:
-        raise ValueError("train cohort is empty")
     train_stack = split.train.feature_tensor().reshape(-1, N_FEATURES)
     mean = train_stack.mean(axis=0)
     std = np.maximum(train_stack.std(axis=0), 1e-8)

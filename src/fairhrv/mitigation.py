@@ -184,16 +184,12 @@ def train_baseline(train: Cohort, config: TrainConfig):
 def train_reweighted(train: Cohort, config: TrainConfig, weights):
     """Baseline with per-sample loss weights (weighted-mean normalized).
 
-    Within each batch the loss is sum(w_i * bce_i) / sum(w_i), so scaling
-    every weight by a constant leaves the trajectory unchanged and a
-    zero-weight sample contributes nothing.
+    ``weights`` are ``fairness.sample_weights``: one positive float64
+    weight per window of ``train``. Within each batch the loss is sum(w_i
+    * bce_i) / sum(w_i), so scaling every weight by a constant leaves the
+    trajectory unchanged and a zero-weight sample contributes nothing.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("sample weights must be non-negative with positive sum")
     x, targets = _cohort_inputs(train)
-    if len(weights) != x.shape[0]:
-        raise ValueError("need exactly one weight per training window")
     params, _, losses = _train_loop(x, targets, {"anxiety": 1.0}, config, weights)
     return params, losses
 

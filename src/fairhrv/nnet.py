@@ -369,14 +369,13 @@ def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=1.
     """Weighted multi-task binary cross-entropy.
 
     Per task: the sample-weighted mean BCE over the batch, sum(w_i *
-    bce_i) / sum(w_i), scaled by the task weight and summed over tasks.
+    bce_i) / sum(w_i), scaled by the task weight (non-negative, as
+    ``TrainConfig`` refuses others) and summed over tasks.
     ``sample_weights`` defaults to unit weights, which give the plain mean
     bit for bit. Probabilities are clamped to [1e-12, 1 - 1e-12].
     """
     total = 0.0
     for head, weight in task_weights.items():
-        if weight < 0:
-            raise ValueError("task weights must be non-negative")
         p = np.atleast_1d(np.asarray(outputs[head], dtype=np.float64))
         y = np.atleast_1d(np.asarray(targets[head], dtype=np.float64))
         losses = _bce(p, y)
@@ -557,7 +556,8 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     """Monte-Carlo dropout: ``passes`` forward passes with fresh dropout multipliers.
 
     Returns ({head: posterior mean}, {head: predictive variance}), the
-    variance taken with divisor T. The mean is accumulated relative to
+    variance taken with divisor T = ``passes`` (at least 2, as
+    ``TrainConfig`` refuses fewer). The mean is accumulated relative to
     the first pass so a deterministic model (keep_rate 1) yields an
     exactly zero variance.
 
@@ -567,8 +567,6 @@ def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tu
     forward passes with the same draws. The passes' outputs are held in
     one (heads, passes, batch) buffer.
     """
-    if passes < 1:
-        raise ValueError("need at least one pass")
     arch = ModelArch.from_params(params)
     net, inputs = _head_network(params, x)
     batch = inputs.shape[0]

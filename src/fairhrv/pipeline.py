@@ -102,8 +102,6 @@ def _mc_eval_cohort(split: SplitCohort, config: TrainConfig, eval_on: str = "tra
     windows) shape first, one head per task weight, so an ``mc_passes``
     the host cannot hold fails before any model trains.
     """
-    if eval_on not in ("train", "test"):
-        raise ValueError("eval_on must be 'train' or 'test'")
     eval_cohort = split.train if eval_on == "train" else split.test
     np.empty((len(config.task_weights), config.mc_passes, len(eval_cohort)))
     return eval_cohort

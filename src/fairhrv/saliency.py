@@ -26,11 +26,8 @@ class SaliencyMap:
     head: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.shape != (WINDOW_STEPS, len(self.feature_names)):
-            raise ValueError(f"saliency map must be {WINDOW_STEPS}x{len(self.feature_names)}")
-        if not np.all(np.isfinite(values)):
+        # a checkpoint read from a file can hold weights whose gradient overflows
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("saliency values must be finite")
 
 
@@ -46,14 +43,7 @@ def _kahan_mean(stack: np.ndarray) -> np.ndarray:
 
 
 def average_saliency_over_windows(params: ModelParams, windows, head: str) -> SaliencyMap:
-    """Mean map over an (n, 24, 25) stack of windows, such as ``cohort.feature_tensor()``.
-
-    Raises:
-        ValueError: ``windows`` is not a non-empty (n, steps, features) stack.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[0] == 0:
-        raise ValueError("need a non-empty (n, steps, features) window stack")
+    """Mean map over a non-empty (n, 24, 25) float64 stack of windows, such as ``read_windows_csv`` returns."""
     grads = input_gradient(params, windows, head)
     return SaliencyMap(values=_kahan_mean(grads), feature_names=FEATURE_NAMES, head=head)
 

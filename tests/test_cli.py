@@ -904,6 +904,15 @@ class TestTrainingInputs:
         assert err[-1] == f"fairhrv {command}: error: unrecognized arguments: {flag} {value}"
         assert not out.exists()
 
+    def test_eval_on_outside_its_choices_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "out"
+        assert main(["mitigate", "--windows", missing, "--labels", missing, "--demo", missing, "--protected", "group",
+                     "--eval-on", "valid", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("fairhrv mitigate: error: argument --eval-on: invalid choice: 'valid'"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-base", "reweigh-train", "mitigate", "compare"])
     @pytest.mark.parametrize("flag,value,rule", [("--seed", 2**64, "must be in [0, 2**64)"),
                                                  ("--epochs", 2**32, "must be below 2**32")])

@@ -51,27 +51,40 @@ def write_windows(path, cohort):
 
 
 class TestTypes:
-    def test_window_shape_enforced(self):
-        with pytest.raises(ValueError):
-            LabeledWindow("s", "p", np.zeros((23, 25)), 0)
-
-    def test_label_binary(self):
-        with pytest.raises(ValueError):
-            LabeledWindow("s", "p", np.zeros((24, 25)), 2)
-
-    def test_catalog_majority_invariant(self):
-        w = LabeledWindow("a", "p", np.zeros((24, 25)), 0)
-        bad = AttributeCoding(mapping={"x": 1, "y": 0}, counts={"x": 10, "y": 20}, codes={"p": 1})
-        with pytest.raises(ValueError):
-            Cohort((w,), {"age": bad})
-
     def test_missing_attribute(self):
         cohort = make_cohort(8)
         with pytest.raises(ValueError, match=r"^cohort has no protected attribute 'nope', only \['group'\]$"):
             cohort.protected_values("nope")
 
 
+def check_majority_coding(coding, raw):
+    """``coding`` is the majority rule's for ``raw`` (participant id -> one of two categories)."""
+    privileged = coding.privileged_category()
+    (other,) = set(coding.mapping) - {privileged}
+    assert coding.counts == {cat: list(raw.values()).count(cat) for cat in (privileged, other)}
+    assert coding.counts[privileged] >= coding.counts[other]
+    if coding.counts[privileged] == coding.counts[other]:
+        assert privileged < other
+    assert coding.codes == {pid: int(cat == privileged) for pid, cat in raw.items()}
+
+
 class TestEncodeProtected:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True),
+           st.dictionaries(st.text(max_size=4), st.booleans(), min_size=2).filter(lambda d: len(set(d.values())) == 2))
+    def test_majority_is_privileged_and_coded_1(self, categories, in_second):
+        raw = {pid: categories[second] for pid, second in in_second.items()}
+        check_majority_coding(encode_protected(raw, "site"), raw)
+
+    @pytest.mark.parametrize("n", [40, 41, 399, 2000])
+    def test_synthetic_coding_follows_the_majority_rule(self, n):
+        cohort = generate_synthetic(n, 0.8, 3)
+        coding = cohort.attribute_catalog["group"]
+        category = {code: cat for cat, code in coding.mapping.items()}
+        raw = {pid: category[code] for pid, code in coding.codes.items()}
+        check_majority_coding(coding, raw)
+        assert {w.participant_id for w in cohort.windows} == set(raw)
+
     def test_majority_rule(self):
         raw = {f"p{i}": ("A" if i < 120 else "B") for i in range(200)}
         coding = encode_protected(raw, "site")

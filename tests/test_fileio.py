@@ -1,4 +1,5 @@
-"""fileio.read_numeric_csv returns what its row scan returns, in bits or in message, whatever the table."""
+"""fileio: read_numeric_csv returns what its row scan returns, in bits or in message, whatever the table;
+a failed atomic write leaves no trace."""
 
 import pytest
 from hypothesis import given, settings
@@ -57,3 +58,19 @@ def test_a_64_kib_aligned_block_without_a_newline_goes_to_the_scan(tmp_path, run
     path = tmp_path / "t.csv"
     path.write_text("c\n" + ("1" * run + "\n") * 3)
     assert fileio._parses_as_scan(path) == (run < 1 << 16)
+
+
+def test_a_failed_atomic_write_keeps_the_destination_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(fileio.os, "replace", fail)
+    for path in (kept, absent):
+        with pytest.raises(OSError, match="^replace failed$"):
+            fileio.atomic_write_bytes(path, b"new\n")
+    assert kept.read_bytes() == b"old\n"
+    assert not absent.exists()
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -167,11 +167,6 @@ class TestReweighted:
         for name in grads_full:
             assert np.allclose(grads_full[name], grads_cut[name], atol=1e-15)
 
-    def test_rejects_negative_weights(self):
-        cohort = separable_cohort(40)
-        with pytest.raises(ValueError):
-            train_reweighted(cohort, tiny_config(epochs=5), -np.ones(len(cohort)))
-
 
 class TestMtlCheckpoints:
     def test_checkpoint_count_and_tags(self):

@@ -3,10 +3,13 @@
 A function, method or nested function of ``src/fairhrv`` whose name
 appears nowhere in ``src/fairhrv`` or ``perfbench`` besides its own
 ``def`` line has no caller but a test; dunder methods are skipped, as
-Python calls them. The repo root holds no script either.
+Python calls them. The repo root holds no script either. The other way
+round, each function the benchmark traces by name exists.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -46,3 +49,18 @@ def test_unreferenced_reads_nested_functions_and_skips_dunders():
 
 def test_repo_root_holds_no_script():
     assert [path.name for path in ROOT.glob("*.py")] == []
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py imports only the standard library, so it loads by path, without perfbench on sys.path
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, _ in tracer.LAYER_FUNCTIONS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert tracer.LAYER_FUNCTIONS and not missing, missing

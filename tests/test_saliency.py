@@ -1,7 +1,6 @@
 """Tests for saliency maps: exactness, averaging, and exports."""
 
 import numpy as np
-import pytest
 
 from fairhrv.dataset import generate_synthetic
 from fairhrv.hrv_features import FEATURE_NAMES
@@ -77,13 +76,6 @@ class TestAverage:
         b = SaliencyMap(np.full((24, 25), 2.0), FEATURE_NAMES, "anxiety")
         mean = (a.values + b.values) / 2.0
         assert np.all(mean == 1.0)
-
-    def test_empty_cohort(self):
-        params = init_params(LSTM_ARCH, seed=9)
-        from fairhrv.dataset import Cohort
-
-        with pytest.raises(ValueError, match=r"^need a non-empty \(n, steps, features\) window stack$"):
-            average_saliency_over_windows(params, Cohort((), {}).feature_tensor(), "anxiety")
 
     def test_permutation_stability(self):
         params = init_params(LSTM_ARCH, seed=10)
