@@ -122,13 +122,13 @@ def cmd_extract(args) -> None:
         raise ValueError(f"--segment-seconds must be finite and positive, got {args.segment_seconds}")
     check_csv_name("--participant", args.participant)
     if args.ecg is not None:
-        signal = hrv_features.read_ecg_csv(args.ecg)
-        intervals = hrv_features.detect_r_peaks(signal).intervals_ms
-        span, covered = len(signal.samples) / signal.sample_rate, intervals.sum() / 1000.0
+        samples, sample_rate = hrv_features.read_ecg_csv(args.ecg)
+        intervals = hrv_features.detect_r_peaks(samples, sample_rate)
+        span, covered = len(samples) / sample_rate, intervals.sum() / 1000.0
         if covered < 0.9 * span and span - covered > hrv_features.MAX_NN_MS / 1000.0:
             print(f"note: {args.ecg}: accepted beats span {covered:.1f} s of the {span:.1f} s trace", file=sys.stderr)
     else:
-        read = hrv_features.read_nni_csv(args.nni).intervals_ms
+        read = hrv_features.read_nni_csv(args.nni)
         intervals = hrv_features.in_nn_range(read)  # the detector's range, so both sources give the same features
         bounds = f"[{hrv_features.MIN_NN_MS:g}, {hrv_features.MAX_NN_MS:g}] ms"
         if len(intervals) == 0:
@@ -141,7 +141,7 @@ def cmd_extract(args) -> None:
     # changes (ids past the float range are inf, whose nan differences cut too)
     segment_ids = (np.cumsum(intervals) / 1000.0) // args.segment_seconds
     chunks = np.split(intervals, np.flatnonzero(np.diff(segment_ids)) + 1)
-    rows = [hrv_features.extract_features(hrv_features.NNIntervalSeries(c)) for c in chunks if len(c) >= 2]
+    rows = [hrv_features.extract_features(c) for c in chunks if len(c) >= 2]
     if len(rows) < len(chunks):
         print(f"note: {len(chunks) - len(rows)} of {len(chunks)} segment(s) had fewer than 2 intervals; skipped",
               file=sys.stderr)
@@ -232,12 +232,11 @@ def cmd_saliency(args) -> None:
     sample_ids, _, windows = dataset.read_windows_csv(args.windows)
     if not sample_ids:
         raise ValueError(f"{args.windows}: no windows after the header")
-    smap = saliency.average_saliency_over_windows(params, windows, args.head)
+    values = saliency.average_saliency_over_windows(params, windows, args.head)
     out = _out_dir(args)
-    saliency.write_saliency_csv(smap, out / "saliency.csv")
-    abs_map = saliency.SaliencyMap(np.abs(smap.values), smap.feature_names, smap.head)
-    saliency.write_saliency_csv(abs_map, out / "saliency_abs.csv")
-    saliency.write_saliency_svg(smap, out / "saliency.svg")
+    saliency.write_saliency_csv(values, out / "saliency.csv")
+    saliency.write_saliency_csv(np.abs(values), out / "saliency_abs.csv")
+    saliency.write_saliency_svg(values, args.head, out / "saliency.svg")
 
 
 def cmd_compare(args) -> None:

@@ -5,13 +5,17 @@ Computes the 25 features used throughout this package (16 time-domain,
 of normal-to-normal (NN) heartbeat intervals, plus a minimal R-peak
 detector for raw single-lead ECG.
 
+The layers pass plain float64 arrays, checked once at the readers (finite
+values, positive intervals, 2 s of ECG at a finite rate): ``read_ecg_csv``
+gives (samples, sample_rate), ``detect_r_peaks`` and ``read_nni_csv`` the
+intervals in ms that ``extract_features`` takes.
+
 All operations are pure functions of their inputs and safe to call from
 multiple threads. Everything is numpy: the spline and the Welch PSD
 behind the frequency-domain features are written out here rather than
 taken from scipy, whose import would cost more than the extraction.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
 import math
 
@@ -47,44 +51,6 @@ MAX_NN_MS = 3000.0
 # Samples of the detector's band-pass computed at once; the block holds
 # the windows that straddle it, so any size gives the same bits.
 BAND_BLOCK_SAMPLES = 65536
-
-
-@dataclass(frozen=True)
-class EcgSignal:
-    """Single-lead ECG voltage trace.
-
-    Attributes:
-        samples: voltage values, arbitrary units.
-        sample_rate: sampling frequency in Hz, finite and > 0.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
-        if samples.ndim != 1:
-            raise ValueError("ECG samples must be one-dimensional")
-        if len(samples) < 2 * self.sample_rate:  # the product is inf for a rate near the float maximum
-            raise ValueError(f"need at least 2 s of signal at {self.sample_rate:g} Hz, got {len(samples)} samples")
-
-
-@dataclass(frozen=True)
-class NNIntervalSeries:
-    """Normal-to-normal interbeat intervals in milliseconds."""
-
-    intervals_ms: np.ndarray
-
-    def __post_init__(self):
-        intervals = np.asarray(self.intervals_ms, dtype=np.float64)
-        object.__setattr__(self, "intervals_ms", intervals)
-        if intervals.ndim != 1 or len(intervals) < 1:
-            raise ValueError("need a one-dimensional, non-empty interval series")
-        if not np.all(intervals > 0):
-            raise ValueError("all NN intervals must be positive")
 
 
 def _window_means(sums: np.ndarray, width: int, lo: int = 0, hi: int = None) -> np.ndarray:
@@ -140,8 +106,8 @@ def _accept_beats(candidates: np.ndarray, heights: np.ndarray, running_avg: floa
     return accepted
 
 
-def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
-    """Detect R peaks and return the NN interval series in milliseconds.
+def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Detect R peaks in an ECG trace; returns its NN intervals in milliseconds.
 
     Pan-Tompkins style chain: band-pass approximated by a difference of
     moving averages (~5-15 Hz), central derivative, squaring, 150 ms
@@ -164,8 +130,7 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
         ValueError: fewer than two usable peaks, or no interval in the
             plausible range, saying which.
     """
-    x = signal.samples
-    fs = float(signal.sample_rate)
+    x, fs = samples, float(sample_rate)
     n = len(x)
     if n < 3:
         raise ValueError(f"found 0 peak(s) in {n} sample(s); need at least 2")
@@ -223,7 +188,7 @@ def detect_r_peaks(signal: EcgSignal) -> NNIntervalSeries:
     intervals = in_nn_range(np.diff(np.asarray(peaks, dtype=np.float64)) / fs * 1000.0)
     if len(intervals) < 1:
         raise ValueError("all detected intervals rejected as artifacts")
-    return NNIntervalSeries(intervals)
+    return intervals
 
 
 def in_nn_range(intervals: np.ndarray) -> np.ndarray:
@@ -326,8 +291,8 @@ def _band_power(freqs: np.ndarray, psd: np.ndarray, band) -> float:
     return float(np.sum(psd[mask]) * df)
 
 
-def extract_features(nni: NNIntervalSeries) -> np.ndarray:
-    """The 25 HRV features of one NN interval series, a (25,) float64 row in ``FEATURE_NAMES`` order.
+def extract_features(intervals: np.ndarray) -> np.ndarray:
+    """The 25 HRV features of one NN interval series in ms, a (25,) float64 row in ``FEATURE_NAMES`` order.
 
     Time-domain conventions: sdnn and sdsd are sample standard deviations
     (divisor n-1); nni_50/nni_20 count successive differences strictly
@@ -341,8 +306,7 @@ def extract_features(nni: NNIntervalSeries) -> np.ndarray:
     Raises:
         ValueError: fewer than 2 intervals.
     """
-    x = nni.intervals_ms
-    n = len(x)
+    x, n = intervals, len(intervals)
     if n < 2:
         raise ValueError(f"need at least 2 intervals, got {n}")
 
@@ -400,8 +364,8 @@ def extract_features(nni: NNIntervalSeries) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def read_ecg_csv(path) -> EcgSignal:
-    """Read an ECG trace from a headed CSV whose first two columns are t_seconds, voltage.
+def read_ecg_csv(path) -> tuple:
+    """(samples, sample_rate) of the ECG trace in a headed CSV whose first two columns are t_seconds, voltage.
 
     The file is read under the one rule of ``fileio.read_numeric_csv``:
     every row is as wide as the header, further columns are ignored, and
@@ -438,15 +402,14 @@ def read_ecg_csv(path) -> EcgSignal:
     sample_rate = 1.0 / spacing
     if not math.isfinite(sample_rate):
         raise ValueError(f"{path}: a timestamp spacing of {spacing!r} s gives no finite sample rate")
+    if len(samples) < 2 * sample_rate:  # the product is inf for a rate near the float maximum
+        raise ValueError(f"{path}: need at least 2 s of signal at {sample_rate:g} Hz, got {len(samples)} samples")
     samples[:] = data[:, 1]
-    try:
-        return EcgSignal(samples=samples, sample_rate=sample_rate)
-    except ValueError as exc:  # too few samples for 2 s at this rate
-        raise ValueError(f"{path}: {exc}") from None
+    return samples, sample_rate
 
 
-def read_nni_csv(path) -> NNIntervalSeries:
-    """Read NN intervals from a headed CSV whose first column is interval_ms.
+def read_nni_csv(path) -> np.ndarray:
+    """The NN intervals in ms of a headed CSV whose first column is interval_ms.
 
     The file is read under the one rule of ``fileio.read_numeric_csv``, and
     every interval must be a positive finite number.
@@ -460,7 +423,7 @@ def read_nni_csv(path) -> NNIntervalSeries:
     data = read_numeric_csv(path, ("interval_ms",), positive=True)
     if len(data) == 0:
         raise ValueError(f"{path}: no intervals after the header")
-    return NNIntervalSeries(data[:, 0].copy())
+    return data[:, 0].copy()
 
 
 def write_features_csv(path, rows) -> None:

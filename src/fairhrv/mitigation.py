@@ -39,7 +39,7 @@ from .rng import substream
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite loss or gradient appeared during training."""
+    """A non-finite loss or gradient appeared during training, or a trained model predicts a non-finite probability."""
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,8 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
     return checkpoints, params, losses
 
 
+# as in _train_loop and final_predict, an overflow ends in one error (here select_checkpoint's), not warnings
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_uncertainties(checkpoints, cohort: Cohort, config: TrainConfig):
     """Score every checkpoint's per-head epistemic uncertainty.
 
@@ -255,12 +257,16 @@ def select_checkpoint(records) -> UncertaintyRecord:
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def final_predict(params: ModelParams, cohort: Cohort, threshold: float = 0.5):
     """Deterministic anxiety predictions of a model; returns (predictions, probabilities).
 
     The protected head's output is discarded. The pass keeps no backprop
     trace (``nnet.predict``), so its memory does not grow with the steps.
+    Finite weights can still overflow in it: a non-finite probability raises TrainingDiverged.
     """
     probs = predict(params, cohort.feature_tensor())["anxiety"]
+    if not np.isfinite(probs).all():
+        raise TrainingDiverged(f"the model of epoch {params.epoch} predicts a non-finite anxiety probability")
     preds = (probs >= threshold).astype(np.int64)
     return preds, probs

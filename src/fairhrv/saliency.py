@@ -5,9 +5,10 @@ to the input matrix; cohort-level maps are the elementwise mean over
 samples, accumulated with compensated summation so the result is stable
 under sample reordering. Exports: CSV (24 rows x 25 named columns) and a
 fixed-size SVG heatmap with a diverging color scale anchored at zero.
+A map is a plain (24, 25) float64 array under ``FEATURE_NAMES``. Its
+windows are checked by ``dataset.read_windows_csv``; the map must be
+finite, as a checkpoint file can hold weights whose gradient overflows.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,20 +16,6 @@ from .dataset import WINDOW_STEPS
 from .fileio import atomic_write_text, write_csv
 from .hrv_features import FEATURE_NAMES
 from .nnet import ModelParams, input_gradient
-
-
-@dataclass(frozen=True)
-class SaliencyMap:
-    """Signed per-step, per-feature input attribution for one head."""
-
-    values: np.ndarray
-    feature_names: tuple
-    head: str
-
-    def __post_init__(self):
-        # a checkpoint read from a file can hold weights whose gradient overflows
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("saliency values must be finite")
 
 
 def _kahan_mean(stack: np.ndarray) -> np.ndarray:
@@ -42,15 +29,19 @@ def _kahan_mean(stack: np.ndarray) -> np.ndarray:
     return total / stack.shape[0]
 
 
-def average_saliency_over_windows(params: ModelParams, windows, head: str) -> SaliencyMap:
-    """Mean map over a non-empty (n, 24, 25) float64 stack of windows, such as ``read_windows_csv`` returns."""
-    grads = input_gradient(params, windows, head)
-    return SaliencyMap(values=_kahan_mean(grads), feature_names=FEATURE_NAMES, head=head)
+# an overflowing gradient ends in one ValueError, not with numpy warnings first
+@np.errstate(over="ignore", invalid="ignore")
+def average_saliency_over_windows(params: ModelParams, windows, head: str) -> np.ndarray:
+    """The (24, 25) mean map over a non-empty (n, 24, 25) float64 stack of windows, as ``read_windows_csv`` returns."""
+    values = _kahan_mean(input_gradient(params, windows, head))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("saliency values must be finite")
+    return values
 
 
-def write_saliency_csv(smap: SaliencyMap, path) -> None:
-    """24 rows x 25 named columns of signed values."""
-    write_csv(path, smap.feature_names, (",".join(map(repr, row)) for row in smap.values.tolist()))
+def write_saliency_csv(values: np.ndarray, path) -> None:
+    """24 rows of signed values under the 25 ``FEATURE_NAMES`` columns."""
+    write_csv(path, FEATURE_NAMES, (",".join(map(repr, row)) for row in values.tolist()))
 
 
 _NEG_COLOR = (59, 76, 192)
@@ -71,18 +62,18 @@ def _cell_color(value: float, vmax: float) -> str:
     return "rgb({},{},{})".format(*channels)
 
 
-def write_saliency_svg(smap: SaliencyMap, path) -> None:
-    """Fixed-size heatmap: features across, time steps down, white at zero."""
-    n_feat = len(smap.feature_names)
+def write_saliency_svg(values: np.ndarray, head: str, path) -> None:
+    """Fixed-size heatmap of ``head``'s map: features across, time steps down, white at zero."""
+    n_feat = len(FEATURE_NAMES)
     width = MARGIN_LEFT + n_feat * CELL_W + 10
     height = MARGIN_TOP + WINDOW_STEPS * CELL_H + 10
-    vmax = float(np.max(np.abs(smap.values)))
+    vmax = float(np.max(np.abs(values)))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="10">',
-        f'<text x="{MARGIN_LEFT}" y="14" font-size="12">saliency: {smap.head}</text>',
+        f'<text x="{MARGIN_LEFT}" y="14" font-size="12">saliency: {head}</text>',
     ]
-    for j, name in enumerate(smap.feature_names):
+    for j, name in enumerate(FEATURE_NAMES):
         x = MARGIN_LEFT + j * CELL_W + CELL_W // 2
         parts.append(
             f'<text x="{x}" y="{MARGIN_TOP - 6}" text-anchor="start" '
@@ -92,7 +83,7 @@ def write_saliency_svg(smap: SaliencyMap, path) -> None:
         y = MARGIN_TOP + i * CELL_H
         parts.append(f'<text x="{MARGIN_LEFT - 8}" y="{y + CELL_H - 4}" text-anchor="end">{i}</text>')
         for j in range(n_feat):
-            color = _cell_color(float(smap.values[i, j]), vmax)
+            color = _cell_color(float(values[i, j]), vmax)
             parts.append(
                 f'<rect x="{MARGIN_LEFT + j * CELL_W}" y="{y}" width="{CELL_W}" '
                 f'height="{CELL_H}" fill="{color}" stroke="#ccc" stroke-width="0.5"/>'

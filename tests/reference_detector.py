@@ -12,7 +12,7 @@ intervals, not the envelope. Do not edit it to follow a change in
 
 import numpy as np
 
-from fairhrv.hrv_features import MAX_NN_MS, MIN_NN_MS, NNIntervalSeries
+from fairhrv.hrv_features import MAX_NN_MS, MIN_NN_MS
 
 
 def _moving_average(x, width):
@@ -21,9 +21,9 @@ def _moving_average(x, width):
     return np.convolve(x, kernel, mode="same")
 
 
-def reference_detect_r_peaks(signal) -> NNIntervalSeries:
-    x = signal.samples
-    fs = float(signal.sample_rate)
+def reference_detect_r_peaks(samples, sample_rate) -> np.ndarray:
+    x = samples
+    fs = float(sample_rate)
 
     band = _moving_average(x, round(fs / 15.0)) - _moving_average(x, round(fs / 5.0))
     deriv = np.gradient(band)
@@ -75,4 +75,4 @@ def reference_detect_r_peaks(signal) -> NNIntervalSeries:
     intervals = intervals[(intervals >= MIN_NN_MS) & (intervals <= MAX_NN_MS)]
     if len(intervals) < 1:
         raise ValueError("all detected intervals rejected as artifacts")
-    return NNIntervalSeries(intervals)
+    return intervals

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairhrv import hrv_features, mitigation
+from fairhrv.checkpoint_io import save_checkpoint
 from fairhrv.cli import build_parser, main
 from fairhrv.dataset import WINDOWS_HEADER, _format_windows
-from fairhrv.hrv_features import EcgSignal, NNIntervalSeries, extract_features, write_features_csv
+from fairhrv.hrv_features import extract_features, write_features_csv
+from fairhrv.nnet import ModelArch, init_params
 from peak_memory import peak_mb
 from test_hrv_features import synthetic_ecg
 
@@ -253,7 +255,7 @@ class TestExtract:
         assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", seconds, "--out", str(out)]) == 0
         # one mask per segment id, empty segments included
         ids = (np.cumsum(intervals) / 1000.0 // float(seconds)).astype(int)
-        rows = [extract_features(NNIntervalSeries(intervals[ids == seg])) for seg in range(ids[-1] + 1)
+        rows = [extract_features(intervals[ids == seg]) for seg in range(ids[-1] + 1)
                 if np.sum(ids == seg) >= 2]
         want = tmp_path / "want.csv"
         write_features_csv(want, np.stack(rows))
@@ -271,7 +273,7 @@ class TestExtract:
         longest = []
         extract = hrv_features.extract_features
         monkeypatch.setattr(hrv_features, "extract_features",
-                            lambda nni: longest.append(nni.intervals_ms.max()) or extract(nni))
+                            lambda nni: longest.append(nni.max()) or extract(nni))
         assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", "20", "--out", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().err.splitlines() == [
             f"note: {nni_csv}: dropped 3 of 803 intervals outside [250, 3000] ms"]
@@ -382,11 +384,11 @@ class TestExtractInputs:
             spec = importlib.util.spec_from_file_location("ecg", TESTS.parent / "perfbench" / "ecg.py")
             ecg = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(ecg)
-            signal = EcgSignal(ecg.ecg_trace(1, ecg.rr_series_ms(1, 7200.0), 7200.0), ecg.SAMPLE_RATE)
+            signal = ecg.ecg_trace(1, ecg.rr_series_ms(1, 7200.0), 7200.0), ecg.SAMPLE_RATE
         else:
             signal = synthetic_ecg(3, 300.0, 250.0)
             if trace != "clean":  # the detector's threshold then stays above the smaller beats
-                signal = EcgSignal(np.concatenate([signal.samples[:37500], 0.5 * signal.samples[37500:]]), 250.0)
+                signal = np.concatenate([signal[0][:37500], 0.5 * signal[0][37500:]]), 250.0
         monkeypatch.setattr(hrv_features, "read_ecg_csv", lambda path: signal)
         path = tmp_path / "ecg.csv"
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -979,6 +981,29 @@ class TestTrainingInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss at epoch"), err
 
+    @pytest.fixture(scope="class")
+    def one_batch_dir(self, tmp_path_factory):
+        """A cohort whose 30 train windows are one batch at the default --batch-size: one epoch is one Adam step."""
+        out = tmp_path_factory.mktemp("one_batch")
+        assert main(["synth", "--n", "40", "--bias", "0.5", "--seed", "1", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.filterwarnings("error")  # numpy overflow warnings would precede the error line
+    @pytest.mark.parametrize("command,error", [
+        ("train-base", "the model of epoch 1 predicts a non-finite anxiety probability"),
+        ("reweigh-train", "the model of epoch 1 predicts a non-finite anxiety probability"),
+        ("compare", "the model of epoch 1 predicts a non-finite anxiety probability"),
+        ("mitigate", "checkpoint of epoch 1 has a non-finite uncertainty gap"),
+    ])
+    def test_model_that_overflows_at_prediction_exits_1_with_one_error_line(self, one_batch_dir, tmp_path, capsys,
+                                                                           command, error):
+        # the step leaves finite weights whose forward pass overflows; train-base once exited 0 with nan probabilities
+        out = tmp_path / "out"
+        assert main([command, *data_args(one_batch_dir), "--protected", "group", "--epochs", "1", "--lr", "1e300",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
 
 # A second valid value of each training flag: the runs below start from fast_train(command) at 2 epochs.
 SECOND_VALUES = {
@@ -1114,6 +1139,19 @@ class TestTrainAndMitigate:
         assert (out / "saliency.csv").exists()
         assert (out / "saliency_abs.csv").exists()
         assert (out / "saliency.svg").exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy overflow warnings would precede the error line
+    def test_saliency_of_a_checkpoint_whose_gradient_overflows_exits_1_with_one_error_line(self, synth_dir, tmp_path,
+                                                                                          capsys):
+        params = init_params(ModelArch(input_size=25, lstm_hidden=6, dense_size=4), seed=0)
+        for tensor in params.tensors.values():
+            tensor[...] = 1e308
+        checkpoint, out = tmp_path / "huge.bin", tmp_path / "sal"
+        save_checkpoint(params, checkpoint)
+        assert main(["saliency", "--checkpoint", str(checkpoint), "--windows", str(synth_dir / "windows.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: saliency values must be finite"]
+        assert not out.exists()
 
     def test_saliency_of_a_head_the_checkpoint_lacks_names_checkpoint_and_heads(self, base_dir, tmp_path, capsys):
         checkpoint = base_dir / "model.bin"

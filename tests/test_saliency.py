@@ -5,12 +5,7 @@ import numpy as np
 from fairhrv.dataset import generate_synthetic
 from fairhrv.hrv_features import FEATURE_NAMES
 from fairhrv.nnet import ModelArch, init_params
-from fairhrv.saliency import (
-    SaliencyMap,
-    average_saliency_over_windows,
-    write_saliency_csv,
-    write_saliency_svg,
-)
+from fairhrv.saliency import average_saliency_over_windows, write_saliency_csv, write_saliency_svg
 from gradcheck import finite_diff_input_grad
 from peak_memory import peak_mb
 
@@ -29,7 +24,7 @@ class TestSingleSample:
         window = np.random.default_rng(1).normal(size=(24, 25))
         smap = saliency_of_window(params, window, "anxiety")
         expected = params.tensors["head.anxiety.W"][:, 0].reshape(24, 25)
-        assert np.array_equal(smap.values, expected)
+        assert np.array_equal(smap, expected)
 
     def test_against_finite_differences(self):
         params = init_params(LSTM_ARCH, seed=2)
@@ -39,8 +34,8 @@ class TestSingleSample:
         window = rng.normal(size=(24, 25))
         smap = saliency_of_window(params, window, "anxiety")
         numeric = finite_diff_input_grad(params, window, "anxiety")
-        denom = np.maximum(1e-6, np.maximum(np.abs(smap.values), np.abs(numeric)))
-        assert np.max(np.abs(smap.values - numeric) / denom) < 1e-4
+        denom = np.maximum(1e-6, np.maximum(np.abs(smap), np.abs(numeric)))
+        assert np.max(np.abs(smap - numeric) / denom) < 1e-4
 
     def test_head_weight_scaling_scales_map(self):
         params = init_params(LSTM_ARCH, seed=4)
@@ -50,13 +45,13 @@ class TestSingleSample:
         scaled_params.tensors["head.anxiety.W"] *= 3.0
         scaled_params.tensors["head.anxiety.b"] *= 3.0
         scaled = saliency_of_window(scaled_params, window, "anxiety")
-        assert np.allclose(scaled.values, 3.0 * base.values, atol=1e-12)
+        assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_values_finite_and_shaped(self):
         params = init_params(LSTM_ARCH, seed=6)
         smap = saliency_of_window(params, np.zeros((24, 25)), "protected")
-        assert smap.values.shape == (24, 25)
-        assert np.all(np.isfinite(smap.values))
+        assert smap.shape == (24, 25)
+        assert np.all(np.isfinite(smap))
 
 
 class TestAverage:
@@ -69,12 +64,12 @@ class TestAverage:
         single = saliency_of_window(params, window, "anxiety")
         repeated = Cohort(tuple(cohort.windows[0:1]) * 4, dict(cohort.attribute_catalog))
         stackavg = average_saliency_over_windows(params, repeated.feature_tensor(), "anxiety")
-        assert np.allclose(stackavg.values, single.values, atol=1e-12)
+        assert np.allclose(stackavg, single, atol=1e-12)
 
     def test_mean_of_constant_maps(self):
-        a = SaliencyMap(np.zeros((24, 25)), FEATURE_NAMES, "anxiety")
-        b = SaliencyMap(np.full((24, 25), 2.0), FEATURE_NAMES, "anxiety")
-        mean = (a.values + b.values) / 2.0
+        a = np.zeros((24, 25))
+        b = np.full((24, 25), 2.0)
+        mean = (a + b) / 2.0
         assert np.all(mean == 1.0)
 
     def test_permutation_stability(self):
@@ -88,7 +83,7 @@ class TestAverage:
 
         reversed_cohort = Cohort(tuple(reversed(cohort.windows)), dict(cohort.attribute_catalog))
         backward_avg = average_saliency_over_windows(params, reversed_cohort.feature_tensor(), "anxiety")
-        assert np.max(np.abs(forward_avg.values - backward_avg.values)) < 1e-9
+        assert np.max(np.abs(forward_avg - backward_avg)) < 1e-9
 
     def test_memory_bounded(self):
         # the full trace of 500 windows at H 64 is about 68 MB
@@ -100,8 +95,8 @@ class TestAverage:
         params = init_params(LSTM_ARCH, seed=13)
         cohort = generate_synthetic(50, 0.5, 14)
         avg = average_saliency_over_windows(params, cohort.feature_tensor(), "anxiety")
-        maps = [saliency_of_window(params, w.features, "anxiety").values for w in cohort.windows]
-        assert np.max(np.abs(avg.values - np.mean(maps, axis=0))) < 1e-12
+        maps = [saliency_of_window(params, w.features, "anxiety") for w in cohort.windows]
+        assert np.max(np.abs(avg - np.mean(maps, axis=0))) < 1e-12
 
 
 class TestExports:
@@ -114,13 +109,13 @@ class TestExports:
         assert lines[0].split(",") == list(FEATURE_NAMES)
         assert len(lines) == 25
         values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(values, smap.values)
+        assert np.array_equal(values, smap)
 
     def test_svg_contains_grid_and_labels(self, tmp_path):
         params = init_params(LSTM_ARCH, seed=17)
         smap = saliency_of_window(params, np.random.default_rng(18).normal(size=(24, 25)), "anxiety")
         path = tmp_path / "map.svg"
-        write_saliency_svg(smap, path)
+        write_saliency_svg(smap, "anxiety", path)
         svg = path.read_text()
         assert svg.count("<rect") == 24 * 25
         for name in FEATURE_NAMES:
@@ -130,6 +125,6 @@ class TestExports:
     def test_svg_deterministic(self, tmp_path):
         params = init_params(LSTM_ARCH, seed=19)
         smap = saliency_of_window(params, np.ones((24, 25)), "anxiety")
-        write_saliency_svg(smap, tmp_path / "a.svg")
-        write_saliency_svg(smap, tmp_path / "b.svg")
+        write_saliency_svg(smap, "anxiety", tmp_path / "a.svg")
+        write_saliency_svg(smap, "anxiety", tmp_path / "b.svg")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
