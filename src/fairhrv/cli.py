@@ -188,7 +188,10 @@ def cmd_audit(args) -> None:
         if unknown:
             raise ValueError(f"{args.predictions}: sample {unknown[0]!r} is not in the cohort")
         rows = [index[sid] for sid in by_id]
-        report = fairness.evaluate_predictions(list(by_id.values()), labels[rows], groups[rows], args.protected)
+        try:
+            report = fairness.evaluate_predictions(list(by_id.values()), labels[rows], groups[rows], args.protected)
+        except ValueError as exc:  # the listed samples may leave a group empty
+            raise ValueError(f"{args.predictions}: --protected {args.protected}: {exc}") from None
     write_json(_out_dir(args) / "report.json", report)
 
 

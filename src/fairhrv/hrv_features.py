@@ -106,6 +106,7 @@ def _accept_beats(candidates: np.ndarray, heights: np.ndarray, running_avg: floa
     return accepted
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trace too large to square is refused below, in one line
 def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     """Detect R peaks in an ECG trace; returns its NN intervals in milliseconds.
 
@@ -127,8 +128,9 @@ def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     of either end or under a DC offset.
 
     Raises:
-        ValueError: fewer than two usable peaks, or no interval in the
-            plausible range, saying which.
+        ValueError: fewer than two usable peaks, no interval in the
+            plausible range, or voltages too large to square in float64,
+            saying which.
     """
     x, fs = samples, float(sample_rate)
     n = len(x)
@@ -153,6 +155,8 @@ def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     del band
     np.square(deriv, out=deriv)
     np.cumsum(deriv, out=deriv)
+    if not np.isfinite(deriv[-1]):  # a sum of squares is finite only if every square is
+        raise ValueError("ECG voltages too large: the squared slope of the filtered trace overflows float64")
     energy = _window_means(sums, round(0.150 * fs))
     del sums, deriv
 

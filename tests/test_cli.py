@@ -192,6 +192,19 @@ class TestAudit:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'nosuch'" in err[0]
 
+    def test_predictions_of_one_group_exit_1_naming_file_and_attribute(self, synth_dir, tmp_path, capsys):
+        majority = {line.split(",")[0] for line in (synth_dir / "demographics.csv").read_text().splitlines()
+                    if line.endswith(",maj")}
+        samples = dict(line.split(",")[:2] for line in (synth_dir / "windows.csv").read_text().splitlines()[1:])
+        preds = tmp_path / "preds.csv"
+        preds.write_text(PREDICTIONS_HEADER + "".join(
+            f"{sid},1,0.9\n" for sid in [sid for sid, pid in samples.items() if pid in majority][:5]))
+        code = main(["audit", *data_args(synth_dir), "--protected", "group",
+                     "--predictions", str(preds), "--out", str(tmp_path / "a")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {preds}: --protected group: group sizes privileged=5, unprivileged=0"], err
+
 
 class TestExtract:
     def test_nni_to_features_and_windows(self, tmp_path):
@@ -428,6 +441,13 @@ class TestExtractInputs:
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: need at least 2 s of signal at 250 Hz, got 375 samples"], err
+
+    def test_ecg_too_large_to_square_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "ecg.csv"
+        path.write_text("\n".join(line.replace(",1.0", ",1e160") for line in _ecg_lines(seconds=60)) + "\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ECG voltages too large: the squared slope of the filtered trace overflows float64"], err
 
     def test_ecg_spacing_of_a_huge_sample_rate_exits_1_with_one_line(self, tmp_path, capsys):
         # 1e-308 s spacing gives a finite rate of 1e308 Hz, which once overflowed converting 2 s to samples

@@ -29,7 +29,7 @@ from fairhrv.dataset import (
     write_predictions_csv,
     write_windows_csv,
 )
-from fairhrv.fairness import disparate_impact
+from fairhrv.fairness import evaluate_predictions
 from reader_outcome import DIVERGENT_VALUES, NOT_A_NUMBER, fast_and_scan
 from reference_dataset import reference_generate_synthetic, reference_windows_csv_bytes
 
@@ -186,12 +186,12 @@ class TestSynthetic:
     def test_unbiased_dir_near_one(self):
         for seed in range(10):
             cohort = generate_synthetic(2000, 0.0, seed)
-            ratio = disparate_impact(cohort.labels(), cohort.protected_values("group"))
+            ratio = evaluate_predictions(cohort.labels(), groups=cohort.protected_values("group"))["dir"]
             assert abs(ratio - 1.0) <= 0.05
 
     def test_full_bias_dir_low(self):
         cohort = generate_synthetic(2000, 1.0, 0)
-        ratio = disparate_impact(cohort.labels(), cohort.protected_values("group"))
+        ratio = evaluate_predictions(cohort.labels(), groups=cohort.protected_values("group"))["dir"]
         assert ratio <= 0.6
 
     def test_determinism_byte_identical(self):

@@ -1,22 +1,18 @@
-"""Tests for the fairness metrics against brute-force tallies."""
+"""Tests for the fairness report against brute-force tallies."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhrv.fairness import (
-    disparate_impact,
-    equalized_odds_diffs,
-    evaluate_predictions,
-    f1_score,
-    reweigh_weights,
-    sample_weights,
-)
+from fairhrv.fairness import accuracy_score, evaluate_predictions, reweigh_weights, sample_weights
 from fairhrv.pipeline import COMPARISON_COLUMNS, COMPARISON_ROWS, render_comparison_text
 from fairness_oracle import (
+    brute_force_accuracy,
     brute_force_diffs,
     brute_force_dir,
+    brute_force_group_sizes,
+    brute_force_report,
     brute_force_weighted_dir,
     random_instance,
 )
@@ -25,6 +21,15 @@ REPORT_KEYS = {
     "attribute", "n_privileged", "n_unprivileged", "dir", "dir_undefined", "diff_fn", "diff_fp",
     "in_bounds", "bounds", "accuracy", "f1", "prediction_entropy",
 }
+
+
+def disparate_impact(outcomes, groups):
+    return evaluate_predictions(outcomes, groups=groups)["dir"]
+
+
+def rate_gaps(preds, labels, groups):
+    report = evaluate_predictions(preds, labels, groups)
+    return report["diff_fn"], report["diff_fp"]
 
 
 class TestDisparateImpact:
@@ -57,8 +62,6 @@ class TestDisparateImpact:
         rng = np.random.default_rng(6)
         for _ in range(100):
             preds, labels, groups = random_instance(rng)
-            if not (labels[groups == 0] == 1).any():
-                continue
             d = disparate_impact(labels, groups)
             d_swapped = disparate_impact(labels, 1 - groups)
             assert d_swapped == pytest.approx(1.0 / d, rel=1e-12)
@@ -69,29 +72,51 @@ class TestEqualizedOdds:
         preds = [1, 0, 1, 0] * 2
         labels = [1, 1, 0, 0] * 2
         groups = [0, 0, 0, 0, 1, 1, 1, 1]
-        assert equalized_odds_diffs(preds, labels, groups) == (0.0, 0.0)
+        assert rate_gaps(preds, labels, groups) == (0.0, 0.0)
 
     def test_sign_convention(self):
         # unprivileged FNR 0.3 (3/10), privileged FNR 0.2 (2/10) -> +0.1
         labels = [1] * 10 + [0] + [1] * 10 + [0]
         preds = [0] * 3 + [1] * 7 + [0] + [0] * 2 + [1] * 8 + [0]
         groups = [0] * 11 + [1] * 11
-        diff_fn, diff_fp = equalized_odds_diffs(preds, labels, groups)
+        diff_fn, diff_fp = rate_gaps(preds, labels, groups)
         assert diff_fn == pytest.approx(0.1)
         assert diff_fp == pytest.approx(0.0)
 
     def test_missing_outcome_class(self):
-        assert equalized_odds_diffs([1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]) == (None, None)
+        assert rate_gaps([1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]) == (None, None)
 
     @pytest.mark.parametrize("labels", [[0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]],
                              ids=["unprivileged-without-positives", "privileged-without-negatives",
                                   "privileged-without-positives"])
     def test_any_group_without_a_label_class_gives_none_gaps(self, labels):
-        assert equalized_odds_diffs([1, 0, 1, 0], labels, [0, 0, 1, 1]) == (None, None)
+        assert rate_gaps([1, 0, 1, 0], labels, [0, 0, 1, 1]) == (None, None)
 
     def test_empty_group(self):
         with pytest.raises(ValueError, match="^group sizes privileged=0, unprivileged=4$"):
-            equalized_odds_diffs([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0])
+            rate_gaps([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0])
+
+
+class TestInputChecks:
+    """Each sequence is checked once, before anything is counted, and the first bad one is named."""
+
+    @pytest.mark.parametrize("outcomes,labels,groups,message", [
+        ([[1, 0]], None, None, "outcomes must be one-dimensional"),
+        ([1, 2], [1, 0], [0, 1], "outcomes must be binary 0/1"),
+        ([1, 0], [1, -1], [0, 2], "labels must be binary 0/1"),
+        ([1, 0], [1, 0], [[0, 1]], "groups must be one-dimensional"),
+        ([1, 0, 1], None, [0, 1], "outcomes and groups must be aligned"),
+        ([1, 0], [1, 0, 0], [0, 1], "outcomes and labels and groups must be aligned"),
+    ])
+    def test_first_bad_sequence_is_named(self, outcomes, labels, groups, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_predictions(outcomes, labels, groups)
+
+    def test_accuracy_and_weights_check_their_inputs(self):
+        with pytest.raises(ValueError, match="^outcomes and labels must be aligned$"):
+            accuracy_score([1, 0], [1])
+        with pytest.raises(ValueError, match="^groups must be binary 0/1$"):
+            reweigh_weights([1, 0, 1, 0], [0, 1, 3, 1])
 
 
 class TestReweigh:
@@ -245,8 +270,8 @@ class TestAgainstBruteForce:
         for _ in range(300):
             preds, labels, groups = random_instance(rng)
             assert disparate_impact(labels, groups) == brute_force_dir(labels, groups)
-            got = equalized_odds_diffs(preds, labels, groups)
-            assert got == brute_force_diffs(preds, labels, groups)
+            assert rate_gaps(preds, labels, groups) == brute_force_diffs(preds, labels, groups)
+            assert accuracy_score(preds, labels) == brute_force_accuracy(preds, labels)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -254,7 +279,24 @@ class TestAgainstBruteForce:
         preds, labels, groups = random_instance(np.random.default_rng(seed))
         assert disparate_impact(labels, groups) == brute_force_dir(labels, groups)
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+           st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_key_equals_its_oracle(self, rows, with_labels, with_groups):
+        outcomes, labels, groups = (list(column) for column in zip(*rows))
+        labels, groups = labels if with_labels else None, groups if with_groups else None
+        if groups is not None and 0 in brute_force_group_sizes(groups):
+            n_priv, n_unpriv = brute_force_group_sizes(groups)
+            with pytest.raises(ValueError, match=f"^group sizes privileged={n_priv}, unprivileged={n_unpriv}$"):
+                evaluate_predictions(outcomes, labels, groups, "group")
+            return
+        report = evaluate_predictions(outcomes, labels, groups, "group")
+        expected = brute_force_report(outcomes, labels, groups, "group")
+        assert list(report) == list(expected)
+        for key, value in expected.items():
+            assert report[key] == value and type(report[key]) is type(value), key
+
 
 def test_f1_degenerate_cases():
-    assert f1_score([0, 0], [0, 0]) == 0.0
-    assert f1_score([1, 1], [1, 1]) == 1.0
+    assert evaluate_predictions([0, 0], [0, 0])["f1"] == 0.0
+    assert evaluate_predictions([1, 1], [1, 1])["f1"] == 1.0

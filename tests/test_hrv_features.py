@@ -111,6 +111,19 @@ class TestDetectRPeaks:
         with pytest.raises(ValueError, match="^signal has no energy peaks above threshold$"):
             detect_r_peaks(np.full(7500, value), 250.0)
 
+    @pytest.mark.parametrize("scale", [1e160, -1e200, 1e308])
+    def test_voltages_too_large_to_square_are_refused_in_one_error(self, scale):
+        # the squared slope once overflowed: three RuntimeWarnings, then "found 0 peak(s)"
+        x = np.zeros(60 * 250)
+        x[::250] = scale
+        with pytest.raises(ValueError, match="^ECG voltages too large: "):
+            detect_r_peaks(x, 250.0)
+
+    def test_largest_voltages_that_square_keep_their_intervals(self):
+        # a power-of-two scale rounds nothing, so the overflow check moves no bit below it
+        samples, fs = synthetic_ecg(6, 300.0, 250.0)
+        assert np.array_equal(detect_r_peaks(samples * 2.0**480, fs), detect_r_peaks(samples, fs))
+
     @pytest.mark.parametrize("width", [1, 2, 7, 50, 51, 199, 200, 400, 1001])
     def test_window_means_are_the_means_of_the_samples_held(self, width):
         x = np.random.default_rng(width).normal(size=400)
