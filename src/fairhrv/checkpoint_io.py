@@ -34,12 +34,8 @@ VERSION = 1
 def save_checkpoint(params: ModelParams, path) -> None:
     """Serialize ``params`` to ``path`` atomically.
 
-    Raises:
-        ValueError: naming the field, for an epoch or seed the header's u32 or u64 cannot hold.
+    The epoch and seed fit the header's u32 and u64, as ``TrainConfig`` refuses others.
     """
-    for field, value, bits in (("epoch", params.epoch, 32), ("rng_seed", params.rng_seed, 64)):
-        if not 0 <= value < 2**bits:
-            raise ValueError(f"{path}: {field} {value} does not fit the header's u{bits}")
     chunks = [MAGIC, struct.pack("<IIQI", VERSION, params.epoch, params.rng_seed, len(params.tensors))]
     for name, tensor in params.tensors.items():
         tensor = np.ascontiguousarray(tensor, dtype=np.float64)

@@ -123,7 +123,10 @@ def cmd_extract(args) -> None:
     check_csv_name("--participant", args.participant)
     if args.ecg is not None:
         samples, sample_rate = hrv_features.read_ecg_csv(args.ecg)
-        intervals = hrv_features.detect_r_peaks(samples, sample_rate)
+        try:
+            intervals = hrv_features.detect_r_peaks(samples, sample_rate)
+        except ValueError as exc:
+            raise ValueError(f"{args.ecg}: {exc}") from None
         span, covered = len(samples) / sample_rate, intervals.sum() / 1000.0
         if covered < 0.9 * span and span - covered > hrv_features.MAX_NN_MS / 1000.0:
             print(f"note: {args.ecg}: accepted beats span {covered:.1f} s of the {span:.1f} s trace", file=sys.stderr)
@@ -229,9 +232,12 @@ def cmd_mitigate(args) -> None:
 
 def cmd_saliency(args) -> None:
     params = load_checkpoint(args.checkpoint)
-    heads = ModelArch.from_params(params).heads
-    if args.head not in heads:
-        raise ValueError(f"{args.checkpoint} has no head {args.head!r}; its heads are {', '.join(heads)}")
+    arch = ModelArch.from_params(params)
+    if arch.lstm_hidden is None or arch.input_size != dataset.N_FEATURES:  # the windows' shape
+        raise ValueError(f"{args.checkpoint}: saliency needs an LSTM over {dataset.N_FEATURES} features per step, "
+                         f"as the model commands write; got {arch}")
+    if args.head not in arch.heads:
+        raise ValueError(f"{args.checkpoint} has no head {args.head!r}; its heads are {', '.join(arch.heads)}")
     sample_ids, _, windows = dataset.read_windows_csv(args.windows)
     if not sample_ids:
         raise ValueError(f"{args.windows}: no windows after the header")
@@ -358,8 +364,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's seed error names neither the flag nor the value
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         existing = next(path for path in (args.out, *args.out.parents) if path.exists())  # "." or "/" at last
         if not existing.is_dir():  # --out is made after the work; a file in its way is found before it
             raise ValueError(f"--out {args.out}: {existing} exists and is not a directory")

@@ -91,14 +91,9 @@ class Cohort:
         return np.array([w.anxiety for w in self.windows], dtype=np.int64)
 
     def protected_values(self, attribute: str) -> np.ndarray:
-        """The code of each window's participant; ValueError, naming the attribute and the cohort's, if it has none."""
-        if attribute not in self.attribute_catalog:
-            raise ValueError(f"cohort has no protected attribute {attribute!r}, only {list(self.attribute_names())}")
+        """The code of each window's participant under ``attribute``, an attribute of the catalog."""
         codes = self.attribute_catalog[attribute].codes
         return np.array([codes[w.participant_id] for w in self.windows], dtype=np.int64)
-
-    def attribute_names(self):
-        return tuple(self.attribute_catalog)
 
 
 @dataclass(frozen=True)
@@ -248,12 +243,15 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     over the 24 steps for all windows at once, with the same arithmetic.
 
     Raises:
-        OutOfRange: bias_strength outside [0, 1], or n < 40.
+        OutOfRange: bias_strength outside [0, 1], n < 40, or seed outside
+            [0, 2**64), the range of a checkpoint header's seed.
     """
     if not 0.0 <= bias_strength <= 1.0:
         raise OutOfRange("bias_strength", "must be in [0, 1]", bias_strength)
     if n < 40:
         raise OutOfRange("n", "must be at least 40", n)
+    if not 0 <= seed < 2**64:
+        raise OutOfRange("seed", "must be in [0, 2**64)", seed)
     rng = substream(seed, "synth")
 
     n_participants = max(10, n // 20)
@@ -546,7 +544,7 @@ def _read_demographics_csv(path) -> dict:
 def write_demographics_csv(path, cohort: Cohort) -> None:
     """Demographics CSV: participant_id, then each attribute's raw category of every participant with a window."""
     columns = [({code: cat for cat, code in c.mapping.items()}, c.codes) for c in cohort.attribute_catalog.values()]
-    write_csv(path, ("participant_id", *cohort.attribute_names()), (
+    write_csv(path, ("participant_id", *cohort.attribute_catalog), (
         ",".join([pid, *(categories[codes[pid]] for categories, codes in columns)])
         for pid in sorted({w.participant_id for w in cohort.windows})
     ))
@@ -567,6 +565,8 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
     when given, must list every window's participant; only its
     ``protected`` column is encoded with the majority rule, and none
     without one, so the other columns may hold any number of categories.
+    ``protected`` needs the demographics file, as the CLI requires --demo
+    with --protected.
 
     Raises:
         ValueError: naming the file, for a windows file without rows, a
@@ -592,8 +592,6 @@ def load_cohort(windows_path, labels_path, demographics_path=None, protected=Non
                 catalog[protected] = encode_protected(raw_by_attr[protected], protected)
             except ValueError as exc:
                 raise ValueError(f"{demographics_path}: {exc}") from None
-    elif protected is not None:
-        raise ValueError(f"protected attribute {protected!r} needs a demographics file")
 
     windows = []
     for sample_id, participant_id, feats in zip(sample_ids, participant_ids, features):

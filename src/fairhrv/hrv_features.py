@@ -134,8 +134,6 @@ def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     """
     x, fs = samples, float(sample_rate)
     n = len(x)
-    if n < 3:
-        raise ValueError(f"found 0 peak(s) in {n} sample(s); need at least 2")
 
     # one running sum of the mean-removed trace serves both averages of the band-pass
     sums = np.empty(n + 1)
@@ -305,14 +303,10 @@ def extract_features(intervals: np.ndarray) -> np.ndarray:
     60000/nni per interval, with std_hr the population standard deviation.
 
     Band powers are 0 for a series too short to resample to two points at 4 Hz,
-    and csi and/or cvi are 0 where the Poincare ellipse collapses.
-
-    Raises:
-        ValueError: fewer than 2 intervals.
+    and csi and/or cvi are 0 where the Poincare ellipse collapses. The series
+    holds at least 2 intervals, as ``extract`` skips shorter segments.
     """
     x, n = intervals, len(intervals)
-    if n < 2:
-        raise ValueError(f"need at least 2 intervals, got {n}")
 
     diffs = np.diff(x)
     mean_nni = float(np.mean(x))

@@ -197,18 +197,17 @@ def train_reweighted(train: Cohort, config: TrainConfig, weights):
 def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfig):
     """Two-head training with a checkpoint every ``checkpoint_every`` epochs and at the last.
 
-    Returns (checkpoints, final params, losses); checkpoints carry their
-    epoch tag.
+    Returns (checkpoints, losses); checkpoints carry their epoch tag, and
+    the last is the final params.
 
     Raises:
-        ValueError: the cohort lacks the protected attribute.
         TrainingDiverged: non-finite loss or gradient.
     """
     x, targets = _cohort_inputs(train, protected)
     task_w = {"anxiety": config.task_weights[0], "protected": config.task_weights[1]}
     checkpoint_epochs = {*range(config.checkpoint_every, config.epochs, config.checkpoint_every), config.epochs}
-    params, checkpoints, losses = _train_loop(x, targets, task_w, config, np.ones(len(x)), checkpoint_epochs)
-    return checkpoints, params, losses
+    _, checkpoints, losses = _train_loop(x, targets, task_w, config, np.ones(len(x)), checkpoint_epochs)
+    return checkpoints, losses
 
 
 # as in _train_loop and final_predict, an overflow ends in one error (here select_checkpoint's), not warnings
@@ -243,11 +242,8 @@ def select_checkpoint(records) -> UncertaintyRecord:
     """The record of largest (c_protected - c_anxiety); ties go to the earliest epoch.
 
     Raises:
-        ValueError: the record list is empty, or a gap is NaN or infinite.
+        ValueError: a gap is NaN or infinite.
     """
-    records = tuple(records)
-    if not records:
-        raise ValueError("no uncertainty records to select from")
     best = records[0]
     for record in records:
         if not math.isfinite(record.gap):

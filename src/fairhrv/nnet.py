@@ -6,6 +6,12 @@ Everything is plain numpy with hand-derived backpropagation-through-time
 gradients, so analytic gradients can be checked against finite
 differences and checkpoints can be serialized bit-exactly.
 
+The network input is a float64 batch, as the callers build it: (batch,
+steps, input_size) for a model with an LSTM and (batch, input_size) for
+one without. The CLI's models are LSTMs over 25 features per step; the
+other topologies back the tests' oracles. Targets and sample weights are
+float64 arrays of batch length.
+
 Dropout acts only after the recurrence, so the LSTM states of an input
 are deterministic. Inference therefore runs in two parts: the recurrence
 gives each window's last hidden state, and ``forward`` then runs the head
@@ -101,10 +107,10 @@ class ModelArch:
     where those stages exist.
     """
 
-    input_size: int = 25
-    lstm_hidden: int = 64
-    dense_size: int = 32
-    heads: tuple = ("anxiety", "protected")
+    input_size: int
+    lstm_hidden: int
+    dense_size: int
+    heads: tuple
 
     def dropout_points(self) -> tuple:
         points = []
@@ -227,26 +233,6 @@ def sample_dropout_mask(arch: ModelArch, keep_rate: float, rng, batch: int) -> d
             for name, width in arch.dropout_points()}
 
 
-def _prepare_input(arch: ModelArch, x) -> np.ndarray:
-    """``x`` as a batch: (batch, steps, features) for an LSTM, (batch, input_size) without one."""
-    x = np.asarray(x, dtype=np.float64)
-    if arch.lstm_hidden is not None:
-        if x.ndim == 2:
-            x = x[None]
-        if x.ndim != 3 or x.shape[2] != arch.input_size:
-            raise ValueError(f"expected (batch, steps, {arch.input_size}), got {x.shape}")
-    else:
-        if x.ndim == 2 and x.shape[0] * x.shape[1] == arch.input_size:
-            x = x.reshape(1, -1)
-        elif x.ndim == 3:
-            x = x.reshape(x.shape[0], -1)
-        elif x.ndim == 1:
-            x = x[None]
-        if x.shape[1] != arch.input_size:
-            raise ValueError(f"expected flattened size {arch.input_size}, got {x.shape}")
-    return x
-
-
 def _lstm_states(params: ModelParams, x: np.ndarray):
     """The LSTM recurrence over a (batch, steps, features) input.
 
@@ -309,7 +295,7 @@ def _last_hidden(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return last
 
 
-def forward(params: ModelParams, x, mask: dict = None) -> tuple:
+def forward(params: ModelParams, x: np.ndarray, mask: dict = None) -> tuple:
     """Run the network; returns ({head: probabilities}, trace).
 
     ``mask`` maps dropout points to the multipliers of
@@ -320,14 +306,9 @@ def forward(params: ModelParams, x, mask: dict = None) -> tuple:
     state or, in a model without an LSTM, to its input, so a head network
     given the full model's multipliers and the last hidden states gives
     the full model's outputs (see the module docstring).
-
-    Raises:
-        ValueError: ``x`` does not fit the params, or a multiplier's width
-            does not broadcast against its activation.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
-    x = _prepare_input(arch, x)
     trace = ForwardTrace(x=x, outputs={})
     mask = mask or {}
 
@@ -365,31 +346,28 @@ def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights=1.0) -> float:
+def mtl_loss(outputs: dict, targets: dict, task_weights: dict, sample_weights: np.ndarray) -> float:
     """Weighted multi-task binary cross-entropy.
 
     Per task: the sample-weighted mean BCE over the batch, sum(w_i *
     bce_i) / sum(w_i), scaled by the task weight (non-negative, as
-    ``TrainConfig`` refuses others) and summed over tasks.
-    ``sample_weights`` defaults to unit weights, which give the plain mean
-    bit for bit. Probabilities are clamped to [1e-12, 1 - 1e-12].
+    ``TrainConfig`` refuses others) and summed over tasks. Unit sample
+    weights give the plain mean bit for bit. Probabilities are clamped to
+    [1e-12, 1 - 1e-12].
     """
     total = 0.0
     for head, weight in task_weights.items():
-        p = np.atleast_1d(np.asarray(outputs[head], dtype=np.float64))
-        y = np.atleast_1d(np.asarray(targets[head], dtype=np.float64))
-        losses = _bce(p, y)
-        sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), losses.shape)
-        total += weight * float(np.sum(sw * losses) / np.sum(sw))
+        losses = _bce(outputs[head], targets[head])
+        total += weight * float(np.sum(sample_weights * losses) / np.sum(sample_weights))
     return total
 
 
 def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input_grad: bool = False) -> tuple:
-    """Backpropagate d(loss)/d(pre-sigmoid score) seeds through the net.
+    """Backpropagate {head: d(loss)/d(pre-sigmoid score)} seeds, each of batch length, through the net.
 
-    Returns (grads, d_input) where grads matches params.tensors. d_input
-    has the shape of the (batched) network input with ``input_grad``, and
-    is None without it.
+    Returns (grads, d_input) where grads matches params.tensors; a head
+    without a seed gets zero gradients. d_input has the shape of the
+    network input with ``input_grad``, and is None without it.
     """
     arch = ModelArch.from_params(params)
     t = params.tensors
@@ -397,9 +375,7 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input
 
     head_in = trace.head_in
     d_head_in = np.zeros_like(head_in)
-    for head in arch.heads:
-        seed = np.asarray(score_seeds.get(head, 0.0), dtype=np.float64)
-        seed = np.broadcast_to(seed, (head_in.shape[0],))
+    for head, seed in score_seeds.items():
         grads[f"head.{head}.W"] = head_in.T @ seed[:, None]
         grads[f"head.{head}.b"] = np.array([np.sum(seed)])
         d_head_in += seed[:, None] * t[f"head.{head}.W"][:, 0]
@@ -480,29 +456,28 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input
     return grads, (flat_dz @ w_in.T).reshape(batch, steps, -1)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict, sample_weights=1.0) -> dict:
+def backward(params: ModelParams, trace: ForwardTrace, targets: dict, task_weights: dict,
+             sample_weights: np.ndarray) -> dict:
     """Exact analytic gradients of mtl_loss with respect to every parameter.
 
     ``trace`` is the one ``forward(params, ...)`` returned.
     """
-    sw = np.broadcast_to(np.asarray(sample_weights, dtype=np.float64), trace.head_in.shape[:1])
-    norm = sw / np.sum(sw)
+    norm = sample_weights / np.sum(sample_weights)
     seeds = {}
     for head, weight in task_weights.items():
         p = trace.outputs[head]
-        y = np.broadcast_to(np.asarray(targets[head], dtype=np.float64), p.shape)
         # where the probability clamp is active the loss is locally flat
         live = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-        seeds[head] = weight * norm * np.where(live, p - y, 0.0)
+        seeds[head] = weight * norm * np.where(live, p - targets[head], 0.0)
     grads, _ = _backprop(params, trace, seeds)
     return grads
 
 
-def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
-    """Gradient of a head's pre-sigmoid score with respect to the input.
+def input_gradient(params: ModelParams, x: np.ndarray, head: str) -> np.ndarray:
+    """Gradient of a head's pre-sigmoid score with respect to the input, in the input's shape.
 
-    Dropout is disabled. For a purely linear model this returns the
-    head's weight matrix reshaped to the input shape.
+    Dropout is disabled. For a purely linear model every row is the
+    head's weight vector.
 
     The blocks of ``_window_blocks`` go through forward and backward one
     at a time, and only their input gradients are kept. Every window's
@@ -511,36 +486,29 @@ def input_gradient(params: ModelParams, x, head: str) -> np.ndarray:
     it, so below H 64 the results may differ from one whole-batch pass
     in the last bits (see the module docstring).
     """
-    arch = ModelArch.from_params(params)
-    if head not in arch.heads:
-        raise KeyError(f"unknown head {head!r}")
-    x_arr = np.asarray(x, dtype=np.float64)
-    x_batched = _prepare_input(arch, x_arr)
     parts = []
-    for block in _window_blocks(x_batched):
+    for block in _window_blocks(x):
         _, trace = forward(params, block, mask=None)
         _, d_input = _backprop(params, trace, {head: np.ones(len(block))}, input_grad=True)
         parts.append(d_input)
-    return np.concatenate(parts).reshape(x_arr.shape)
+    return np.concatenate(parts)
 
 
-def _head_network(params: ModelParams, x) -> tuple:
+def _head_network(params: ModelParams, x: np.ndarray) -> tuple:
     """(head network, its input) of the model ``params`` on the input ``x``.
 
     For a model with an LSTM these are the params without the ``lstm.*``
     tensors and the recurrence's last hidden states, taken block by block
     (``_last_hidden``); a model without one is its own head network, on
-    the batched ``x``.
+    ``x``.
     """
-    arch = ModelArch.from_params(params)
-    x = _prepare_input(arch, x)
-    if arch.lstm_hidden is None:
+    if "lstm.W" not in params.tensors:
         return params, x
     tensors = {name: tensor for name, tensor in params.tensors.items() if not name.startswith("lstm.")}
     return ModelParams(tensors, params.epoch, params.rng_seed), _last_hidden(params, x)
 
 
-def predict(params: ModelParams, x) -> dict:
+def predict(params: ModelParams, x: np.ndarray) -> dict:
     """{head: probabilities} with dropout disabled.
 
     The same outputs, bit for bit, as ``forward(params, x)``: one
@@ -552,7 +520,7 @@ def predict(params: ModelParams, x) -> dict:
     return outputs
 
 
-def mc_forward(params: ModelParams, x, passes: int, keep_rate: float, rng) -> tuple:
+def mc_forward(params: ModelParams, x: np.ndarray, passes: int, keep_rate: float, rng) -> tuple:
     """Monte-Carlo dropout: ``passes`` forward passes with fresh dropout multipliers.
 
     Returns ({head: posterior mean}, {head: predictive variance}), the

@@ -115,7 +115,7 @@ def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig, eval
     checkpoint's weights are used verbatim for the final prediction.
     """
     eval_cohort = _mc_eval_cohort(split, config, eval_on)
-    checkpoints, _, losses = train_mtl_with_checkpoints(split.train, protected, config)
+    checkpoints, losses = train_mtl_with_checkpoints(split.train, protected, config)
     records = evaluate_uncertainties(checkpoints, eval_cohort, config)
     selection = select_checkpoint(records)
     selected = next(c for c in checkpoints if c.epoch == selection.epoch)

@@ -5,7 +5,7 @@ import numpy as np
 from fairhrv import nnet
 
 
-def finite_diff_param_grads(params, x, targets, task_weights, mask=None, sample_weights=1.0, h=1e-5):
+def finite_diff_param_grads(params, x, targets, task_weights, sample_weights, mask=None, h=1e-5):
     """Numerical d(mtl_loss)/d(theta) for every parameter entry."""
 
     def loss_at():
@@ -29,7 +29,7 @@ def finite_diff_param_grads(params, x, targets, task_weights, mask=None, sample_
 
 
 def finite_diff_input_grad(params, x, head, h=1e-5):
-    """Numerical d(pre-sigmoid score)/d(input) for a single sample."""
+    """Numerical d(pre-sigmoid score)/d(input) for a batch of one sample."""
     x = np.array(x, dtype=np.float64)
 
     def score_at():
@@ -84,12 +84,14 @@ def random_case(rng, seed):
         tensor += rng.normal(0.0, 0.3, size=tensor.shape)
     batch = int(rng.integers(1, 5))
     x = rng.normal(0.0, 1.0, size=(batch, steps, features))
+    if arch.lstm_hidden is None:
+        x = x.reshape(batch, -1)
     targets = {head: rng.integers(0, 2, size=batch).astype(float) for head in arch.heads}
     task_weights = {head: float(rng.uniform(0.2, 5.0)) for head in arch.heads}
     mask = None
     if arch.dropout_points() and rng.random() < 0.5:
         mask = nnet.sample_dropout_mask(arch, keep_rate=0.6, rng=rng, batch=batch)
-    sample_weights = 1.0
+    sample_weights = np.ones(batch)
     if rng.random() < 0.3:
         sample_weights = rng.uniform(0.2, 3.0, size=batch)
     return params, x, targets, task_weights, mask, sample_weights

@@ -447,7 +447,17 @@ class TestExtractInputs:
         path.write_text("\n".join(line.replace(",1.0", ",1e160") for line in _ecg_lines(seconds=60)) + "\n")
         assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: ECG voltages too large: the squared slope of the filtered trace overflows float64"], err
+        assert err == [f"error: {path}: ECG voltages too large: the squared slope of the filtered trace overflows "
+                       "float64"], err
+        assert not (tmp_path / "out").exists()
+
+    def test_flat_ecg_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ecg.csv"
+        path.write_text("\n".join(line.replace(",1.0", ",0.0") for line in _ecg_lines(seconds=10)) + "\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: signal has no energy peaks above threshold"], err
+        assert not (tmp_path / "out").exists()
 
     def test_ecg_spacing_of_a_huge_sample_rate_exits_1_with_one_line(self, tmp_path, capsys):
         # 1e-308 s spacing gives a finite rate of 1e308 Hz, which once overflowed converting 2 s to samples
@@ -957,7 +967,13 @@ class TestTrainingInputs:
             "--windows", str(missing), "--labels", str(missing), "--demo", str(missing), "--protected", "group"]
         out = tmp_path / "out"
         assert main([command, *data, "--seed", "-1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.strip().splitlines() == ["error: --seed must be non-negative, got -1"]
+        assert capsys.readouterr().err.strip().splitlines() == ["error: --seed must be in [0, 2**64), got -1"]
+        assert not out.exists()
+
+    def test_synth_refuses_a_seed_the_model_commands_refuse(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--n", "60", "--bias", "0.8", "--seed", str(2**64), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: --seed must be in [0, 2**64), got {2**64}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mitigate", "compare"])
@@ -1163,7 +1179,7 @@ class TestTrainAndMitigate:
     @pytest.mark.filterwarnings("error")  # numpy overflow warnings would precede the error line
     def test_saliency_of_a_checkpoint_whose_gradient_overflows_exits_1_with_one_error_line(self, synth_dir, tmp_path,
                                                                                           capsys):
-        params = init_params(ModelArch(input_size=25, lstm_hidden=6, dense_size=4), seed=0)
+        params = init_params(ModelArch(input_size=25, lstm_hidden=6, dense_size=4, heads=("anxiety",)), seed=0)
         for tensor in params.tensors.values():
             tensor[...] = 1e308
         checkpoint, out = tmp_path / "huge.bin", tmp_path / "sal"
@@ -1171,6 +1187,21 @@ class TestTrainAndMitigate:
         assert main(["saliency", "--checkpoint", str(checkpoint), "--windows", str(synth_dir / "windows.csv"),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: saliency values must be finite"]
+        assert not out.exists()
+
+    # no command writes either: an LSTM over 7 features, and a model without an LSTM over the flattened window
+    @pytest.mark.parametrize("arch", [
+        ModelArch(input_size=7, lstm_hidden=6, dense_size=4, heads=("anxiety",)),
+        ModelArch(input_size=24 * 25, lstm_hidden=None, dense_size=4, heads=("anxiety",)),
+    ])
+    def test_saliency_of_a_checkpoint_not_over_the_window_names_it(self, synth_dir, tmp_path, capsys, arch):
+        checkpoint, out = tmp_path / "other.bin", tmp_path / "sal"
+        save_checkpoint(init_params(arch, seed=0), checkpoint)
+        assert main(["saliency", "--checkpoint", str(checkpoint), "--windows", str(synth_dir / "windows.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {checkpoint}: saliency needs an LSTM over 25 features per step, as the model commands write; "
+            f"got {arch}"]
         assert not out.exists()
 
     def test_saliency_of_a_head_the_checkpoint_lacks_names_checkpoint_and_heads(self, base_dir, tmp_path, capsys):

@@ -207,10 +207,6 @@ class TestExtractFeatures:
         assert vec["nni_20"] == 1.0
         assert vec["pnni_20"] == 50.0
 
-    def test_too_few_intervals(self):
-        with pytest.raises(ValueError, match="^need at least 2 intervals, got 1$"):
-            named_features(np.array([800.0]))
-
     def test_sinusoidal_modulation_at_lf(self):
         # 0.10 Hz modulation lands in the LF band; oracle below is a direct
         # DFT of the same interpolated series.

@@ -49,13 +49,13 @@ SMALL_ARCH = ModelArch(input_size=5, lstm_hidden=3, dense_size=4, heads=("anxiet
 class TestForward:
     def test_zero_params_give_half(self):
         params = zero_params(SMALL_ARCH)
-        outputs, _ = forward(params, np.random.default_rng(0).normal(size=(6, 5)))
+        outputs, _ = forward(params, np.random.default_rng(0).normal(size=(1, 6, 5)))
         assert outputs["anxiety"][0] == 0.5
         assert outputs["protected"][0] == 0.5
 
     def test_zero_lstm_weights_zero_hidden(self):
         params = zero_params(SMALL_ARCH)
-        _, trace = forward(params, np.random.default_rng(1).normal(size=(6, 5)))
+        _, trace = forward(params, np.random.default_rng(1).normal(size=(1, 6, 5)))
         assert np.all(trace.hidden[-1] == 0.0)
 
     def test_matches_scalar_lstm(self):
@@ -65,7 +65,7 @@ class TestForward:
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.2, size=tensor.shape)
         x = rng.normal(size=(4, 3))
-        _, trace = forward(params, x)
+        _, trace = forward(params, x[None])
         expected = scalar_lstm_final_hidden(
             x.tolist(),
             params.tensors["lstm.W"].tolist(),
@@ -73,11 +73,6 @@ class TestForward:
             params.tensors["lstm.b"].tolist(),
         )
         assert np.max(np.abs(trace.hidden[-1][0] - np.array(expected))) < 1e-12
-
-    def test_shape_mismatch(self):
-        params = init_params(SMALL_ARCH, seed=0)
-        with pytest.raises(ValueError, match=r"^expected \(batch, steps, 5\), got \(1, 6, 4\)$"):
-            forward(params, np.zeros((6, 4)))
 
     def test_repeated_calls_bit_identical(self):
         params = init_params(SMALL_ARCH, seed=5)
@@ -90,7 +85,7 @@ class TestForward:
         params = init_params(SMALL_ARCH, seed=7)
         x = np.random.default_rng(8).normal(size=(3, 6, 5))
         batched, _ = forward(params, x)
-        single, _ = forward(params, x[1])
+        single, _ = forward(params, x[1][None])
         assert batched["anxiety"][1] == pytest.approx(single["anxiety"][0], abs=1e-15)
 
 
@@ -140,21 +135,21 @@ class TestLoss:
     def test_perfect_predictions_near_zero(self):
         outputs = {"anxiety": np.array([1.0, 0.0]), "protected": np.array([0.0, 1.0])}
         targets = {"anxiety": np.array([1.0, 0.0]), "protected": np.array([0.0, 1.0])}
-        loss = mtl_loss(outputs, targets, {"anxiety": 4.5, "protected": 0.5})
+        loss = mtl_loss(outputs, targets, {"anxiety": 4.5, "protected": 0.5}, np.ones(2))
         assert 0.0 <= loss <= 5.0 * -math.log(1.0 - 1e-12) * (1.0 + 1e-9)
 
     def test_coin_flip_outputs(self):
         outputs = {"anxiety": np.array([0.5]), "protected": np.array([0.5])}
         targets = {"anxiety": np.array([1.0]), "protected": np.array([0.0])}
-        loss = mtl_loss(outputs, targets, {"anxiety": 4.5, "protected": 0.5})
+        loss = mtl_loss(outputs, targets, {"anxiety": 4.5, "protected": 0.5}, np.ones(1))
         assert loss == pytest.approx(5.0 * math.log(2.0), rel=1e-12)
 
     def test_zero_weight_drops_task(self):
         rng = np.random.default_rng(9)
         outputs = {"anxiety": rng.uniform(0.1, 0.9, 5), "protected": rng.uniform(0.1, 0.9, 5)}
         targets = {"anxiety": rng.integers(0, 2, 5).astype(float), "protected": rng.integers(0, 2, 5).astype(float)}
-        both = mtl_loss(outputs, targets, {"anxiety": 1.0, "protected": 0.0})
-        single = mtl_loss(outputs, targets, {"anxiety": 1.0})
+        both = mtl_loss(outputs, targets, {"anxiety": 1.0, "protected": 0.0}, np.ones(5))
+        single = mtl_loss(outputs, targets, {"anxiety": 1.0}, np.ones(5))
         assert both == single
 
     def test_non_negative(self):
@@ -162,7 +157,7 @@ class TestLoss:
         for _ in range(100):
             outputs = {"anxiety": rng.uniform(0, 1, 4)}
             targets = {"anxiety": rng.integers(0, 2, 4).astype(float)}
-            assert mtl_loss(outputs, targets, {"anxiety": rng.uniform(0, 5)}) >= 0.0
+            assert mtl_loss(outputs, targets, {"anxiety": rng.uniform(0, 5)}, np.ones(4)) >= 0.0
 
 
 class TestBackward:
@@ -172,7 +167,7 @@ class TestBackward:
         params = init_params(arch, seed=11)
         x = np.random.default_rng(12).normal(size=(1, 6))
         outputs, trace = forward(params, x)
-        grads = backward(params, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0})
+        grads = backward(params, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0}, np.ones(1))
         expected = (outputs["anxiety"][0] - 1.0) * x[0]
         assert np.allclose(grads["head.anxiety.W"][:, 0], expected, atol=1e-15)
 
@@ -182,7 +177,7 @@ class TestBackward:
             params, x, targets, weights, mask, sw = random_case(rng, seed=100 + i)
             outputs, trace = forward(params, x, mask=mask)
             analytic = backward(params, trace, targets, weights, sample_weights=sw)
-            numeric = finite_diff_param_grads(params, x, targets, weights, mask=mask, sample_weights=sw)
+            numeric = finite_diff_param_grads(params, x, targets, weights, sw, mask=mask)
             assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_masked_unit_gets_no_gradient(self):
@@ -192,9 +187,9 @@ class TestBackward:
             "lstm_out": np.full((1, 3), 1 / 0.8),
             "dense_out": np.array([[1.0, 0.0, 1.0, 1.0]]) / 0.8,
         }
-        x = np.random.default_rng(15).normal(size=(6, 5))
+        x = np.random.default_rng(15).normal(size=(1, 6, 5))
         _, trace = forward(params, x, mask=mask)
-        grads = backward(params, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0})
+        grads = backward(params, trace, {"anxiety": np.array([1.0])}, {"anxiety": 1.0}, np.ones(1))
         assert grads["head.anxiety.W"][1, 0] == 0.0
         assert np.all(grads["dense.W"][:, 1] == 0.0)
         assert grads["dense.b"][1] == 0.0
@@ -204,10 +199,10 @@ class TestInputGradient:
     def test_linear_model_returns_weights(self):
         arch = ModelArch(input_size=24 * 25, lstm_hidden=None, dense_size=None, heads=("anxiety",))
         params = init_params(arch, seed=17)
-        x = np.random.default_rng(18).normal(size=(24, 25))
+        x = np.random.default_rng(18).normal(size=(3, 24 * 25))
         grad = input_gradient(params, x, "anxiety")
-        assert grad.shape == (24, 25)
-        assert np.array_equal(grad, params.tensors["head.anxiety.W"][:, 0].reshape(24, 25))
+        assert grad.shape == (3, 24 * 25)
+        assert np.array_equal(grad, np.tile(params.tensors["head.anxiety.W"][:, 0], (3, 1)))
 
     def test_against_finite_differences(self):
         arch = ModelArch(input_size=4, lstm_hidden=3, dense_size=3, heads=("anxiety", "protected"))
@@ -215,17 +210,11 @@ class TestInputGradient:
         rng = np.random.default_rng(20)
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
-        x = rng.normal(size=(5, 4))
+        x = rng.normal(size=(1, 5, 4))
         analytic = input_gradient(params, x, "protected")
         numeric = finite_diff_input_grad(params, x, "protected")
         denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
-
-    def test_shape_contract(self):
-        params = init_params(ModelArch(input_size=25, lstm_hidden=4, dense_size=4), seed=21)
-        rng = np.random.default_rng(22)
-        assert input_gradient(params, rng.normal(size=(24, 25)), "anxiety").shape == (24, 25)
-        assert input_gradient(params, rng.normal(size=(3, 24, 25)), "anxiety").shape == (3, 24, 25)
 
 
 class TestAdam:
@@ -294,7 +283,7 @@ class TestAdam:
 class TestMcForward:
     def test_keep_rate_one_zero_variance(self):
         params = init_params(SMALL_ARCH, seed=26)
-        x = np.random.default_rng(27).normal(size=(6, 5))
+        x = np.random.default_rng(27).normal(size=(1, 6, 5))
         rng = np.random.default_rng(28)
         means, variances = mc_forward(params, x, passes=10, keep_rate=1.0, rng=rng)
         assert variances["anxiety"][0] == 0.0
@@ -314,7 +303,7 @@ class TestMcForward:
         params.tensors["dense.b"][...] = 0.0
         params.tensors["head.anxiety.W"][...] = 1.0
         params.tensors["head.anxiety.b"][...] = -big
-        x = np.array([big])
+        x = np.array([[big]])
         for seed in range(50):
             rng = np.random.default_rng(seed)
             draws = [sample_dropout_mask(arch, 0.5, rng, batch=1)["dense_out"][0, 0] for _ in range(2)]
@@ -335,7 +324,7 @@ class TestMcForward:
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x = rng.normal(size=(4, 5))
-        _, clean = forward(params, x)
+        _, clean = forward(params, x[None])
         h = clean.trunk_out[0]
 
         n = 20000
@@ -352,7 +341,7 @@ class TestMcForward:
     @pytest.mark.parametrize("keep", [0.8, 0.3, 1.0])
     def test_multipliers_are_the_scaled_bernoulli_stream(self, lstm_hidden, dense_size, keep):
         # the stream training and MC evaluation draw from, pinned bit for bit
-        arch = ModelArch(input_size=5, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        arch = ModelArch(input_size=5, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=("anxiety",))
         rng, rng2 = np.random.default_rng(34), np.random.default_rng(34)
         for batch in (1, 7, 32):
             got = sample_dropout_mask(arch, keep, rng, batch)
@@ -365,7 +354,7 @@ class TestMcForward:
 
     def test_mask_stream_independent_of_other_draws(self):
         params = init_params(SMALL_ARCH, seed=32)
-        x = np.random.default_rng(33).normal(size=(6, 5))
+        x = np.random.default_rng(33).normal(size=(1, 6, 5))
         a = mc_forward(params, x, passes=5, keep_rate=0.8, rng=np.random.default_rng(7))
         b = mc_forward(params, x, passes=5, keep_rate=0.8, rng=np.random.default_rng(7))
         assert a[0]["anxiety"][0] == b[0]["anxiety"][0]
@@ -375,11 +364,10 @@ class TestMcForward:
 def reference_mc_forward(params, x, passes, keep_rate, rng):
     """mc_forward as ``passes`` full forward passes with the same mask draws."""
     arch = ModelArch.from_params(params)
-    x_arr = nnet._prepare_input(arch, x)
     samples = {head: [] for head in arch.heads}
     for _ in range(passes):
-        mask = sample_dropout_mask(arch, keep_rate, rng, batch=x_arr.shape[0])
-        outputs, _ = forward(params, x_arr, mask=mask)
+        mask = sample_dropout_mask(arch, keep_rate, rng, batch=len(x))
+        outputs, _ = forward(params, x, mask=mask)
         for head in arch.heads:
             samples[head].append(outputs[head])
     means, variances = {}, {}
@@ -393,15 +381,18 @@ def reference_mc_forward(params, x, passes, keep_rate, rng):
 class TestMcForwardOracle:
     @pytest.mark.parametrize("lstm_hidden,dense_size", [(3, 4), (3, None), (None, 4), (None, None)])
     @pytest.mark.parametrize("keep_rate", [0.8, 1.0])
-    @pytest.mark.parametrize("squeezed", [False, True])
-    def test_bit_identical_to_full_forward_passes(self, lstm_hidden, dense_size, keep_rate, squeezed):
+    @pytest.mark.parametrize("batch", [7, 1])
+    def test_bit_identical_to_full_forward_passes(self, lstm_hidden, dense_size, keep_rate, batch):
         input_size = 5 if lstm_hidden is not None else 6 * 5
-        arch = ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        arch = ModelArch(input_size=input_size, lstm_hidden=lstm_hidden, dense_size=dense_size,
+                         heads=("anxiety", "protected"))
         params = init_params(arch, seed=40)
         rng = np.random.default_rng(41)
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
-        x = rng.normal(size=(6, 5) if squeezed else (7, 6, 5))
+        x = rng.normal(size=(batch, 6, 5))
+        if lstm_hidden is None:
+            x = x.reshape(batch, -1)
         got = mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
         want = reference_mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
         for got_part, want_part in zip(got, want):
@@ -427,25 +418,22 @@ class TestKernelOracle:
     """The buffered recurrence and BPTT give the bits of the allocating form."""
 
     @staticmethod
-    def case(batch, lstm_hidden, dense_size, squeezed=False):
-        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+    def case(batch, lstm_hidden, dense_size):
+        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=("anxiety", "protected"))
         params = init_params(arch, seed=60 + batch)
         rng = np.random.default_rng(61 + batch)
         for tensor in params.tensors.values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
-        x = rng.normal(size=(24, 25) if squeezed else (batch, 24, 25))
-        return arch, params, x, rng
+        return arch, params, rng.normal(size=(batch, 24, 25)), rng
 
     @pytest.mark.parametrize("dense_size", [32, None])
     @pytest.mark.parametrize("keep_rate", [0.8, 1.0])
-    @pytest.mark.parametrize("batch,lstm_hidden,squeezed",
-                             [(1, 64, False), (32, 64, False), (13, 64, False), (1500, 16, False), (1, 64, True)])
-    def test_bit_identical_to_allocating_form(self, monkeypatch, batch, lstm_hidden, squeezed, dense_size, keep_rate):
-        arch, params, x, rng = self.case(batch, lstm_hidden, dense_size, squeezed)
-        x_batched = x[None] if squeezed else x
+    @pytest.mark.parametrize("batch,lstm_hidden", [(1, 64), (32, 64), (13, 64), (1500, 16)])
+    def test_bit_identical_to_allocating_form(self, monkeypatch, batch, lstm_hidden, dense_size, keep_rate):
+        arch, params, x, rng = self.case(batch, lstm_hidden, dense_size)
 
-        got_states = nnet._lstm_states(params, x_batched)
-        want_states = reference_lstm_states(params, x_batched)
+        got_states = nnet._lstm_states(params, x)
+        want_states = reference_lstm_states(params, x)
         for gate in want_states[0]:
             assert np.array_equal(got_states[0][gate], want_states[0][gate]), gate
         for got, want in zip(got_states[1:], want_states[1:]):
@@ -489,7 +477,7 @@ class TestTraceFreeInference:
 
     @staticmethod
     def case(batch, steps=24, lstm_hidden=64, dense_size=32):
-        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+        arch = ModelArch(input_size=25, lstm_hidden=lstm_hidden, dense_size=dense_size, heads=("anxiety", "protected"))
         params = init_params(arch, seed=70 + batch)
         rng = np.random.default_rng(71 + batch)
         for tensor in params.tensors.values():
@@ -507,12 +495,15 @@ class TestTraceFreeInference:
         last = nnet._last_hidden(params, x)
         assert np.array_equal(last, nnet._lstm_states(params, x)[2][-1])
 
-    @pytest.mark.parametrize("shape", [(7, 24, 25), (24, 25)])  # a batch, a squeezed single window
+    @pytest.mark.parametrize("batch", [7, 1])
     @pytest.mark.parametrize("lstm_hidden,dense_size", [(64, 32), (8, None), (None, 4), (None, None)])
-    def test_predict_matches_forward(self, lstm_hidden, dense_size, shape):
-        arch = ModelArch(input_size=25 if lstm_hidden else 24 * 25, lstm_hidden=lstm_hidden, dense_size=dense_size)
+    def test_predict_matches_forward(self, lstm_hidden, dense_size, batch):
+        arch = ModelArch(input_size=25 if lstm_hidden else 24 * 25, lstm_hidden=lstm_hidden, dense_size=dense_size,
+                         heads=("anxiety", "protected"))
         params = init_params(arch, seed=72)
-        x = np.random.default_rng(73).normal(size=shape)
+        x = np.random.default_rng(73).normal(size=(batch, 24, 25))
+        if lstm_hidden is None:
+            x = x.reshape(batch, -1)
         want, _ = forward(params, x)
         got = predict(params, x)
         assert set(got) == set(arch.heads)

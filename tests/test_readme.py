@@ -1,5 +1,6 @@
-"""The README's fixed-seed chain runs as written, and its report table lists the report's keys."""
+"""The README's fixed-seed chain runs as written, and its tables list what the commands write."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -17,15 +18,35 @@ def readme_commands() -> list:
     return [shlex.split(line) for line in lines if line.startswith("fairhrv ")]
 
 
-def test_readme_chain_runs_as_written(tmp_path, monkeypatch):
+def readme_section(title: str) -> str:
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def out_table() -> dict:
+    """{command: the artifact names in its row of the "What `--out` holds" table}."""
+    table = {}
+    for commands, artifacts in re.findall(r"^\| (`.*?`) \| (.*) \|$", readme_section("What `--out` holds"), re.M):
+        for command in re.findall(r"`([\w-]+)`", commands):
+            table[command] = re.findall(r"`([^`]+)`", artifacts)
+    return table
+
+
+def test_readme_chain_runs_as_written_and_writes_what_the_out_table_lists(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert [argv[1] for argv in commands] == ["synth", "mitigate", "saliency", "audit", "compare"]
+    table = out_table()
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+        out = Path(argv[argv.index("--out") + 1])
+        listed = set(table[argv[1]])
+        if argv[1] == "mitigate":  # one checkpoint per uncertainty record
+            pattern = "checkpoints/ckpt_epoch_<k>.bin"
+            epochs = [record["epoch"] for record in json.loads((out / "uncertainties.json").read_text())]
+            listed = (listed - {pattern}) | {pattern.replace("<k>", str(k)) for k in epochs}
+        assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) == listed, argv[1]
 
 
 def test_report_table_lists_exactly_the_report_keys():
-    section = README.read_text().split("## What `report.json` holds", 1)[1].split("\n## ", 1)[0]
-    listed = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    listed = re.findall(r"^\| `(\w+)` \|", readme_section("What `report.json` holds"), re.M)
     assert listed == list(evaluate_predictions([1, 0], [1, 0], [1, 0], "group"))

@@ -22,8 +22,8 @@ class TestSingleSample:
     def test_linear_model_map_is_weight_matrix(self):
         params = init_params(LINEAR_ARCH, seed=0)
         window = np.random.default_rng(1).normal(size=(24, 25))
-        smap = saliency_of_window(params, window, "anxiety")
-        expected = params.tensors["head.anxiety.W"][:, 0].reshape(24, 25)
+        smap = average_saliency_over_windows(params, window.reshape(1, -1), "anxiety")
+        expected = params.tensors["head.anxiety.W"][:, 0]
         assert np.array_equal(smap, expected)
 
     def test_against_finite_differences(self):
@@ -33,7 +33,7 @@ class TestSingleSample:
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         window = rng.normal(size=(24, 25))
         smap = saliency_of_window(params, window, "anxiety")
-        numeric = finite_diff_input_grad(params, window, "anxiety")
+        numeric = finite_diff_input_grad(params, window[None], "anxiety")[0]
         denom = np.maximum(1e-6, np.maximum(np.abs(smap), np.abs(numeric)))
         assert np.max(np.abs(smap - numeric) / denom) < 1e-4
 
@@ -87,7 +87,7 @@ class TestAverage:
 
     def test_memory_bounded(self):
         # the full trace of 500 windows at H 64 is about 68 MB
-        params = init_params(ModelArch(input_size=25, lstm_hidden=64, dense_size=32), seed=15)
+        params = init_params(ModelArch(input_size=25, lstm_hidden=64, dense_size=32, heads=("anxiety",)), seed=15)
         windows = generate_synthetic(500, 0.5, 16).feature_tensor()
         assert peak_mb(average_saliency_over_windows, params, windows, "anxiety") < 24
 
