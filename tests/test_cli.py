@@ -442,6 +442,15 @@ class TestExtractInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: need at least 2 s of signal at 250 Hz, got 375 samples"], err
 
+    @pytest.mark.parametrize("rows", [["0,0.0"], ["0,0.0", "5,1.0"]])
+    def test_ecg_of_fewer_than_3_samples_exits_1_naming_the_file(self, tmp_path, capsys, rows):
+        # the reader's floor, which the R-peak detector relies on
+        path = tmp_path / "ecg.csv"
+        path.write_text("\n".join(["t_seconds,voltage", *rows]) + "\n")
+        assert main(["extract", "--ecg", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {path}: too few samples"]
+        assert not (tmp_path / "out").exists()
+
     def test_ecg_too_large_to_square_exits_1_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "ecg.csv"
         path.write_text("\n".join(line.replace(",1.0", ",1e160") for line in _ecg_lines(seconds=60)) + "\n")

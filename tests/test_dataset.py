@@ -206,6 +206,16 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(39, 0.5, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_a_checkpoint_header(self, seed):
+        with pytest.raises(dataset.OutOfRange, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            generate_synthetic(40, 0.5, seed)
+
+    def test_widest_seed(self):
+        cohort = generate_synthetic(40, 0.5, 2**64 - 1)
+        assert len(cohort) == 40
+        assert not np.array_equal(cohort.feature_tensor(), generate_synthetic(40, 0.5, 0).feature_tensor())
+
     def test_zero_strength_decorrelates_features(self):
         cohort = generate_synthetic(2000, 0.0, 7)
         feats = cohort.feature_tensor().mean(axis=1)

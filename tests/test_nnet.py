@@ -159,6 +159,18 @@ class TestLoss:
             targets = {"anxiety": rng.integers(0, 2, 4).astype(float)}
             assert mtl_loss(outputs, targets, {"anxiety": rng.uniform(0, 5)}, np.ones(4)) >= 0.0
 
+    def test_integer_sample_weights_repeat_samples(self):
+        # weight k counts a sample as k copies of it, as reweighing means
+        rng = np.random.default_rng(11)
+        outputs = {"anxiety": rng.uniform(0.1, 0.9, 4), "protected": rng.uniform(0.1, 0.9, 4)}
+        targets = {"anxiety": rng.integers(0, 2, 4).astype(float), "protected": rng.integers(0, 2, 4).astype(float)}
+        counts = np.array([2, 1, 3, 1])
+        repeated = {head: np.repeat(v, counts) for head, v in outputs.items()}
+        repeated_targets = {head: np.repeat(v, counts) for head, v in targets.items()}
+        weighted = mtl_loss(outputs, targets, {"anxiety": 4.5, "protected": 0.5}, counts.astype(float))
+        want = mtl_loss(repeated, repeated_targets, {"anxiety": 4.5, "protected": 0.5}, np.ones(counts.sum()))
+        assert weighted == pytest.approx(want, rel=1e-12)
+
 
 class TestBackward:
     def test_logistic_regression_closed_form(self):
@@ -193,6 +205,36 @@ class TestBackward:
         assert grads["head.anxiety.W"][1, 0] == 0.0
         assert np.all(grads["dense.W"][:, 1] == 0.0)
         assert grads["dense.b"][1] == 0.0
+
+    def test_integer_sample_weights_repeat_samples(self):
+        params = init_params(SMALL_ARCH, seed=16)
+        rng = np.random.default_rng(17)
+        for tensor in params.tensors.values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x = rng.normal(size=(4, 6, 5))
+        targets = {head: rng.integers(0, 2, 4).astype(float) for head in SMALL_ARCH.heads}
+        task_weights = {"anxiety": 4.5, "protected": 0.5}
+        counts = np.array([2, 1, 3, 1])
+        _, trace = forward(params, x)
+        weighted = backward(params, trace, targets, task_weights, counts.astype(float))
+        _, repeated_trace = forward(params, np.repeat(x, counts, axis=0))
+        want = backward(params, repeated_trace, {head: np.repeat(v, counts) for head, v in targets.items()},
+                        task_weights, np.ones(counts.sum()))
+        for name in want:
+            np.testing.assert_allclose(weighted[name], want[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_head_without_a_task_weight_gets_no_gradient(self):
+        # as a task weight of 0 does; mtl_loss likewise skips the head
+        params = init_params(SMALL_ARCH, seed=18)
+        x = np.random.default_rng(19).normal(size=(3, 6, 5))
+        _, trace = forward(params, x)
+        targets = {"anxiety": np.array([1.0, 0.0, 1.0]), "protected": np.array([0.0, 0.0, 1.0])}
+        only = backward(params, trace, targets, {"anxiety": 1.0}, np.ones(3))
+        zeroed = backward(params, trace, targets, {"anxiety": 1.0, "protected": 0.0}, np.ones(3))
+        assert np.all(only["head.protected.W"] == 0.0) and np.all(only["head.protected.b"] == 0.0)
+        assert set(only) == set(zeroed)
+        for name in zeroed:
+            assert np.array_equal(only[name], zeroed[name]), name
 
 
 class TestInputGradient:
