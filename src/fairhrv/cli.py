@@ -12,7 +12,7 @@ and NN-interval CSVs under the one rule of fileio.read_numeric_csv, the
 row scan's. Every model command takes --epochs, --keep-rate, --lr,
 --batch-size, --lstm-hidden, --dense-size, --threshold, --by-participant
 and --seed; only mitigate and compare, which train the proposed model, take
-its --ckpt-every, --loss-weights and --mc-passes, and mitigate --eval-on.
+its --ckpt-every, --loss-weights and --mc-passes.
 Exit codes: 0 success; 1 data or I/O errors, a flag out of range or an
 allocation that fails; 2 usage errors.
 """
@@ -213,7 +213,7 @@ def _run_single_model(args) -> None:
 def cmd_mitigate(args) -> None:
     config = _train_config(args)
     split = _standardized_split(args, config)
-    run = pipeline.run_mitigation(split, args.protected, config, eval_on=args.eval_on)
+    run = pipeline.run_mitigation(split, args.protected, config)
     out = _out_dir(args)
     for ckpt in run.checkpoints:
         save_checkpoint(ckpt, out / "checkpoints" / f"ckpt_epoch_{ckpt.epoch}.bin")
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protected", required=True)
     _add_train_args(p)
     _add_proposed_model_args(p)
-    p.add_argument("--eval-on", choices=("train", "test"), default="train")
 
     p = command("saliency", cmd_saliency, "average saliency map for a checkpoint")
     p.add_argument("--checkpoint", required=True, type=Path)

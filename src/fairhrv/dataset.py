@@ -10,10 +10,10 @@ biased-cohort generator, and the CSV/JSON interchange formats.
 The windows CSV is the largest interchange file, so its codec is the
 fast one. The writer formats chunks of windows in forked processes, one
 per usable CPU, and joins them in order. The reader reads the file under
-the one rule of ``fileio.read_numeric_csv`` and groups rows by sample
-with array operations. The generator draws all of a cohort's noise in
-one call. Each of the three gives the bytes or bits of its one-at-a-time
-form.
+the one rule of ``fileio.read_numeric_csv``, checks that its rows come in
+the writer's layout, and groups nothing. The generator draws all of a
+cohort's noise in one call. Each of the three gives the bytes or bits of
+its one-at-a-time form.
 
 Windows and attribute codings come only from the readers (``load_cohort``
 over ``read_windows_csv``, ``read_outcomes_csv`` and ``encode_protected``)
@@ -398,74 +398,50 @@ def read_windows_csv(path):
 
     The file is read under the one rule of ``fileio.read_numeric_csv``,
     with the header WINDOWS_HEADER: the ids are text, the step an integer
-    in [0, 24), and every feature value a finite number. Samples come in
-    order of their first row; a sample's rows may come in any order and
-    interleave with other samples' rows, each of its 24 steps comes once,
-    and all of them name one participant. No id may hold a comma, quote,
-    CR or LF (``fileio.check_csv_name``), as the files that the model
-    commands write them into could not read them back.
+    and every feature value a finite number. The rows are checked against
+    the layout ``write_windows_csv`` writes, not grouped into it: row r is
+    step r mod 24 of sample r div 24 and names the participant of that
+    sample's first row, so the features are a view of the rows. No id may
+    hold a comma, quote, CR or LF (``fileio.check_csv_name``), as the files
+    that the model commands write them into could not read them back.
 
     Raises ValueError: naming the file and the first bad line, on a bad
     header, column count, step or feature value; failing those, naming the
     file and the id, on an id the rule above refuses; naming the file and
-    the line of the first row that repeats an earlier row's (sample,
-    step); naming the file, on a sample with missing steps; naming the
-    file, the line and both ids, on the first row whose participant is not
-    that of its sample's first row; and naming the file and the offset of
-    the first bad byte, for a file that is not UTF-8 text.
+    the line of the first row out of place or naming another participant;
+    naming the file and the sample, on a last sample cut short; and naming
+    the file and the offset of the first bad byte, for a file that is not
+    UTF-8 text.
     """
     samples, participants = {}, {}  # id -> its number, in order of first row
     data = read_numeric_csv(path, WINDOWS_HEADER, exact_header=True, converters=(
         lambda text: samples.setdefault(text, len(samples)),
         lambda text: participants.setdefault(text, len(participants)),
-        _step,
+        int,  # as strict as int(): "1.0" is not a step
     ))
     for what, ids in (("sample", samples), ("participant", participants)):
         for name in ids:  # each distinct id once, not each row
             check_csv_name(f"{path}: {what}", name)
-    n = len(samples)
-    if n == 0:
-        return [], [], np.zeros((0, WINDOW_STEPS, N_FEATURES))
-    slot = data[:, 0].astype(np.intp) * WINDOW_STEPS + data[:, 2].astype(np.intp)
-    counts = np.bincount(slot, minlength=n * WINDOW_STEPS)
-    if not (counts == 1).all():
-        sample_ids = list(samples)
-        # the rows that repeat the (sample, step) of an earlier row
-        repeats = np.setdiff1d(np.arange(len(slot)), np.unique(slot, return_index=True)[1])
-        if len(repeats):
-            row = repeats[0]
-            raise ValueError(f"{path}, line {_line_of_row(path, row)}: repeats step {int(data[row, 2])} "
-                             f"of sample {sample_ids[int(data[row, 0])]!r}")
-        incomplete = np.flatnonzero(counts.reshape(n, WINDOW_STEPS).min(axis=1) == 0)[0]
-        raise ValueError(f"{path}: sample {sample_ids[incomplete]!r} is missing time steps")
-    first_rows = np.unique(data[:, 0], return_index=True)[1]
-    participant_ids = list(participants)
-    mixed = np.flatnonzero(data[:, 1] != data[first_rows[data[:, 0].astype(np.intp)], 1])
-    if len(mixed):
-        row = mixed[0]
-        sample = int(data[row, 0])
-        raise ValueError(f"{path}, line {_line_of_row(path, row)}: sample {list(samples)[sample]!r} names "
-                         f"participant {participant_ids[int(data[row, 1])]!r}, but its first row names "
-                         f"{participant_ids[int(data[first_rows[sample], 1])]!r}")
-    values = data[:, 3:]
-    # rows in (sample, step) order, as the writer writes them, are returned as a view, not copied
-    if (slot != np.arange(len(slot))).any():
-        values = values[np.argsort(slot)]
-    return (list(samples), [participant_ids[int(k)] for k in data[first_rows, 1]],
-            values.reshape(n, WINDOW_STEPS, N_FEATURES))
-
-
-def _line_of_row(path, row) -> int:
-    """The line of the CSV ``path`` on which its data row ``row`` (0 for the first after the header) ends."""
-    return next(itertools.islice(read_csv(path), row + 1, None))[0]
-
-
-def _step(text) -> int:
-    """The step of a windows-CSV row, from its text: an integer in [0, WINDOW_STEPS)."""
-    step = int(text)  # as strict as int(): "1.0" is not a step
-    if not 0 <= step < WINDOW_STEPS:
-        raise ValueError(f"step {step} outside [0, {WINDOW_STEPS})")
-    return step
+    sample_ids, participant_ids = list(samples), list(participants)
+    rows = np.arange(len(data))
+    first = rows - rows % WINDOW_STEPS  # each row's sample's first row, where the layout holds
+    in_place = (data[:, 0] == rows // WINDOW_STEPS) & (data[:, 2] == rows % WINDOW_STEPS)
+    bad = np.flatnonzero(~in_place | (data[:, 1] != data[first, 1]))
+    if len(bad):
+        row = bad[0]
+        line = next(itertools.islice(read_csv(path), row + 1, None))[0]  # the line on which the row ends
+        where, sample = f"{path}, line {line}", sample_ids[int(data[row, 0])]
+        if in_place[row]:
+            raise ValueError(f"{where}: sample {sample!r} names participant {participant_ids[int(data[row, 1])]!r}, "
+                             f"but its first row names {participant_ids[int(data[first[row], 1])]!r}")
+        want = f"sample {sample_ids[row // WINDOW_STEPS]!r}" if row % WINDOW_STEPS else "a new sample"
+        raise ValueError(f"{where}: step {int(data[row, 2])} of sample {sample!r} where step {row % WINDOW_STEPS} "
+                         f"of {want} belongs; each sample's {WINDOW_STEPS} rows come together, in step order")
+    if len(data) % WINDOW_STEPS:
+        raise ValueError(f"{path}: the last sample, {sample_ids[-1]!r}, has {len(data) % WINDOW_STEPS} "
+                         f"of its {WINDOW_STEPS} rows")
+    return (sample_ids, [participant_ids[int(k)] for k in data[::WINDOW_STEPS, 1]],
+            data[:, 3:].reshape(-1, WINDOW_STEPS, N_FEATURES))
 
 
 LABELS_HEADER = ["sample_id", "anxiety"]

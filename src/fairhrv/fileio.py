@@ -83,8 +83,9 @@ def read_numeric_csv(path, columns, *, converters=(), positive=False, exact_head
     when it holds what the scan would. Only a file that numpy's parser
     splits and converts as the scan does goes to it (``_parses_as_scan``);
     any refusal, or a value that breaks the rule, leaves it to the scan.
-    A converter returns a float64-exact number, raises ValueError on text
-    it refuses, and numbers the same rows the same way when called on them
+    A converter returns a float64-exact number or an int (one past the
+    float64 range is refused as bad text), raises ValueError on text it
+    refuses, and numbers the same rows the same way when called on them
     again.
 
     Raises:
@@ -164,7 +165,7 @@ def _scan_numeric_rows(path, columns, converters, positive):
         for convert, text in zip(converters, row):
             try:
                 values.append(convert(text))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float64 range
                 raise ValueError(f"{path}, line {line}: {exc}") from None
         for name, text in zip(columns[len(converters) :], row[len(converters) :]):
             try:

@@ -95,28 +95,21 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
     return _test_run(params, losses, split, protected, config)
 
 
-def _mc_eval_cohort(split: SplitCohort, config: TrainConfig, eval_on: str = "train") -> Cohort:
-    """The cohort whose MC dropout uncertainties select the checkpoint.
-
-    Allocates a sample buffer of ``nnet.mc_forward``'s (heads, passes,
-    windows) shape first, one head per task weight, so an ``mc_passes``
-    the host cannot hold fails before any model trains.
-    """
-    eval_cohort = split.train if eval_on == "train" else split.test
-    np.empty((len(config.task_weights), config.mc_passes, len(eval_cohort)))
-    return eval_cohort
+def _reserve_mc_buffer(split: SplitCohort, config: TrainConfig) -> None:
+    """Allocate ``mc_forward``'s (heads, passes, train windows) buffer: too many MC passes fail before training."""
+    np.empty((len(config.task_weights), config.mc_passes, len(split.train)))
 
 
-def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig, eval_on: str = "train") -> ModelRun:
+def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig) -> ModelRun:
     """The full mitigation pipeline on a prepared split; the run holds every checkpoint.
 
-    Uncertainties are evaluated on the training split by default
-    (``eval_on="test"`` switches to the held-out split). The selected
+    Uncertainties are evaluated on the training split, so the test split
+    the run reports on has no say in the checkpoint; the selected
     checkpoint's weights are used verbatim for the final prediction.
     """
-    eval_cohort = _mc_eval_cohort(split, config, eval_on)
+    _reserve_mc_buffer(split, config)
     checkpoints, losses = train_mtl_with_checkpoints(split.train, protected, config)
-    records = evaluate_uncertainties(checkpoints, eval_cohort, config)
+    records = evaluate_uncertainties(checkpoints, split.train, config)
     selection = select_checkpoint(records)
     selected = next(c for c in checkpoints if c.epoch == selection.epoch)
     return _test_run(selected, losses, split, protected, config, records, selection, checkpoints)
@@ -139,7 +132,7 @@ COMPARISON_COLUMNS = (
 
 def run_comparison(split: SplitCohort, protected: str, config: TrainConfig) -> dict:
     """Train all three models on one prepared split and collect the comparison table."""
-    _mc_eval_cohort(split, config)  # the proposed model's MC buffer, before the base model trains
+    _reserve_mc_buffer(split, config)  # the proposed model's, before the base model trains
     runs = {
         "base": run_base_model(split, protected, config),
         "reweighting": run_reweighted_model(split, protected, config),

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from fairhrv import hrv_features, mitigation
 from fairhrv.checkpoint_io import save_checkpoint
 from fairhrv.cli import build_parser, main
-from fairhrv.dataset import WINDOWS_HEADER, _format_windows
+from fairhrv.dataset import WINDOWS_HEADER, _format_windows, read_windows_csv
 from fairhrv.hrv_features import extract_features, write_features_csv
 from fairhrv.nnet import ModelArch, init_params
 from peak_memory import peak_mb
@@ -223,6 +223,21 @@ class TestExtract:
         windows = (out / "windows.csv").read_text().splitlines()
         assert windows[0].startswith("sample_id,participant_id,step,mean_nni")
         assert len(windows) == 1 + 24 * ((len(features) - 1) // 24)
+
+    def test_windows_read_back_as_the_first_whole_windows_of_the_features(self, tmp_path):
+        nni_csv = tmp_path / "nni.csv"
+        intervals = np.random.default_rng(1).uniform(700, 900, size=1500)  # 60 segments of 20 s: 2 windows
+        nni_csv.write_text("interval_ms\n" + "\n".join(map(repr, intervals.tolist())) + "\n")
+        out = tmp_path / "extract"
+        assert main(["extract", "--nni", str(nni_csv), "--segment-seconds", "20", "--participant", "p0001",
+                     "--out", str(out)]) == 0
+        features = np.array([[float(v) for v in line.split(",")]
+                             for line in (out / "features.csv").read_text().splitlines()[1:]])
+        k = len(features) // 24
+        assert k >= 2
+        sample_ids, participant_ids, windows = read_windows_csv(out / "windows.csv")
+        assert (sample_ids, participant_ids) == ([f"p0001_w{i:04d}" for i in range(k)], ["p0001"] * k)
+        assert windows.tobytes() == features[: 24 * k].tobytes()
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
         code = main(["extract", "--out", str(tmp_path / "z")])
@@ -945,13 +960,14 @@ class TestTrainingInputs:
         assert err[-1] == f"fairhrv {command}: error: unrecognized arguments: {flag} {value}"
         assert not out.exists()
 
-    def test_eval_on_outside_its_choices_is_a_usage_error(self, tmp_path, capsys):
+    def test_eval_on_is_a_usage_error(self, tmp_path, capsys):
+        # the checkpoint is always chosen on the train split: one chosen on the split it reports on is biased
         missing = str(tmp_path / "missing.csv")
         out = tmp_path / "out"
         assert main(["mitigate", "--windows", missing, "--labels", missing, "--demo", missing, "--protected", "group",
-                     "--eval-on", "valid", "--out", str(out)]) == 2
+                     "--eval-on", "test", "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("fairhrv mitigate: error: argument --eval-on: invalid choice: 'valid'"), err
+        assert err[-1] == "fairhrv mitigate: error: unrecognized arguments: --eval-on test", err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-base", "reweigh-train", "mitigate", "compare"])
@@ -1054,7 +1070,7 @@ class TestTrainingInputs:
 SECOND_VALUES = {
     "--epochs": "1", "--keep-rate": "0.5", "--lr": "0.01", "--batch-size": "8", "--lstm-hidden": "5",
     "--dense-size": "3", "--threshold": "0", "--by-participant": None, "--seed": "1",
-    "--ckpt-every": "1", "--loss-weights": "1,1", "--mc-passes": "3", "--eval-on": "test",
+    "--ckpt-every": "1", "--loss-weights": "1,1", "--mc-passes": "3",
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairhrv import dataset, pipeline
+from fairhrv.cli import main
 from fairhrv.dataset import (
     PREDICTIONS_HEADER,
     AttributeCoding,
@@ -383,6 +384,21 @@ class TestWindowsWriter:
         assert multiprocessing.active_children() == []
 
 
+# the end of the error on a row out of the place the writer's layout gives it
+LAYOUT = " belongs; each sample's 24 rows come together, in step order"
+
+# (case, line, error after the line) of each file that breaks the writer's layout
+LAYOUT_CASES = [
+    ("swapped-steps", 5, "step 4 of sample 's000000' where step 3 of sample 's000000'" + LAYOUT),
+    ("interleaved-samples", 7, "step 0 of sample 's000001' where step 5 of sample 's000000'" + LAYOUT),
+    ("sample-cut-short-mid-file", 12, "step 11 of sample 's000000' where step 10 of sample 's000000'" + LAYOUT),
+    ("sample-repeated-later", 74, "step 0 of sample 's000000' where step 0 of a new sample" + LAYOUT),
+    ("step-of-24", 7, "step 24 of sample 's000000' where step 5 of sample 's000000'" + LAYOUT),
+    ("participant-change", 32, "sample 's000001' names participant 'other', but its first row names 'p0000'"),
+    ("last-sample-cut-short", None, "the last sample, 's000002', has 23 of its 24 rows"),
+]
+
+
 class TestWindowsReader:
     def _rows(self, n=3):
         sample_ids, participant_ids, features, text = _codec_case(n)
@@ -405,16 +421,47 @@ class TestWindowsReader:
         assert (got[0], got[1]) == (sample_ids, participant_ids)
         assert np.array_equal(got[2].view(np.uint64), features.view(np.uint64))
 
-    def test_shuffled_and_interleaved_rows(self, tmp_path):
-        header, *rows = self._rows(5)
-        order = np.random.default_rng(3).permutation(len(rows))
-        (tmp_path / "w.csv").write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
-        self._assert_equal_to_scan(tmp_path / "w.csv")
+    @pytest.mark.parametrize("case,line,message", LAYOUT_CASES, ids=[case for case, _, _ in LAYOUT_CASES])
+    def test_rows_out_of_the_writers_layout_are_refused(self, tmp_path, capsys, case, line, message):
+        header, *rows = self._rows(3)
+        if case == "swapped-steps":
+            rows[3], rows[4] = rows[4], rows[3]
+        elif case == "interleaved-samples":
+            rows.insert(5, rows.pop(24))
+        elif case == "sample-cut-short-mid-file":
+            del rows[10]
+        elif case == "sample-repeated-later":
+            rows += rows[:24]
+        elif case == "step-of-24":
+            rows[5] = rows[5].replace(",5,", ",24,", 1)
+        elif case == "participant-change":
+            rows[30] = rows[30].replace(",p0000,", ",other,")
+        else:
+            del rows[-1]
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        error = f"{path}: {message}" if line is None else f"{path}, line {line}: {message}"
+        assert self._assert_equal_to_scan(path) == error
+        labels, demographics, out = tmp_path / "l.csv", tmp_path / "d.csv", tmp_path / "out"
+        labels.write_text("sample_id,anxiety\ns000000,0\ns000001,1\ns000002,0\n")
+        demographics.write_text("participant_id,group\np0000,a\nother,b\n")
+        assert main(["audit", "--windows", str(path), "--labels", str(labels), "--demo", str(demographics),
+                     "--protected", "group", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
+    def test_step_past_the_float_range_is_refused_naming_its_line(self, tmp_path):
+        header, *rows = self._rows(1)
+        rows[2] = rows[2].replace(",2,", "," + "9" * 400 + ",", 1)
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        # the step converter's int does not fit a float64: numpy's parser refuses it, and the scan names the line
+        assert self._assert_equal_to_scan(path, fast=False) == f"{path}, line 4: int too large to convert to float"
 
     def test_sample_whose_rows_name_two_participants_is_refused(self, tmp_path):
         header, *rows = self._rows(2)
-        rows[1] = rows[1].replace(",p0000,", ",other,")
-        (tmp_path / "w.csv").write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
+        rows[0] = rows[0].replace(",p0000,", ",other,")
+        (tmp_path / "w.csv").write_text("\n".join([header, *rows]) + "\n")
         assert self._assert_equal_to_scan(tmp_path / "w.csv") == (
             f"{tmp_path / 'w.csv'}, line 3: sample 's000000' names participant 'p0000', but its first row names 'other'")
 

@@ -1,4 +1,4 @@
-"""The README's fixed-seed chain runs as written, and its tables list what the commands write."""
+"""The README's fixed-seed chain runs as written, and its tables and windows header are what the code writes."""
 
 import json
 import re
@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 from fairhrv.cli import main
+from fairhrv.dataset import WINDOWS_HEADER
 from fairhrv.fairness import evaluate_predictions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,3 +51,8 @@ def test_readme_chain_runs_as_written_and_writes_what_the_out_table_lists(tmp_pa
 def test_report_table_lists_exactly_the_report_keys():
     listed = re.findall(r"^\| `(\w+)` \|", readme_section("What `report.json` holds"), re.M)
     assert listed == list(evaluate_predictions([1, 0], [1, 0], [1, 0], "group"))
+
+
+def test_windows_header_is_the_one_the_code_reads_and_writes():
+    (header,) = re.findall(r"```csv\n(.*)\n```", readme_section("What a windows CSV holds"))
+    assert header == ",".join(WINDOWS_HEADER)
