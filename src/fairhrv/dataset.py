@@ -429,13 +429,13 @@ def read_windows_csv(path):
     bad = np.flatnonzero(~in_place | (data[:, 1] != data[first, 1]))
     if len(bad):
         row = bad[0]
-        line = next(itertools.islice(read_csv(path), row + 1, None))[0]  # the line on which the row ends
+        line, fields = next(itertools.islice(read_csv(path), row + 1, None))  # the line on which the row ends
         where, sample = f"{path}, line {line}", sample_ids[int(data[row, 0])]
         if in_place[row]:
             raise ValueError(f"{where}: sample {sample!r} names participant {participant_ids[int(data[row, 1])]!r}, "
                              f"but its first row names {participant_ids[int(data[first[row], 1])]!r}")
         want = f"sample {sample_ids[row // WINDOW_STEPS]!r}" if row % WINDOW_STEPS else "a new sample"
-        raise ValueError(f"{where}: step {int(data[row, 2])} of sample {sample!r} where step {row % WINDOW_STEPS} "
+        raise ValueError(f"{where}: step {fields[2]} of sample {sample!r} where step {row % WINDOW_STEPS} "
                          f"of {want} belongs; each sample's {WINDOW_STEPS} rows come together, in step order")
     if len(data) % WINDOW_STEPS:
         raise ValueError(f"{path}: the last sample, {sample_ids[-1]!r}, has {len(data) % WINDOW_STEPS} "

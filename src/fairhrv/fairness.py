@@ -42,8 +42,8 @@ def _counts(outcomes, labels=None, groups=None) -> np.ndarray:
     return np.bincount(codes, minlength=8).reshape(2, 2, 2)
 
 
-def reweigh_weights(labels, groups) -> dict:
-    """Per-(group, label) weights w = P(group) * P(label) / P(group, label).
+def sample_weights(labels, groups) -> np.ndarray:
+    """Each sample's reweighting weight, w = P(group) * P(label) / P(group, label) of its (group, label) cell.
 
     Applying these weights makes the weighted label distribution
     independent of group (weighted disparate impact exactly 1).
@@ -51,19 +51,11 @@ def reweigh_weights(labels, groups) -> dict:
     Raises:
         ValueError: one of the four cells has no samples, naming it.
     """
-    table = _counts(labels, groups=groups)[:, 0, :]  # the labels are the outcomes, as in a dataset audit
-    n, n_group, n_label = table.sum(), table.sum(axis=1), table.sum(axis=0)
-    weights = {}
-    for (g, y), n_cell in np.ndenumerate(table):
-        if n_cell == 0:
-            raise ValueError(f"no samples with group={g}, label={y}")
-        weights[(g, y)] = float((n_group[g] / n) * (n_label[y] / n) / (n_cell / n))
-    return weights
-
-
-def sample_weights(labels, groups) -> np.ndarray:
-    """Expand the reweighting table to one weight per sample."""
-    by_cell = np.reshape(list(reweigh_weights(labels, groups).values()), (2, 2))  # keys in (group, label) order
+    table = _counts(labels, groups=groups)[:, 0, :]  # (group, label): labels are the outcomes, as in a dataset audit
+    if not table.all():
+        raise ValueError("no samples with group={}, label={}".format(*np.argwhere(table == 0)[0]))
+    n = table.sum()
+    by_cell = (table.sum(axis=1, keepdims=True) / n) * (table.sum(axis=0) / n) / (table / n)
     return by_cell[np.asarray(groups, dtype=np.int64), np.asarray(labels, dtype=np.int64)]
 
 

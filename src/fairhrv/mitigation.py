@@ -97,13 +97,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class UncertaintyRecord:
-    """Per-checkpoint mean posterior means and predictive variances."""
+    """Per-checkpoint window means of each head's predictive variance."""
 
     epoch: int
     c_anxiety: float
     c_protected: float
-    p_anxiety: float
-    p_protected: float
 
     @property
     def gap(self) -> float:
@@ -212,29 +210,27 @@ def train_mtl_with_checkpoints(train: Cohort, protected: str, config: TrainConfi
 
 # as in _train_loop and final_predict, an overflow ends in one error (here select_checkpoint's), not warnings
 @np.errstate(over="ignore", invalid="ignore")
-def evaluate_uncertainties(checkpoints, cohort: Cohort, config: TrainConfig):
+def evaluate_uncertainties(checkpoints, cohort: Cohort, config: TrainConfig, samples: np.ndarray):
     """Score every checkpoint's per-head epistemic uncertainty.
 
-    Per checkpoint: ``mc_passes`` dropout forward passes per window give a
-    per-window predictive variance for each head; the record stores the
-    arithmetic mean over windows. The mask stream is seeded per checkpoint
-    epoch, so results do not depend on evaluation order.
+    ``samples`` is the (heads, passes, windows) buffer that ``mc_forward``
+    fills with one checkpoint's draws at a time, heads in (anxiety,
+    protected) order. Each head's draws reduce to the window mean of its
+    predictive variance: divisor T, the passes (at least 2, as
+    ``TrainConfig`` refuses fewer), about a mean accumulated relative to
+    the first pass, so a deterministic model (keep_rate 1) gives exactly
+    0. The mask stream is seeded per checkpoint epoch, so results do not
+    depend on evaluation order.
     """
-    x = cohort.feature_tensor()
+    x, passes = cohort.feature_tensor(), samples.shape[1]
     records = []
     for ckpt in checkpoints:
         rng = substream(config.seed, "mc-eval", ckpt.epoch)
-        means, variances = mc_forward(ckpt, x, passes=config.mc_passes,
-                                      keep_rate=config.keep_rate, rng=rng)
-        records.append(
-            UncertaintyRecord(
-                epoch=ckpt.epoch,
-                c_anxiety=float(np.mean(variances["anxiety"])),
-                c_protected=float(np.mean(variances["protected"])),
-                p_anxiety=float(np.mean(means["anxiety"])),
-                p_protected=float(np.mean(means["protected"])),
-            )
-        )
+        variances = []
+        for draws in mc_forward(ckpt, x, config.keep_rate, rng, samples):  # one head's (passes, windows) at a time
+            mean = draws[0] + np.sum(draws - draws[0], axis=0) / passes
+            variances.append(float(np.mean(np.sum((draws - mean) ** 2, axis=0) / passes)))
+        records.append(UncertaintyRecord(ckpt.epoch, *variances))
     return records
 
 
@@ -244,13 +240,10 @@ def select_checkpoint(records) -> UncertaintyRecord:
     Raises:
         ValueError: a gap is NaN or infinite.
     """
-    best = records[0]
     for record in records:
         if not math.isfinite(record.gap):
             raise ValueError(f"checkpoint of epoch {record.epoch} has a non-finite uncertainty gap")
-        if record.gap > best.gap:
-            best = record
-    return best
+    return max(records, key=lambda record: record.gap)  # the first of equal maxima
 
 
 @np.errstate(over="ignore", invalid="ignore")

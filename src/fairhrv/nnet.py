@@ -18,10 +18,13 @@ gives each window's last hidden state, and ``forward`` then runs the head
 network on those states. The head network is the model without its
 ``lstm.*`` tensors, which ``ModelArch.from_params`` reads as a model
 without an LSTM whose input size is H; the full model's ``lstm_out``
-dropout multipliers apply to that input. Monte-Carlo dropout runs the
-recurrence once per call and only the head network in each pass. A
-dropout draw is its inverted-dropout multipliers (``sample_dropout_mask``),
-which ``forward`` applies as given and keeps in its trace for ``backward``.
+dropout multipliers apply to that input. Monte-Carlo dropout
+(``mc_forward``) runs the recurrence once per call and only the head
+network in each pass. It writes each pass's head probabilities into the
+caller's buffer and decides no measure over them: ``mitigation`` reduces
+the draws to the uncertainty it selects checkpoints by. A dropout draw
+is its inverted-dropout multipliers (``sample_dropout_mask``), which
+``forward`` applies as given and keeps in its trace for ``backward``.
 
 Inference holds the recurrence's history one block of windows at a time.
 Training keeps the whole history for backpropagation through time, about
@@ -520,36 +523,27 @@ def predict(params: ModelParams, x: np.ndarray) -> dict:
     return outputs
 
 
-def mc_forward(params: ModelParams, x: np.ndarray, passes: int, keep_rate: float, rng) -> tuple:
-    """Monte-Carlo dropout: ``passes`` forward passes with fresh dropout multipliers.
+def mc_forward(params: ModelParams, x: np.ndarray, keep_rate: float, rng, out: np.ndarray) -> np.ndarray:
+    """Monte-Carlo dropout draws: fills ``out`` with each pass's head probabilities and returns it.
 
-    Returns ({head: posterior mean}, {head: predictive variance}), the
-    variance taken with divisor T = ``passes`` (at least 2, as
-    ``TrainConfig`` refuses fewer). The mean is accumulated relative to
-    the first pass so a deterministic model (keep_rate 1) yields an
-    exactly zero variance.
+    ``out`` is the caller's (heads, passes, batch) buffer: ``out[k, i]`` is
+    head k's (in ``ModelArch.heads`` order) probabilities in pass i, each
+    pass with fresh dropout multipliers from ``rng``. It makes no
+    reduction; the caller decides the measure over the draws.
 
     The recurrence runs once per call, block by block, and each pass is
     one ``forward`` of the head network (``_head_network``) with
-    multipliers drawn for the full model: the bits of ``passes`` full
-    forward passes with the same draws. The passes' outputs are held in
-    one (heads, passes, batch) buffer.
+    multipliers drawn for the full model: the bits of a full forward pass
+    per pass with the same draws.
     """
     arch = ModelArch.from_params(params)
     net, inputs = _head_network(params, x)
-    batch = inputs.shape[0]
-    samples = np.empty((len(arch.heads), passes, batch))
-    for i in range(passes):
-        mask = sample_dropout_mask(arch, keep_rate, rng, batch=batch)
+    for draws in out.swapaxes(0, 1):  # one pass's (heads, batch) at a time
+        mask = sample_dropout_mask(arch, keep_rate, rng, batch=len(inputs))
         outputs, _ = forward(net, inputs, mask=mask)
-        for k, head in enumerate(arch.heads):
-            samples[k, i] = outputs[head]
-    means, variances = {}, {}
-    for head, s in zip(arch.heads, samples):
-        mean = s[0] + np.sum(s - s[0], axis=0) / passes
-        means[head] = mean
-        variances[head] = np.sum((s - mean) ** 2, axis=0) / passes
-    return means, variances
+        for row, head in zip(draws, arch.heads):
+            row[:] = outputs[head]
+    return out
 
 
 @dataclass

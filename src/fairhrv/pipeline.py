@@ -12,7 +12,7 @@ features=...)`` on its ``.windows``; folding those wrappers or deleting
 ``dataset.LabeledWindow`` waits for a benchmark change.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,15 +69,12 @@ def prepare_split(cohort: Cohort, seed: int, by_participant: bool = False,
     return standardize(split)
 
 
-def _test_run(params: ModelParams, losses, split: SplitCohort, protected: str | None, config: TrainConfig,
-              records=(), selection=None, checkpoints=()) -> ModelRun:
+def _test_run(params: ModelParams, losses, split: SplitCohort, protected: str | None, config: TrainConfig) -> ModelRun:
     """Predict ``split.test`` with ``params`` and report the predictions' fairness."""
     preds, probs = final_predict(params, split.test, threshold=config.threshold)
     groups = None if protected is None else split.test.protected_values(protected)
     metrics = evaluate_predictions(preds, split.test.labels(), groups, protected)
-    if selection is not None:
-        metrics["chosen_epoch"] = selection.epoch
-    return ModelRun(params, preds, probs, metrics, tuple(losses), tuple(records), selection, tuple(checkpoints))
+    return ModelRun(params, preds, probs, metrics, tuple(losses))
 
 
 def run_base_model(split: SplitCohort, protected: str | None, config: TrainConfig) -> ModelRun:
@@ -95,24 +92,23 @@ def run_reweighted_model(split: SplitCohort, protected: str, config: TrainConfig
     return _test_run(params, losses, split, protected, config)
 
 
-def _reserve_mc_buffer(split: SplitCohort, config: TrainConfig) -> None:
-    """Allocate ``mc_forward``'s (heads, passes, train windows) buffer: too many MC passes fail before training."""
-    np.empty((len(config.task_weights), config.mc_passes, len(split.train)))
-
-
 def run_mitigation(split: SplitCohort, protected: str, config: TrainConfig) -> ModelRun:
     """The full mitigation pipeline on a prepared split; the run holds every checkpoint.
 
-    Uncertainties are evaluated on the training split, so the test split
-    the run reports on has no say in the checkpoint; the selected
-    checkpoint's weights are used verbatim for the final prediction.
+    The MC draws' one (heads, passes, train windows) buffer is allocated
+    before training, so an ``mc_passes`` the host cannot hold fails before
+    any epoch runs. Uncertainties are evaluated on the training split, so
+    the test split the run reports on has no say in the checkpoint; the
+    selected checkpoint's weights are used verbatim for the final
+    prediction.
     """
-    _reserve_mc_buffer(split, config)
+    samples = np.empty((len(config.task_weights), config.mc_passes, len(split.train)))
     checkpoints, losses = train_mtl_with_checkpoints(split.train, protected, config)
-    records = evaluate_uncertainties(checkpoints, split.train, config)
+    records = evaluate_uncertainties(checkpoints, split.train, config, samples)
     selection = select_checkpoint(records)
-    selected = next(c for c in checkpoints if c.epoch == selection.epoch)
-    return _test_run(selected, losses, split, protected, config, records, selection, checkpoints)
+    run = _test_run(next(c for c in checkpoints if c.epoch == selection.epoch), losses, split, protected, config)
+    return replace(run, metrics={**run.metrics, "chosen_epoch": selection.epoch}, records=tuple(records),
+                   selection=selection, checkpoints=tuple(checkpoints))
 
 
 COMPARISON_ROWS = (
@@ -131,12 +127,17 @@ COMPARISON_COLUMNS = (
 
 
 def run_comparison(split: SplitCohort, protected: str, config: TrainConfig) -> dict:
-    """Train all three models on one prepared split and collect the comparison table."""
-    _reserve_mc_buffer(split, config)  # the proposed model's, before the base model trains
+    """Train all three models on one prepared split and collect the comparison table.
+
+    The proposed model trains first, so its MC buffer is allocated before
+    any model trains; each model's trajectory depends only on the split
+    and ``config``, so the order leaves every number as it is.
+    """
+    proposed = run_mitigation(split, protected, config)
     runs = {
         "base": run_base_model(split, protected, config),
         "reweighting": run_reweighted_model(split, protected, config),
-        "proposed": run_mitigation(split, protected, config),
+        "proposed": proposed,
     }
     return {
         "attribute": protected,

@@ -89,12 +89,11 @@ def brute_force_report(outcomes, labels=None, groups=None, attribute=None):
     return report
 
 
-def brute_force_weighted_dir(labels, groups, weight_table):
-    """Disparate impact recomputed with weighted counts."""
+def brute_force_weighted_dir(labels, groups, weights):
+    """Disparate impact recomputed with weighted counts, one weight per sample."""
     wpos = {0: 0.0, 1: 0.0}
     wtot = {0: 0.0, 1: 0.0}
-    for y, g in zip(labels, groups):
-        w = weight_table[(g, y)]
+    for y, g, w in zip(labels, groups, weights):
         wtot[g] += w
         wpos[g] += w * int(y == 1)
     return (wpos[0] / wtot[0]) / (wpos[1] / wtot[1])

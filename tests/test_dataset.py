@@ -394,6 +394,8 @@ LAYOUT_CASES = [
     ("sample-cut-short-mid-file", 12, "step 11 of sample 's000000' where step 10 of sample 's000000'" + LAYOUT),
     ("sample-repeated-later", 74, "step 0 of sample 's000000' where step 0 of a new sample" + LAYOUT),
     ("step-of-24", 7, "step 24 of sample 's000000' where step 5 of sample 's000000'" + LAYOUT),
+    # a float64 reads this step as 2**53: the message echoes the text
+    ("step-above-2**53", 7, "step 9007199254740993 of sample 's000000' where step 5 of sample 's000000'" + LAYOUT),
     ("participant-change", 32, "sample 's000001' names participant 'other', but its first row names 'p0000'"),
     ("last-sample-cut-short", None, "the last sample, 's000002', has 23 of its 24 rows"),
 ]
@@ -434,6 +436,8 @@ class TestWindowsReader:
             rows += rows[:24]
         elif case == "step-of-24":
             rows[5] = rows[5].replace(",5,", ",24,", 1)
+        elif case == "step-above-2**53":
+            rows[5] = rows[5].replace(",5,", f",{2**53 + 1},", 1)
         elif case == "participant-change":
             rows[30] = rows[30].replace(",p0000,", ",other,")
         else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhrv.fairness import accuracy_score, evaluate_predictions, reweigh_weights, sample_weights
+from fairhrv.fairness import accuracy_score, evaluate_predictions, sample_weights
 from fairhrv.pipeline import COMPARISON_COLUMNS, COMPARISON_ROWS, render_comparison_text
 from fairness_oracle import (
     brute_force_accuracy,
@@ -116,16 +116,14 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^outcomes and labels must be aligned$"):
             accuracy_score([1, 0], [1])
         with pytest.raises(ValueError, match="^groups must be binary 0/1$"):
-            reweigh_weights([1, 0, 1, 0], [0, 1, 3, 1])
+            sample_weights([1, 0, 1, 0], [0, 1, 3, 1])
 
 
 class TestReweigh:
     def test_independent_distribution_gives_unit_weights(self):
         labels = [0, 0, 1, 1] * 5
         groups = [0, 1, 0, 1] * 5
-        weights = reweigh_weights(labels, groups)
-        for value in weights.values():
-            assert value == pytest.approx(1.0)
+        assert sample_weights(labels, groups) == pytest.approx(np.ones(20))
 
     def test_textbook_cell(self):
         # P(s=1)=0.5, P(y=1)=0.5, P(s=1,y=1)=0.4 -> w(1,1)=0.625
@@ -134,28 +132,28 @@ class TestReweigh:
         for g, y, count in [(1, 1, 8), (1, 0, 2), (0, 1, 2), (0, 0, 8)]:
             labels += [y] * count
             groups += [g] * count
-        weights = reweigh_weights(labels, groups)
-        assert weights[(1, 1)] == pytest.approx(0.625)
+        assert sample_weights(labels, groups)[:8] == pytest.approx(np.full(8, 0.625))
 
     def test_empty_cell(self):
         with pytest.raises(ValueError, match="^no samples with group=0, label=1$"):
-            reweigh_weights([1, 1, 0, 0], [1, 1, 0, 0])
+            sample_weights([1, 1, 0, 0], [1, 1, 0, 0])
 
     def test_weighted_dir_is_one(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             _, labels, groups = random_instance(rng)  # every (group, label) cell filled
-            table = reweigh_weights(labels, groups)
-            assert brute_force_weighted_dir(labels, groups, table) == pytest.approx(1.0, abs=1e-9)
-            assert all(w > 0 for w in table.values())
+            weights = sample_weights(labels, groups)
+            assert brute_force_weighted_dir(labels, groups, weights) == pytest.approx(1.0, abs=1e-9)
+            assert np.all(weights > 0)
 
     def test_sample_weights_expand_table(self):
         labels = np.array([1, 0, 1, 1, 0, 0])
         groups = np.array([1, 1, 1, 0, 0, 0])
-        table = reweigh_weights(labels, groups)
         per_sample = sample_weights(labels, groups)
-        assert per_sample[0] == table[(1, 1)]
-        assert per_sample[5] == table[(0, 0)]
+        for g, y, w in zip(groups, labels, per_sample):
+            # P(group) * P(label) / P(group, label), counted by brute force
+            in_group, with_label = np.mean(groups == g), np.mean(labels == y)
+            assert w == pytest.approx(in_group * with_label / np.mean((groups == g) & (labels == y)), rel=1e-12)
 
 
 class TestAudit:

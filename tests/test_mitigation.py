@@ -1,6 +1,7 @@
 """Tests for the training loops, uncertainty records, and checkpoint selection."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fairhrv.mitigation import (
     train_mtl_with_checkpoints,
     train_reweighted,
 )
-from fairhrv.nnet import backward, forward, init_params, mc_forward, mtl_loss
+from fairhrv.nnet import ModelArch, backward, forward, init_params, mc_forward, mtl_loss, sample_dropout_mask
 from fairhrv.rng import substream
 from peak_memory import peak_mb
 
@@ -34,6 +35,11 @@ TINY = dict(lstm_hidden=6, dense_size=4, mc_passes=8, batch_size=16, lr=3e-3)
 def tiny_config(**overrides):
     merged = {**TINY, **overrides}
     return TrainConfig(**merged)
+
+
+def mc_buffer(config, cohort):
+    """The (heads, passes, windows) buffer that ``pipeline.run_mitigation`` allocates for ``cohort``."""
+    return np.empty((2, config.mc_passes, len(cohort)))
 
 
 def separable_cohort(n=60, seed=0):
@@ -224,41 +230,83 @@ class TestUncertainties:
         cohort = generate_synthetic(48, 0.5, 13)
         config = tiny_config(epochs=10, checkpoint_every=5, seed=14, keep_rate=1.0)
         checkpoints, _ = train_mtl_with_checkpoints(cohort, "group", config)
-        records = evaluate_uncertainties(checkpoints, cohort, config)
+        records = evaluate_uncertainties(checkpoints, cohort, config, mc_buffer(config, cohort))
         for record in records:
             assert record.c_anxiety == 0.0
             assert record.c_protected == 0.0
+
+    def test_two_pass_bernoulli_moments(self):
+        # a net engineered so a single dropout unit flips both heads
+        # between ~0 and ~1: multiplier 0 gives sigmoid(-80), multiplier
+        # 1 / 0.5 gives sigmoid(2 * 80 - 80); with one draw of each,
+        # Eq. 2-3 give exactly p = 0.5 and c = 0.25
+        arch = ModelArch(input_size=1, lstm_hidden=None, dense_size=1, heads=("anxiety", "protected"))
+        params = init_params(arch, seed=0)
+        big = 80.0
+        params.tensors["dense.W"][...] = 1.0
+        params.tensors["dense.b"][...] = 0.0
+        for head in arch.heads:
+            params.tensors[f"head.{head}.W"][...] = 1.0
+            params.tensors[f"head.{head}.b"][...] = -big
+        config = tiny_config(keep_rate=0.5, mc_passes=2)
+        for epoch in range(1, 51):
+            rng = substream(config.seed, "mc-eval", epoch)
+            draws = [sample_dropout_mask(arch, config.keep_rate, rng, batch=1)["dense_out"][0, 0] for _ in range(2)]
+            if sorted(draws) == [0.0, 2.0]:
+                break
+        else:
+            pytest.fail("no checkpoint epoch drew one multiplier of each kind in 50 tries")
+        params.epoch = epoch
+        samples = np.empty((2, 2, 1))
+        cohort = SimpleNamespace(feature_tensor=lambda: np.array([[big]]))  # the net's one input value
+        (record,) = evaluate_uncertainties([params], cohort, config, samples)
+        assert np.mean(samples, axis=(1, 2)) == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert record.c_anxiety == pytest.approx(0.25, abs=1e-12)
+        assert record.c_protected == pytest.approx(0.25, abs=1e-12)
 
     def test_record_contract(self):
         cohort = generate_synthetic(48, 0.5, 15)
         config = tiny_config(epochs=15, checkpoint_every=5, seed=16)
         checkpoints, _ = train_mtl_with_checkpoints(cohort, "group", config)
-        records = evaluate_uncertainties(checkpoints, cohort, config)
+        samples = mc_buffer(config, cohort)
+        records = evaluate_uncertainties(checkpoints, cohort, config, samples)
         assert len(records) == len(checkpoints)
         assert [r.epoch for r in records] == [c.epoch for c in checkpoints]
         assert all(r.c_anxiety >= 0 and r.c_protected >= 0 for r in records)
-        assert all(0 <= r.p_anxiety <= 1 and 0 <= r.p_protected <= 1 for r in records)
+        assert np.all((samples >= 0) & (samples <= 1))  # the last checkpoint's draws
 
     def test_aggregation_is_mean_over_samples(self):
         cohort = generate_synthetic(48, 0.5, 17)
         config = tiny_config(epochs=5, checkpoint_every=5, seed=18)
         checkpoints, _ = train_mtl_with_checkpoints(cohort, "group", config)
-        records = evaluate_uncertainties(checkpoints, cohort, config)
+        records = evaluate_uncertainties(checkpoints, cohort, config, mc_buffer(config, cohort))
         rng = substream(config.seed, "mc-eval", checkpoints[0].epoch)
-        _, variances = mc_forward(
-            checkpoints[0], cohort.feature_tensor(), passes=config.mc_passes,
-            keep_rate=config.keep_rate, rng=rng,
-        )
-        assert records[0].c_anxiety == pytest.approx(float(np.mean(variances["anxiety"])), abs=0)
+        draws = mc_forward(checkpoints[0], cohort.feature_tensor(), config.keep_rate, rng, mc_buffer(config, cohort))
+        for c, s in zip((records[0].c_anxiety, records[0].c_protected), draws):
+            # the variance with divisor T about the mean accumulated relative to the first pass, bit for bit
+            mean = s[0] + np.sum(s - s[0], axis=0) / config.mc_passes
+            assert c == float(np.mean(np.sum((s - mean) ** 2, axis=0) / config.mc_passes))
+            assert c == pytest.approx(float(np.mean(np.var(s, axis=0))), rel=1e-12)
 
     def test_mean_of_two_sample_variances(self):
         # aggregation rule on its own: {0.1, 0.3} pools to 0.2
         assert float(np.mean([0.1, 0.3])) == pytest.approx(0.2)
 
+    def test_checkpoints_sharing_one_buffer_score_as_alone(self):
+        cohort = generate_synthetic(48, 0.5, 19)
+        config = tiny_config(epochs=10, checkpoint_every=5, seed=20)
+        checkpoints, _ = train_mtl_with_checkpoints(cohort, "group", config)
+        alone = {c.epoch: evaluate_uncertainties([c], cohort, config, mc_buffer(config, cohort))[0]
+                 for c in checkpoints}
+        shared = mc_buffer(config, cohort)
+        for order in (checkpoints, checkpoints[::-1]):
+            records = evaluate_uncertainties(order, cohort, config, shared)
+            assert records == [alone[c.epoch] for c in order]
+
 
 class TestSelection:
     def _record(self, epoch, ca, cp):
-        return UncertaintyRecord(epoch, ca, cp, 0.5, 0.5)
+        return UncertaintyRecord(epoch, ca, cp)
 
     def test_argmax_gap(self):
         records = [self._record(5, 0.02, 0.05), self._record(10, 0.01, 0.09)]

@@ -323,39 +323,14 @@ class TestAdam:
 
 
 class TestMcForward:
-    def test_keep_rate_one_zero_variance(self):
+    def test_keep_rate_one_draws_the_deterministic_pass(self):
         params = init_params(SMALL_ARCH, seed=26)
-        x = np.random.default_rng(27).normal(size=(1, 6, 5))
-        rng = np.random.default_rng(28)
-        means, variances = mc_forward(params, x, passes=10, keep_rate=1.0, rng=rng)
-        assert variances["anxiety"][0] == 0.0
-        assert variances["protected"][0] == 0.0
+        x = np.random.default_rng(27).normal(size=(3, 6, 5))
+        out = np.empty((2, 10, 3))
+        assert mc_forward(params, x, 1.0, np.random.default_rng(28), out) is out
         deterministic, _ = forward(params, x)
-        assert means["anxiety"][0] == deterministic["anxiety"][0]
-
-    def test_two_pass_bernoulli_moments(self):
-        # a net engineered so a single dropout unit flips the output
-        # between ~0 and ~1: multiplier 0 gives sigmoid(-80), multiplier
-        # 1 / 0.5 gives sigmoid(2 * 80 - 80); with one draw of each,
-        # Eq. 2-3 give exactly p = 0.5 and c = 0.25
-        arch = ModelArch(input_size=1, lstm_hidden=None, dense_size=1, heads=("anxiety",))
-        params = init_params(arch, seed=0)
-        big = 80.0
-        params.tensors["dense.W"][...] = 1.0
-        params.tensors["dense.b"][...] = 0.0
-        params.tensors["head.anxiety.W"][...] = 1.0
-        params.tensors["head.anxiety.b"][...] = -big
-        x = np.array([[big]])
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            draws = [sample_dropout_mask(arch, 0.5, rng, batch=1)["dense_out"][0, 0] for _ in range(2)]
-            if sorted(draws) == [0.0, 2.0]:
-                break
-        else:
-            pytest.fail("no seed drew one multiplier of each kind in 50 tries")
-        means, variances = mc_forward(params, x, passes=2, keep_rate=0.5, rng=np.random.default_rng(seed))
-        assert means["anxiety"][0] == pytest.approx(0.5, abs=1e-12)
-        assert variances["anxiety"][0] == pytest.approx(0.25, abs=1e-12)
+        for draws, head in zip(out, SMALL_ARCH.heads):
+            assert all(np.array_equal(row, deterministic[head]) for row in draws), head
 
     def test_inverted_dropout_unbiased(self):
         # E[masked activation] equals the unmasked activation: average the
@@ -397,27 +372,20 @@ class TestMcForward:
     def test_mask_stream_independent_of_other_draws(self):
         params = init_params(SMALL_ARCH, seed=32)
         x = np.random.default_rng(33).normal(size=(1, 6, 5))
-        a = mc_forward(params, x, passes=5, keep_rate=0.8, rng=np.random.default_rng(7))
-        b = mc_forward(params, x, passes=5, keep_rate=0.8, rng=np.random.default_rng(7))
-        assert a[0]["anxiety"][0] == b[0]["anxiety"][0]
-        assert a[1]["anxiety"][0] == b[1]["anxiety"][0]
+        a = mc_forward(params, x, 0.8, np.random.default_rng(7), np.empty((2, 5, 1)))
+        b = mc_forward(params, x, 0.8, np.random.default_rng(7), np.full((2, 5, 1), np.nan))
+        assert a.tobytes() == b.tobytes()
 
 
 def reference_mc_forward(params, x, passes, keep_rate, rng):
-    """mc_forward as ``passes`` full forward passes with the same mask draws."""
+    """mc_forward's (heads, passes, batch) draws as ``passes`` full forward passes with the same mask draws."""
     arch = ModelArch.from_params(params)
-    samples = {head: [] for head in arch.heads}
+    draws = []
     for _ in range(passes):
         mask = sample_dropout_mask(arch, keep_rate, rng, batch=len(x))
         outputs, _ = forward(params, x, mask=mask)
-        for head in arch.heads:
-            samples[head].append(outputs[head])
-    means, variances = {}, {}
-    for head in arch.heads:
-        s = np.array(samples[head])
-        means[head] = s[0] + np.sum(s - s[0], axis=0) / passes
-        variances[head] = np.sum((s - means[head]) ** 2, axis=0) / passes
-    return means, variances
+        draws.append([outputs[head] for head in arch.heads])
+    return np.array(draws).swapaxes(0, 1)
 
 
 class TestMcForwardOracle:
@@ -435,12 +403,9 @@ class TestMcForwardOracle:
         x = rng.normal(size=(batch, 6, 5))
         if lstm_hidden is None:
             x = x.reshape(batch, -1)
-        got = mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
+        got = mc_forward(params, x, keep_rate, np.random.default_rng(42), np.empty((2, 9, batch)))
         want = reference_mc_forward(params, x, passes=9, keep_rate=keep_rate, rng=np.random.default_rng(42))
-        for got_part, want_part in zip(got, want):
-            assert set(got_part) == set(arch.heads)
-            for head in arch.heads:
-                assert np.array_equal(got_part[head], want_part[head]), head
+        assert want.shape == got.shape and got.tobytes() == want.tobytes()
 
     def test_recurrence_runs_once_per_call(self, monkeypatch):
         calls = []
@@ -453,7 +418,7 @@ class TestMcForwardOracle:
         monkeypatch.setattr(nnet, "_lstm_states", counting)
         params = init_params(SMALL_ARCH, seed=43)
         x = np.random.default_rng(44).normal(size=(4, 6, 5))
-        mc_forward(params, x, passes=20, keep_rate=0.8, rng=np.random.default_rng(45))
+        mc_forward(params, x, 0.8, np.random.default_rng(45), np.empty((2, 20, 4)))
         assert len(calls) == 1
 
 class TestKernelOracle:
@@ -570,5 +535,5 @@ class TestTraceFreeInference:
     def test_mc_forward_memory_bounded(self):
         # the full trace of 1,500 windows at H 64 is about 205 MB
         params, x = self.case(1500)
-        peak = peak_mb(mc_forward, params, x, passes=50, keep_rate=0.8, rng=np.random.default_rng(74))
+        peak = peak_mb(mc_forward, params, x, 0.8, np.random.default_rng(74), np.empty((2, 50, 1500)))
         assert peak < 32
