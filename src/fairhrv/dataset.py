@@ -242,6 +242,9 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     start values and innovations would, and the AR(1) recursion runs
     over the 24 steps for all windows at once, with the same arithmetic.
 
+    The attribute is coded by ``encode_protected``, as a loaded cohort's
+    is: "maj", ceil(0.6 n) of n >= 10 participants, is the privileged one.
+
     Raises:
         OutOfRange: bias_strength outside [0, 1], n < 40, or seed outside
             [0, 2**64), the range of a checkpoint header's seed.
@@ -290,13 +293,8 @@ def generate_synthetic(n: int, bias_strength: float, seed: int, attribute: str =
     windows = tuple(LabeledWindow(f"s{i:06d}", f"p{participant_of_window[i]:04d}", feats[i], int(labels[i]))
                     for i in range(n))
 
-    priv_cat, unpriv_cat = SYNTH_RAW_CATEGORIES
-    coding = AttributeCoding(
-        mapping={priv_cat: 1, unpriv_cat: 0},
-        counts={priv_cat: n_priv, unpriv_cat: n_participants - n_priv},
-        codes={f"p{k:04d}": int(group) for k, group in enumerate(group_of_participant)},
-    )
-    return Cohort(windows, {attribute: coding})
+    categories = {f"p{k:04d}": SYNTH_RAW_CATEGORIES[1 - group] for k, group in enumerate(group_of_participant)}
+    return Cohort(windows, {attribute: encode_protected(categories, attribute)})
 
 
 # ---------------------------------------------------------------------------

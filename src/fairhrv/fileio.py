@@ -41,7 +41,8 @@ def read_csv(path):
 
     The header comes first, with the number of lines it spans (0 and
     ``[]`` for an empty file), then every non-blank row, each as wide as
-    the header. Callers check the header.
+    the header. Callers check the header. A leading UTF-8 byte-order mark,
+    which spreadsheet "CSV UTF-8" exports write, is dropped.
 
     Raises:
         ValueError: naming the file and line, for a row of another width
@@ -49,7 +50,7 @@ def read_csv(path):
             limit); naming the file and the byte offset of the first bad
             byte, for a file that is not UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

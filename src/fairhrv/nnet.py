@@ -123,22 +123,19 @@ class ModelArch:
             points.append(("dense_out", self.dense_size))
         return tuple(points)
 
-    def trunk_size(self) -> int:
-        return self.input_size if self.lstm_hidden is None else self.lstm_hidden
-
-    def head_input_size(self) -> int:
-        return self.trunk_size() if self.dense_size is None else self.dense_size
-
     def param_shapes(self) -> dict:
-        """The name and shape of every tensor this topology has."""
+        """The name and shape of every tensor this topology has, in ``init_params``'s draw order."""
         shapes = {}
+        width = self.input_size
         if self.lstm_hidden is not None:
             h = self.lstm_hidden
-            shapes.update({"lstm.W": (self.input_size, 4 * h), "lstm.U": (h, 4 * h), "lstm.b": (4 * h,)})
+            shapes.update({"lstm.W": (width, 4 * h), "lstm.U": (h, 4 * h), "lstm.b": (4 * h,)})
+            width = h
         if self.dense_size is not None:
-            shapes.update({"dense.W": (self.trunk_size(), self.dense_size), "dense.b": (self.dense_size,)})
+            shapes.update({"dense.W": (width, self.dense_size), "dense.b": (self.dense_size,)})
+            width = self.dense_size
         for head in self.heads:
-            shapes.update({f"head.{head}.W": (self.head_input_size(), 1), f"head.{head}.b": (1,)})
+            shapes.update({f"head.{head}.W": (width, 1), f"head.{head}.b": (1,)})
         return shapes
 
     @staticmethod
@@ -200,28 +197,24 @@ class ForwardTrace:
     head_in: np.ndarray = None
 
 
-def glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_params(arch: ModelArch, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, forget-gate bias 1."""
+    """Glorot-uniform weights, zero biases, forget-gate bias 1, drawn in ``arch.param_shapes()`` order.
+
+    A (fan_in, fan_out) weight is uniform within +-sqrt(6 / (fan_in +
+    fan_out)); ``lstm.W`` and ``lstm.U`` take fan_out H, a quarter of
+    their width, as each gate is an H-wide layer.
+    """
     rng = substream(seed, "init")
     tensors = {}
+    for name, shape in arch.param_shapes().items():
+        if len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[0] + (shape[1] // 4 if name.startswith("lstm.") else shape[1])))
+            tensors[name] = rng.uniform(-limit, limit, size=shape)
     if arch.lstm_hidden is not None:
         h = arch.lstm_hidden
-        tensors["lstm.W"] = glorot(rng, arch.input_size, h, (arch.input_size, 4 * h))
-        tensors["lstm.U"] = glorot(rng, h, h, (h, 4 * h))
-        bias = np.zeros(4 * h)
-        bias[h : 2 * h] = 1.0
-        tensors["lstm.b"] = bias
-    if arch.dense_size is not None:
-        tensors["dense.W"] = glorot(rng, arch.trunk_size(), arch.dense_size, (arch.trunk_size(), arch.dense_size))
-        tensors["dense.b"] = np.zeros(arch.dense_size)
-    for head in arch.heads:
-        tensors[f"head.{head}.W"] = glorot(rng, arch.head_input_size(), 1, (arch.head_input_size(), 1))
-        tensors[f"head.{head}.b"] = np.zeros(1)
+        tensors["lstm.b"][h : 2 * h] = 1.0
     return ModelParams(tensors, epoch=0, rng_seed=seed)
 
 

@@ -1,12 +1,13 @@
 """fileio: read_numeric_csv returns what its row scan returns, in bits or in message, whatever the table;
-a failed atomic write leaves no trace."""
+every reader reads a file with a leading byte-order mark as without it; a failed atomic write leaves no trace."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhrv import fileio
-from reader_outcome import fast_and_scan
+from fairhrv import dataset, fileio, hrv_features
+from reader_outcome import fast_and_scan, outcome
 
 PADS = ["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
 NUMBERS = st.one_of(
@@ -58,6 +59,37 @@ def test_a_64_kib_aligned_block_without_a_newline_goes_to_the_scan(tmp_path, run
     path = tmp_path / "t.csv"
     path.write_text("c\n" + ("1" * run + "\n") * 3)
     assert fileio._parses_as_scan(path) == (run < 1 << 16)
+
+
+def _windows_csv(path):
+    features = np.random.default_rng(0).normal(size=(2, dataset.WINDOW_STEPS, dataset.N_FEATURES))
+    dataset.write_windows_csv(path, ["s0", "s1"], ["p0", "p1"], features)
+
+
+BOM_READERS = {
+    "windows": (_windows_csv, dataset.read_windows_csv),
+    "labels": (lambda p: p.write_text("sample_id,anxiety\ns0,1\ns1,0\n"),
+               lambda p: dataset.read_outcomes_csv(p, dataset.LABELS_HEADER, "label")),
+    "predictions": (lambda p: p.write_text("sample_id,prediction,probability\ns0,1,0.75\ns1,0,0.125\n"),
+                    lambda p: dataset.read_outcomes_csv(p, dataset.PREDICTIONS_HEADER, "prediction")),
+    "demographics": (lambda p: p.write_text("participant_id,group\np0,a\np1,b\n"), dataset._read_demographics_csv),
+    "ecg": (lambda p: p.write_text("t_seconds,voltage\n" + "".join(f"{k / 10},{k % 7 / 10}\n" for k in range(30))),
+            hrv_features.read_ecg_csv),
+    "nni": (lambda p: p.write_text("interval_ms\n800\n812.5\n790\n"), hrv_features.read_nni_csv),
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_READERS))
+def test_a_leading_byte_order_mark_reads_as_without_it(tmp_path, name):
+    write, read = BOM_READERS[name]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = outcome(read, plain)
+    assert not isinstance(want, str), want
+    # read as it is, and with the row scan forced
+    got, scanned, _ = fast_and_scan(read, marked)
+    assert got == scanned == want
 
 
 def test_a_failed_atomic_write_keeps_the_destination_and_leaves_no_temp_file(tmp_path, monkeypatch):

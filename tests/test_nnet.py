@@ -32,6 +32,7 @@ from gradcheck import (
 )
 from peak_memory import peak_mb
 from reference_adam import reference_adam_step
+from reference_init import reference_init_params
 from reference_lstm import reference_backprop, reference_lstm_states
 from scalar_lstm import scalar_lstm_final_hidden
 
@@ -44,6 +45,31 @@ def zero_params(arch):
 
 
 SMALL_ARCH = ModelArch(input_size=5, lstm_hidden=3, dense_size=4, heads=("anxiety", "protected"))
+
+
+INIT_ARCHS = {
+    "cli-two-heads": ModelArch(input_size=25, lstm_hidden=64, dense_size=32, heads=("anxiety", "protected")),
+    "cli-base": ModelArch(input_size=25, lstm_hidden=64, dense_size=32, heads=("anxiety",)),
+    "tiny": ModelArch(input_size=25, lstm_hidden=16, dense_size=8, heads=("anxiety", "protected")),
+    "lstm-only": ModelArch(input_size=5, lstm_hidden=3, dense_size=None, heads=("anxiety", "protected")),
+    "head-network": ModelArch(input_size=64, lstm_hidden=None, dense_size=32, heads=("anxiety", "protected")),
+    "linear": ModelArch(input_size=12, lstm_hidden=None, dense_size=None, heads=("anxiety",)),
+}
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+    @pytest.mark.parametrize("name", list(INIT_ARCHS))
+    def test_bit_identical_to_frozen_oracle(self, name, seed):
+        arch = INIT_ARCHS[name]
+        params = init_params(arch, seed)
+        expected = reference_init_params(arch, seed)
+        assert list(params.tensors) == list(expected.tensors) == list(arch.param_shapes())
+        for key, tensor in expected.tensors.items():
+            assert params.tensors[key].dtype == tensor.dtype
+            assert params.tensors[key].shape == tensor.shape
+            assert params.tensors[key].tobytes() == tensor.tobytes(), key
+        assert (params.epoch, params.rng_seed) == (expected.epoch, expected.rng_seed)
 
 
 class TestForward:
