@@ -165,16 +165,15 @@ def detect_r_peaks(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     if running_avg <= 0.0:
         raise ValueError("signal has no energy peaks above threshold")
     accepted = _accept_beats(candidates, energy[candidates], running_avg, refractory)
+    del energy
 
-    # refine to the raw maximum within +/-100 ms: one argmax over a window per beat
+    # refine to the raw maximum within +/-100 ms: one argmax per beat over the trace padded with
+    # -inf at each end, whose window b is the +/-100 ms around beat b, cut short by either end
     half_window = max(1, round(0.100 * fs))
+    padded = np.pad(x, half_window, constant_values=-np.inf)
     beats = np.asarray(accepted, dtype=np.intp)
-    width = min(2 * half_window + 1, n)
-    starts = np.clip(beats - half_window, 0, n - width)
-    refined = starts + np.lib.stride_tricks.sliding_window_view(x, width)[starts].argmax(axis=1)
-    for row in np.flatnonzero(starts != beats - half_window):  # within 100 ms of either end
-        lo = max(0, int(beats[row]) - half_window)
-        refined[row] = lo + int(x[lo : int(beats[row]) + half_window + 1].argmax())
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half_window + 1)
+    refined = beats - half_window + windows[beats].argmax(axis=1)
 
     # Re-apply the refractory rule after refinement in case two integrator
     # bumps collapsed onto the same raw maximum neighborhood.

@@ -41,13 +41,15 @@ product ``dz @ U.T`` breaks that rule: input gradients below H 64 differ
 from a whole-batch pass by up to about 1e-8 relative; at H 64 they agree.
 
 The LSTM stacks its gates in the order input, forget, cell, output along
-the 4H axis of lstm.W, lstm.U and lstm.b. Once activated they live in a
-(steps, 4, batch, H) buffer: gate k of step t is the contiguous (batch, H)
-block [t, k], so the elementwise work of each step, forward and backward,
-runs on contiguous memory. The recurrence and backpropagation through
-time write through ``out=`` into buffers allocated once per call, and
-keep the operation order of the allocating form in
-tests/reference_lstm.py, which the tests require to give the same bits.
+the 4H axis of lstm.W, lstm.U and lstm.b; the gates, their pre-activations
+``z`` and gradients ``dz`` are each read as four H-wide slots in that
+order. The gates live in a (steps, 4, batch, H) buffer: gate k of step t
+is the contiguous (batch, H) block [t, k], so the elementwise work of each
+step, forward and backward, runs on contiguous memory. The recurrence and
+backpropagation through time write through ``out=`` into buffers
+allocated once per call, and keep the operation order of the allocating
+form in tests/reference_lstm.py, which the tests require to give the same
+bits.
 
 Two numpy sigmoids serve two needs. The LSTM gates take
 ``gate_sigmoid``, the tanh form, which is about twice as fast as the exp
@@ -67,8 +69,6 @@ from .rng import substream
 
 PROB_CLAMP = 1e-12
 
-# lstm gate slices within the stacked 4H axis
-_GATES = ("input", "forget", "cell", "output")
 # most windows per block of inference; the module docstring says why
 BLOCK_WINDOWS = 64
 
@@ -184,8 +184,8 @@ class ForwardTrace:
 
     x: np.ndarray
     outputs: dict
-    # lstm caches, shaped (T, B, H); states include t=0; None without an LSTM
-    gates: dict = None
+    # lstm caches, None without an LSTM: gates (T, 4, B, H), as _lstm_states returns them
+    gates: np.ndarray = None
     cell: np.ndarray = None
     hidden: np.ndarray = None
     tanh_cell: np.ndarray = None
@@ -233,37 +233,37 @@ def _lstm_states(params: ModelParams, x: np.ndarray):
     """The LSTM recurrence over a (batch, steps, features) input.
 
     Returns (gates, cell, hidden, tanh_cell), the history backpropagation
-    through time needs: gates maps each gate name to a (steps, batch, H)
-    view into one (steps, 4, batch, H) buffer, cell and hidden are
-    (steps + 1, batch, H) with the zero state at t=0, tanh_cell is
-    (steps, batch, H). x @ W is one GEMM over all steps.
+    through time needs: gates is the (steps, 4, batch, H) buffer whose
+    [t, k] slot is gate k of step t, cell and hidden are (steps + 1,
+    batch, H) with the zero state at t=0, tanh_cell is (steps, batch, H).
+    x @ W is one GEMM over all steps.
     """
     t = params.tensors
     batch, steps, _ = x.shape
     w_in, w_rec, bias = t["lstm.W"], t["lstm.U"], t["lstm.b"]
     h = w_rec.shape[0]
-    gate_buf = np.empty((steps, 4, batch, h))
+    gates = np.empty((steps, 4, batch, h))
     hidden = np.zeros((steps + 1, batch, h))
     cell = np.zeros((steps + 1, batch, h))
     tanh_cell = np.empty((steps, batch, h))
     xw = (x.reshape(batch * steps, -1) @ w_in).reshape(batch, steps, 4 * h)
     z = np.empty((batch, 4 * h))
+    zi, zf, zc, zo = z.reshape(batch, 4, h).swapaxes(0, 1)
     input_part = np.empty((batch, h))
     for step in range(steps):
         np.matmul(hidden[step], w_rec, out=z)
         z += xw[:, step]
         z += bias
-        gi, gf, gc, go = gate_buf[step]
-        gate_sigmoid(z[:, :h], out=gi)
-        gate_sigmoid(z[:, h : 2 * h], out=gf)
-        np.tanh(z[:, 2 * h : 3 * h], out=gc)
-        gate_sigmoid(z[:, 3 * h :], out=go)
+        gi, gf, gc, go = gates[step]
+        gate_sigmoid(zi, out=gi)
+        gate_sigmoid(zf, out=gf)
+        np.tanh(zc, out=gc)
+        gate_sigmoid(zo, out=go)
         np.multiply(gf, cell[step], out=cell[step + 1])
         np.multiply(gi, gc, out=input_part)
         cell[step + 1] += input_part
         np.tanh(cell[step + 1], out=tanh_cell[step])
         np.multiply(go, tanh_cell[step], out=hidden[step + 1])
-    gates = {name: gate_buf[:, k] for k, name in enumerate(_GATES)}
     return gates, cell, hidden, tanh_cell
 
 
@@ -404,12 +404,12 @@ def _backprop(params: ModelParams, trace: ForwardTrace, score_seeds: dict, input
     deriv = np.empty((batch, h))
     d_rec = np.empty_like(w_rec)
     d_z_all = np.empty((batch, steps, 4 * h))
+    dz_slots = d_z_all.reshape(batch, steps, 4, h).transpose(1, 2, 0, 3)  # (steps, 4, batch, H)
     for step in range(steps - 1, -1, -1):
-        gi, gf = gates["input"][step], gates["forget"][step]
-        gc, go = gates["cell"][step], gates["output"][step]
+        gi, gf, gc, go = gates[step]
         tc = tanh_cell[step]
         dz = d_z_all[:, step]
-        dz_i, dz_f, dz_c, dz_o = (dz[:, k * h : (k + 1) * h] for k in range(4))
+        dz_i, dz_f, dz_c, dz_o = dz_slots[step]
         # Each product is taken left to right, as written here; products
         # build in the contiguous work buffers, and only the last factor
         # writes into the strided slice of dz.
@@ -476,18 +476,18 @@ def input_gradient(params: ModelParams, x: np.ndarray, head: str) -> np.ndarray:
     head's weight vector.
 
     The blocks of ``_window_blocks`` go through forward and backward one
-    at a time, and only their input gradients are kept. Every window's
+    at a time, each filling its rows of the result as ``_last_hidden``
+    pairs them, so no block's trace outlives its turn. Every window's
     gradient depends on that window alone, but not its rounding: the
     transposed product ``dz @ U.T`` rounds a row by how many rows share
     it, so below H 64 the results may differ from one whole-batch pass
     in the last bits (see the module docstring).
     """
-    parts = []
-    for block in _window_blocks(x):
+    grad = np.empty(x.shape)
+    for block, rows in zip(_window_blocks(x), _window_blocks(grad)):
         _, trace = forward(params, block, mask=None)
-        _, d_input = _backprop(params, trace, {head: np.ones(len(block))}, input_grad=True)
-        parts.append(d_input)
-    return np.concatenate(parts)
+        rows[:] = _backprop(params, trace, {head: np.ones(len(block))}, input_grad=True)[1]
+    return grad
 
 
 def _head_network(params: ModelParams, x: np.ndarray) -> tuple:

@@ -5,8 +5,10 @@ appears nowhere in ``src/fairhrv`` or ``perfbench`` besides its own
 ``def`` line has no caller but a test; dunder methods are skipped, as
 Python calls them. Likewise each field of a ``@dataclass`` there is read
 as ``.field`` in ``src/fairhrv`` or ``perfbench``: a field that is only
-written holds state no artifact or caller uses. The repo root holds no
-script either. The other way round, each function the benchmark traces
+written holds state no artifact or caller uses, and each name a module
+there assigns at its top level, dunders again skipped, appears in
+``src/fairhrv`` or ``perfbench`` more often than it is assigned. The repo
+root holds no script either. The other way round, each function the benchmark traces
 by name exists.
 """
 
@@ -32,6 +34,21 @@ def unreferenced(names, texts) -> set:
     """The ``names`` that no text holds as a whole word, other than where ``def`` defines them."""
     text = "\n".join(texts)
     return {name for name in names if not re.search(rf"(?<!def )\b{re.escape(name)}\b", text)}
+
+
+def module_constants(source: str) -> list:
+    """The names the top-level assignments of ``source`` bind, once per binding, dunders excepted."""
+    targets = [target for node in ast.parse(source).body
+               for target in (node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)])]
+    return [node.id for target in targets if target is not None for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and not (node.id.startswith("__") and node.id.endswith("__"))]
+
+
+def orphaned(bindings: list, texts) -> set:
+    """The names of ``bindings`` that the texts hold as whole words no more often than they are bound."""
+    text = "\n".join(texts)
+    return {name for name in set(bindings) if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= bindings.count(name)}
 
 
 def dataclass_fields(source: str) -> set:
@@ -65,6 +82,22 @@ def test_unreferenced_reads_nested_functions_and_skips_dunders():
               "def lone():\n    return A().used()\n")
     assert defined_functions(source) == {"used", "inner", "lone"}
     assert unreferenced(defined_functions(source), [source]) == {"lone"}
+
+
+def test_every_module_constant_is_read_in_the_package_or_the_benchmark():
+    bindings = {path.name: module_constants(path.read_text()) for path in SOURCES}
+    # a plain, a tuple-unpacked and a derived constant: a finder that missed them would pass vacuously
+    assert {"BLOCK_WINDOWS", "ADAM_EPS", "N_FEATURES"} <= set().union(*bindings.values())
+    orphans = orphaned([name for names in bindings.values() for name in names], [path.read_text() for path in SEARCHED])
+    named = sorted(f"{module} {name}" for module, names in bindings.items() for name in names if name in orphans)
+    assert not named, f"module constants referenced only where they are assigned: {named}"
+
+
+def test_constant_finder_reads_each_binding_form_and_skips_dunders():
+    source = ('__all__ = ["f"]\nA = 1\nB, (C, D) = 2, (3, 4)\nE: int = A\nobj.attr = B\nF = 0\nF += 1\n\n'
+              'def f():\n    local = C\n    return local\n')
+    assert module_constants(source) == ["A", "B", "C", "D", "E", "F", "F"]
+    assert orphaned(module_constants(source), [source]) == {"D", "E", "F"}
 
 
 def test_every_dataclass_field_is_read_in_the_package_or_the_benchmark():
